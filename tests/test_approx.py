@@ -9,6 +9,8 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
+import meglm.gaussian
+import meglm.model
 from meglm.approx import (
     IntegrationGrid,
     _explore_lattice,
@@ -21,7 +23,7 @@ from meglm.approx import (
 )
 from meglm.data import Dataset
 from meglm.errors import SpecError
-from meglm.gaussian import exact_linear_gaussian_posterior
+from meglm.gaussian import exact_linear_gaussian_posterior, latent_gaussian_approx
 from meglm.model import (
     ErrorModel,
     ExposureModel,
@@ -30,8 +32,10 @@ from meglm.model import (
     ThetaEntry,
     ThetaLayout,
     build_joint_model,
+    copy_augment,
+    joint_log_density,
 )
-from meglm.priors import FixedValue, GammaPrior, GaussianPrior
+from meglm.priors import LOG_2PI, FixedValue, GammaPrior, GaussianPrior
 
 
 def linear_two_free_model():
@@ -205,6 +209,50 @@ class TestLogHyperposterior:
             got = lps[i] - lps[0]
             want = oracle[i] - oracle[0]
             assert got == pytest.approx(want, abs=1.0e-3)
+
+    def test_one_assembly_per_evaluation(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        # joint_log_density assembles through the model-module binding,
+        # the Newton solve through the gaussian-module one
+        monkeypatch.setattr(
+            meglm.model, "assemble_conditional", counting(meglm.model.assemble_conditional)
+        )
+        monkeypatch.setattr(
+            meglm.gaussian, "assemble_conditional", counting(meglm.gaussian.assemble_conditional)
+        )
+        for model, theta in (
+            (bernoulli_toy_model(), np.array([0.9])),
+            (copy_augment(linear_two_free_model()), np.array([1.0, 2.0])),
+        ):
+            calls.clear()
+            log_hyperposterior(model, theta)
+            assert len(calls) == 1
+
+    def test_equals_joint_density_formula(self):
+        # the value is read off the solve; it must be the same float as the
+        # joint density re-evaluated at the mode, minus the Gaussian's own
+        # log density there, plus the internal-scale Jacobian
+        for model in (linear_two_free_model(), copy_augment(linear_two_free_model())):
+            layout = model.theta
+            for lam in (np.log([1.0, 2.0]), np.log([0.6, 1.1]), np.log([1.8, 3.5])):
+                theta = layout.to_natural(lam)
+                approx = latent_gaussian_approx(model, theta)
+                plain = (
+                    joint_log_density(model, approx.mode, theta)
+                    - 0.5 * approx.log_det_precision
+                    + 0.5 * approx.dim * LOG_2PI
+                )
+                assert log_hyperposterior(model, theta) == plain
+                internal = plain + layout.internal_log_jacobian(lam)
+                assert log_hyperposterior(model, lam, internal=True) == internal
 
     def test_invalid_theta_rejected(self):
         model = linear_two_free_model()

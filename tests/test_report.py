@@ -10,10 +10,12 @@ import pytest
 from meglm.data import Dataset, DataError, parse_model_config
 from meglm.errors import SpecError
 from meglm.mcmc import ChainConfig
+from meglm.model import build_joint_model, copy_augment
 from meglm.report import (
     ParameterSummary,
     PosteriorReport,
     RunConfig,
+    _grid_fit,
     attenuation_note,
     build_report,
     laplace_marginals,
@@ -25,7 +27,7 @@ from meglm.report import (
     write_comparison,
     write_report,
 )
-from meglm.studies import IbexRecipe, simulate_study, write_study
+from meglm.studies import IbexRecipe, make_recipe, simulate_study, write_study
 
 
 def ibex_files(tmp_path, n=26, seed=5):
@@ -196,6 +198,26 @@ class TestMarginalSources:
         reg = {"beta_0", "beta_x", "beta_z1", "beta_z2", "beta_z3", "beta_z4"}
         assert reg <= set(nai) and reg <= set(lap)
         assert list(nai)[:2] == ["beta_0", "beta_x"]
+
+    @pytest.mark.parametrize(
+        "study, overrides",
+        [
+            ("ibex", {"n": 26, "seed": 9}),
+            ("framingham", {"n": 120, "seed": 9}),
+            ("seedling", {"seed": 9}),
+        ],
+    )
+    def test_plain_fit_agrees_with_copy_augmented_fit(self, study, overrides):
+        # laplace fits the plain model; the paper's high-precision copy of
+        # beta_x * x must give the same marginals at criterion-6 tolerances
+        sim = simulate_study(make_recipe(study, **overrides))
+        model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
+        plain = _grid_fit(model, dz=1.0, diff_logdens=4.0)
+        augmented = _grid_fit(copy_augment(model), dz=1.0, diff_logdens=4.0)
+        assert list(plain) == list(augmented)
+        for name, ref in augmented.items():
+            assert abs(plain[name].mean - ref.mean) < 0.1 * ref.sd, name
+            assert abs(plain[name].sd / ref.sd - 1.0) < 0.1, name
 
     def test_marginal_csv_round_trip_bytes(self, tmp_path):
         values = np.linspace(0.0, 2.0, 75)
