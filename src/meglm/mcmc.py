@@ -7,6 +7,11 @@ updates for x (exact for Gaussian responses, componentwise random-walk
 Metropolis otherwise), a regression-block update (conjugate for Gaussian,
 joint random-walk Metropolis otherwise), and the family precision.
 
+Each Gaussian coefficient block is Cholesky-factored once per sweep: the one
+factor gives both the conditional mean and the draw's noise, through direct
+LAPACK triangular solves. Design pieces that do not change between sweeps
+are computed once when the sampler is prepared.
+
 Proposal scales adapt by Robbins-Monro toward a 0.35 acceptance rate and
 freeze when burn-in ends. All randomness flows through one counter-based
 generator (Philox) seeded explicitly, so chains are reproducible bit for bit.
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import NumericError, SpecError
 from .model import JointModel
@@ -44,6 +49,8 @@ ADAPT_TARGET = 0.35
 _ADAPT_OFFSET = 10.0
 _LOG_SCALE_BOUND = 20.0
 DEFAULT_PROPOSAL_SCALES = {"x": 0.5, "beta": 0.2, "gamma": 0.5}
+# fewest draws `effective_sample_size` estimates from
+MIN_ESS_DRAWS = 10
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,10 @@ def tau_u_conditional(
     return shape, rate
 
 
+_ALPHA_BLOCK = "exposure coefficients"
+_BETA_BLOCK = "regression coefficients"
+
+
 def alpha_conditional(
     x: np.ndarray,
     design: np.ndarray,
@@ -160,30 +171,54 @@ def alpha_conditional(
     prior_precision = np.asarray(prior_precision, dtype=float)
     precision = tau_x * (design.T @ design) + np.diag(prior_precision)
     rhs = tau_x * (design.T @ np.asarray(x, dtype=float)) + prior_precision * prior_mean
-    try:
-        chol = np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            "exposure-coefficient conditional precision is singular "
-            "(flat priors with a degenerate design)"
-        )
-    mean = _chol_solve(chol, rhs)
+    mean, _ = _gaussian_block(precision, rhs, _ALPHA_BLOCK)
     return mean, precision
 
 
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    half = solve_triangular(chol, rhs, lower=True)
-    return solve_triangular(chol.T, half, lower=False)
+def _gaussian_block(precision: np.ndarray, rhs: np.ndarray, block: str) -> tuple:
+    """Mean and upper Cholesky factor of a Gaussian given in canonical form.
+
+    `precision` is Q and `rhs` is Q @ mean. The factor comes back as the
+    upper triangle U = L.T (Q = U.T @ U), the orientation LAPACK reads
+    without a copy. Non-finite inputs are rejected here, once per block,
+    since np.linalg.cholesky would return NaNs for them without raising.
+    """
+    if not (np.isfinite(precision).all() and np.isfinite(rhs).all()):
+        raise NumericError("%s conditional is not finite" % block)
+    try:
+        upper = np.linalg.cholesky(precision).T
+    except np.linalg.LinAlgError:
+        raise NumericError(
+            "%s conditional precision is singular "
+            "(flat priors with a degenerate design)" % block
+        )
+    half = _solve_upper(upper, rhs, trans=1)
+    return _solve_upper(upper, half, trans=0), upper
+
+
+def _solve_upper(upper: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
+    """Solve U z = rhs (trans=0) or U.T z = rhs (trans=1) for upper triangular U.
+
+    Calls LAPACK trtrs with the arguments scipy.linalg.solve_triangular
+    passes for a Cholesky factor, so results are bit for bit the same,
+    without scipy's per-call validation; callers check finiteness.
+    """
+    out, info = dtrtrs(upper, rhs, lower=0, trans=trans)
+    if info != 0:
+        raise NumericError("triangular solve failed (LAPACK trtrs info %d)" % info)
+    return out
 
 
 def _draw_gamma(rng, shape: float, rate: float) -> float:
     return float(rng.gamma(shape, 1.0 / rate))
 
 
+def _draw_from_factor(rng, mean: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    return mean + _solve_upper(upper, rng.standard_normal(mean.size), trans=0)
+
+
 def _draw_mvn_from_precision(rng, mean: np.ndarray, precision: np.ndarray) -> np.ndarray:
-    chol = np.linalg.cholesky(precision)
-    noise = solve_triangular(chol.T, rng.standard_normal(mean.size), lower=False)
-    return mean + noise
+    return _draw_from_factor(rng, mean, np.linalg.cholesky(precision).T)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +247,21 @@ class _Sampler:
     y: np.ndarray
     trials: np.ndarray
     reg_rows: np.ndarray
-    X: np.ndarray          # columns: intercept, x slot, covariates
+    # columns: intercept, x slot, covariates; the x slot is overwritten in
+    # place by `regression_design`, so no value of it outlives one update
+    X: np.ndarray
     x_col: int
     beta_names: tuple
     beta_free: np.ndarray
     beta_mean: np.ndarray
     beta_prec: np.ndarray
+    beta_any_free: bool
+    beta_prior_diag: np.ndarray   # np.diag(beta_prec[free])
+    beta_prior_shift: np.ndarray  # beta_prec[free] * beta_mean[free]
     # latent exposure plumbing
     n_x: int
     x_index: np.ndarray
+    x_counts: np.ndarray          # regression rows per latent x
     w: np.ndarray
     d: np.ndarray
     proxy_index: np.ndarray
@@ -232,6 +273,12 @@ class _Sampler:
     alpha_free: Optional[np.ndarray] = None
     alpha_mean: Optional[np.ndarray] = None
     alpha_prec: Optional[np.ndarray] = None
+    alpha_any_free: bool = False
+    alpha_prior_diag: Optional[np.ndarray] = None
+    alpha_prior_shift: Optional[np.ndarray] = None
+    exp_free: Optional[np.ndarray] = None    # exp_design[:, alpha_free]
+    exp_fixed: Optional[np.ndarray] = None   # exp_design[:, ~alpha_free]
+    exp_gram: Optional[np.ndarray] = None    # exp_free.T @ exp_free
     tau_x_prior: object = None
     # berkson prior pieces
     w_group: Optional[np.ndarray] = None
@@ -242,10 +289,13 @@ class _Sampler:
     tau_gamma_prior: object = None
     has_gamma: bool = False
 
+    def regression_design(self, x: np.ndarray) -> np.ndarray:
+        """The regression design at latent values x (the shared buffer)."""
+        self.X[:, self.x_col] = x[self.x_index]
+        return self.X
+
     def eta(self, state: ChainState) -> np.ndarray:
-        X = self.X.copy()
-        X[:, self.x_col] = state.x[self.x_index]
-        eta = X @ state.beta
+        eta = self.regression_design(state.x) @ state.beta
         if self.has_gamma:
             eta = eta + state.gamma
         return eta
@@ -306,8 +356,12 @@ def _prepare(model: JointModel) -> _Sampler:
         beta_free=beta_free,
         beta_mean=beta_mean,
         beta_prec=beta_prec,
+        beta_any_free=bool(np.any(beta_free)),
+        beta_prior_diag=np.diag(beta_prec[beta_free]),
+        beta_prior_shift=beta_prec[beta_free] * beta_mean[beta_free],
         n_x=model.n_x,
         x_index=x_index,
+        x_counts=np.bincount(x_index, minlength=model.n_x),
         w=w,
         d=d,
         proxy_index=proxy_index,
@@ -323,11 +377,20 @@ def _prepare(model: JointModel) -> _Sampler:
         design[:, 0] = 1.0
         design[:, 1:] = model.Z
         alpha_priors = [exposure.alpha0] + list(exposure.alpha_z)
+        alpha_mean = np.array([_prior_mean_prec(pr)[0] for pr in alpha_priors])
+        alpha_prec = np.array([_prior_mean_prec(pr)[1] for pr in alpha_priors])
+        free = np.isfinite(alpha_prec)
         sampler.exp_design = design
         sampler.alpha_names = ("alpha_0",) + tuple("alpha_%s" % c for c in spec.covariates)
-        sampler.alpha_mean = np.array([_prior_mean_prec(pr)[0] for pr in alpha_priors])
-        sampler.alpha_prec = np.array([_prior_mean_prec(pr)[1] for pr in alpha_priors])
-        sampler.alpha_free = np.isfinite(sampler.alpha_prec)
+        sampler.alpha_mean = alpha_mean
+        sampler.alpha_prec = alpha_prec
+        sampler.alpha_free = free
+        sampler.alpha_any_free = bool(np.any(free))
+        sampler.alpha_prior_diag = np.diag(alpha_prec[free])
+        sampler.alpha_prior_shift = alpha_prec[free] * alpha_mean[free]
+        sampler.exp_free = design[:, free]
+        sampler.exp_fixed = design[:, ~free]
+        sampler.exp_gram = sampler.exp_free.T @ sampler.exp_free
         sampler.tau_x_prior = exposure.tau_x
     else:
         sampler.w_group = w
@@ -391,19 +454,21 @@ def gibbs_tau_u(state: ChainState, sampler: _Sampler, rng) -> float:
 
 
 def gibbs_alpha(state: ChainState, sampler: _Sampler, rng) -> np.ndarray:
+    """Conjugate draw of the free exposure coefficients.
+
+    The same arithmetic as `alpha_conditional` followed by
+    `_draw_mvn_from_precision`, with the design pieces taken from the
+    sampler and the precision factored once.
+    """
     free = sampler.alpha_free
     alpha = state.alpha.copy()
-    if not np.any(free):
+    if not sampler.alpha_any_free:
         return alpha
-    offset = sampler.exp_design[:, ~free] @ alpha[~free]
-    mean, precision = alpha_conditional(
-        state.x - offset,
-        sampler.exp_design[:, free],
-        state.tau_x,
-        sampler.alpha_mean[free],
-        sampler.alpha_prec[free],
-    )
-    alpha[free] = _draw_mvn_from_precision(rng, mean, precision)
+    offset = sampler.exp_fixed @ alpha[~free]
+    precision = state.tau_x * sampler.exp_gram + sampler.alpha_prior_diag
+    rhs = state.tau_x * (sampler.exp_free.T @ (state.x - offset)) + sampler.alpha_prior_shift
+    mean, upper = _gaussian_block(precision, rhs, _ALPHA_BLOCK)
+    alpha[free] = _draw_from_factor(rng, mean, upper)
     return alpha
 
 
@@ -433,9 +498,7 @@ def mh_latent_x(state: ChainState, sampler: _Sampler, scale: float, rng) -> tupl
     if sampler.family == "gaussian":
         eta = sampler.eta(state)
         resid_wo_x = sampler.y - (eta - beta_x * state.x[sampler.x_index])
-        prec = prior_prec + state.tau_eps * beta_x**2 * np.bincount(
-            sampler.x_index, minlength=sampler.n_x
-        )
+        prec = prior_prec + state.tau_eps * beta_x**2 * sampler.x_counts
         numer = prior_numer + state.tau_eps * beta_x * np.bincount(
             sampler.x_index, weights=resid_wo_x, minlength=sampler.n_x
         )
@@ -484,25 +547,20 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
     """
     free = sampler.beta_free
     beta = state.beta.copy()
-    if not np.any(free):
+    if not sampler.beta_any_free:
         return beta, 1.0
-    X = sampler.X.copy()
-    X[:, sampler.x_col] = state.x[sampler.x_index]
+    X = sampler.regression_design(state.x)
     offset = X[:, ~free] @ beta[~free]
     if sampler.has_gamma:
         offset = offset + state.gamma
     Xf = X[:, free]
 
     if sampler.family == "gaussian":
-        precision = state.tau_eps * (Xf.T @ Xf) + np.diag(sampler.beta_prec[free])
+        precision = state.tau_eps * (Xf.T @ Xf) + sampler.beta_prior_diag
         rhs = state.tau_eps * (Xf.T @ (sampler.y - offset))
-        rhs += sampler.beta_prec[free] * sampler.beta_mean[free]
-        try:
-            chol = np.linalg.cholesky(precision)
-        except np.linalg.LinAlgError:
-            raise NumericError("regression-coefficient conditional is singular")
-        mean = _chol_solve(chol, rhs)
-        beta[free] = _draw_mvn_from_precision(rng, mean, precision)
+        rhs += sampler.beta_prior_shift
+        mean, upper = _gaussian_block(precision, rhs, _BETA_BLOCK)
+        beta[free] = _draw_from_factor(rng, mean, upper)
         return beta, 1.0
 
     if scale == 0.0:
@@ -544,17 +602,21 @@ def _gibbs_tau_gamma(state: ChainState, sampler: _Sampler, rng) -> float:
 
 
 def _monitor_layout(sampler: _Sampler, cfg: ChainConfig) -> tuple:
+    """Monitored names, the free precisions among them, and the x picks."""
     names = [n for n, f in zip(sampler.beta_names, sampler.beta_free) if f]
     if sampler.error_kind == "classical":
         names.extend(n for n, f in zip(sampler.alpha_names, sampler.alpha_free) if f)
-    for tau_name, prior in (
-        ("tau_u", sampler.tau_u_prior),
-        ("tau_x", sampler.tau_x_prior),
-        ("tau_eps", sampler.tau_eps_prior),
-        ("tau_gamma", sampler.tau_gamma_prior),
-    ):
-        if prior is not None and not isinstance(prior, FixedValue):
-            names.append(tau_name)
+    taus = tuple(
+        tau_name
+        for tau_name, prior in (
+            ("tau_u", sampler.tau_u_prior),
+            ("tau_x", sampler.tau_x_prior),
+            ("tau_eps", sampler.tau_eps_prior),
+            ("tau_gamma", sampler.tau_gamma_prior),
+        )
+        if prior is not None and not isinstance(prior, FixedValue)
+    )
+    names.extend(taus)
     if cfg.store_x:
         x_picks = tuple(range(sampler.n_x))
     elif cfg.monitor_x is not None:
@@ -568,23 +630,14 @@ def _monitor_layout(sampler: _Sampler, cfg: ChainConfig) -> tuple:
             int(i) for i in np.unique(np.linspace(0, sampler.n_x - 1, count).round())
         )
     names.extend("x_%d" % (i + 1) for i in x_picks)
-    return tuple(names), x_picks
+    return tuple(names), taus, np.array(x_picks, dtype=int)
 
 
-def _record(state: ChainState, sampler: _Sampler, x_picks: tuple) -> list:
-    row = [state.beta[j] for j in range(state.beta.size) if sampler.beta_free[j]]
-    if sampler.error_kind == "classical":
-        row.extend(state.alpha[j] for j in range(state.alpha.size) if sampler.alpha_free[j])
-    for tau_name, prior in (
-        ("tau_u", sampler.tau_u_prior),
-        ("tau_x", sampler.tau_x_prior),
-        ("tau_eps", sampler.tau_eps_prior),
-        ("tau_gamma", sampler.tau_gamma_prior),
-    ):
-        if prior is not None and not isinstance(prior, FixedValue):
-            row.append(getattr(state, tau_name))
-    row.extend(state.x[i] for i in x_picks)
-    return row
+def _record(state: ChainState, sampler: _Sampler, taus: tuple, x_picks: np.ndarray) -> np.ndarray:
+    """One draws row, in the column order of `_monitor_layout`."""
+    alpha = state.alpha[sampler.alpha_free] if sampler.error_kind == "classical" else ()
+    taus = [getattr(state, t) for t in taus]
+    return np.concatenate((state.beta[sampler.beta_free], alpha, taus, state.x[x_picks]))
 
 
 def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
@@ -598,7 +651,7 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
         scales.update(cfg.proposal_scales)
     log_scales = {k: math.log(v) if v > 0 else -math.inf for k, v in scales.items()}
 
-    names, x_picks = _monitor_layout(sampler, cfg)
+    names, taus, x_picks = _monitor_layout(sampler, cfg)
     draws = np.empty((cfg.kept, len(names)))
     kept = 0
     accept_totals = {"x": 0.0, "beta": 0.0, "gamma": 0.0}
@@ -620,7 +673,7 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
             state.tau_x = gibbs_tau_x(state, sampler, rng)
         if tau_u_free:
             state.tau_u = gibbs_tau_u(state, sampler, rng)
-        if classical and np.any(sampler.alpha_free):
+        if classical and sampler.alpha_any_free:
             state.alpha = gibbs_alpha(state, sampler, rng)
 
         state.x, acc_x = mh_latent_x(state, sampler, math.exp(log_scales["x"]), rng)
@@ -657,7 +710,7 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
                 accept_totals["gamma"] += acc_g
                 accept_counts["gamma"] += 1
             if (it - cfg.burn_in) % cfg.thin == 0 and kept < draws.shape[0]:
-                draws[kept] = _record(state, sampler, x_picks)
+                draws[kept] = _record(state, sampler, taus, x_picks)
                 kept += 1
 
     rates = {
@@ -672,8 +725,10 @@ def effective_sample_size(draws: np.ndarray) -> float:
     """Initial-positive-sequence autocorrelation estimate of the ESS."""
     x = np.asarray(draws, dtype=float).ravel()
     n = x.size
-    if n < 10:
-        raise SpecError("need at least 10 draws for an ESS estimate, got %d" % n)
+    if n < MIN_ESS_DRAWS:
+        raise SpecError(
+            "need at least %d draws for an ESS estimate, got %d" % (MIN_ESS_DRAWS, n)
+        )
     x = x - x.mean()
     var = float(x @ x) / n
     if var == 0.0:

@@ -32,7 +32,7 @@ from .approx import (
 )
 from .data import Dataset, read_model_config
 from .errors import DataError, NumericError, SpecError
-from .mcmc import ChainConfig, ChainOutput, run_chain
+from .mcmc import MIN_ESS_DRAWS, ChainConfig, ChainOutput, effective_sample_size, run_chain
 from .model import JointModel, ModelSpec, build_joint_model, naive_spec
 
 # copy_augment is not called here; the binding stays because
@@ -64,6 +64,10 @@ PARAMETER_BLOCKS = ("beta0", "beta_x", "beta_z", "alpha0", "alpha_z")
 
 DEFAULT_DZ = 0.5
 DEFAULT_DIFF_LOGDENS = 20.0
+
+# `meglm fit` warns when the smallest effective sample size over a chain's
+# reported parameters falls below this many draws
+ESS_WARNING_FLOOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -251,12 +255,34 @@ def mcmc_marginals(spec: ModelSpec, dataset: Dataset, config: ChainConfig) -> tu
     """
     model = build_joint_model(spec, dataset)
     chain = run_chain(model, config)
-    found = {}
-    for name in chain.names:
-        if re.fullmatch(r"x_\d+", name):
-            continue
-        found[name] = _chain_marginal(chain.column(name))
+    found = {name: _chain_marginal(chain.column(name)) for name in _reported(chain)}
     return _ordered(spec, found), chain
+
+
+def _reported(chain: ChainOutput) -> list:
+    """Monitored parameters that become marginals (not the latent x picks)."""
+    return [name for name in chain.names if not re.fullmatch(r"x_\d+", name)]
+
+
+def _chain_diagnostics(chain: ChainOutput) -> list:
+    """Stdout lines: per-block acceptance and the smallest reported ESS."""
+    rates = ", ".join("%s %.3f" % item for item in chain.acceptance_rates.items())
+    lines = ["mcmc: acceptance %s" % rates]
+    kept = chain.draws.shape[0]
+    names = _reported(chain)
+    if kept < MIN_ESS_DRAWS or not names:
+        lines.append(
+            "mcmc: ESS not estimated (%d draws kept, need %d)" % (kept, MIN_ESS_DRAWS)
+        )
+        return lines
+    ess, name = min((effective_sample_size(chain.column(n)), n) for n in names)
+    lines.append("mcmc: min ESS %.1f of %d draws (%s)" % (ess, kept, name))
+    if ess < ESS_WARNING_FLOOR:
+        lines.append(
+            "warning: mcmc min ESS %.1f (%s) is below %g; run a longer chain"
+            % (ess, name, ESS_WARNING_FLOOR)
+        )
+    return lines
 
 
 def build_report(method: str, marginals: dict, wall_clock_seconds: float = 0.0) -> PosteriorReport:
@@ -400,12 +426,15 @@ def run_fit(cfg: RunConfig, log=print) -> dict:
         elif method == "laplace":
             marginals = laplace_marginals(spec, dataset, cfg.dz, cfg.diff_logdens)
         else:
-            marginals, _ = mcmc_marginals(spec, dataset, cfg.chain_config())
+            marginals, chain = mcmc_marginals(spec, dataset, cfg.chain_config())
         elapsed = time.perf_counter() - t0
         report = build_report(method, marginals, wall_clock_seconds=elapsed)
         path = write_report(report, marginals, outdir)
         reports[method] = report
         log("%s: %d parameters -> %s (%.1fs)" % (method, len(report.parameters), path, elapsed))
+        if method == "mcmc":
+            for line in _chain_diagnostics(chain):
+                log(line)
     if cfg.method == "all":
         cmp_path = write_comparison(reports, outdir)
         log("comparison table -> %s" % cmp_path)

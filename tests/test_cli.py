@@ -6,7 +6,10 @@ import os
 import pytest
 
 import meglm.cli as cli
+from meglm.data import Dataset, read_model_config
 from meglm.errors import NumericError
+from meglm.mcmc import ChainConfig, effective_sample_size
+from meglm.report import ESS_WARNING_FLOOR, mcmc_marginals
 from meglm.studies import IbexRecipe, simulate_study, write_study
 
 
@@ -150,6 +153,42 @@ class TestFit:
         lines = (outdir / "comparison.csv").read_text().splitlines()
         methods = {ln.split(",")[1] for ln in lines[1:]}
         assert methods == {"naive", "mcmc"}
+
+    def test_mcmc_fit_prints_acceptance_and_min_ess(self, study_dir, tmp_path, capsys):
+        _, files = study_dir
+        code = run_cli(
+            "fit", "--config", files["config"], "--data", files["data"],
+            "--method", "mcmc", "--outdir", str(tmp_path),
+            "--iterations", "2000", "--burn-in", "500", "--thin", "3", "--seed", "11",
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        # the same seeded chain, run again, gives the figures the fit prints
+        _, chain = mcmc_marginals(
+            read_model_config(files["config"]), Dataset.from_csv(files["data"]),
+            ChainConfig(iterations=2000, burn_in=500, thin=3, seed=11),
+        )
+        ess = {
+            n: effective_sample_size(chain.column(n))
+            for n in chain.names if not n.startswith("x_")
+        }
+        worst = min(ess, key=ess.get)
+        assert "mcmc: acceptance x 1.000, beta 1.000" in out
+        assert "mcmc: min ESS %.1f of 500 draws (%s)" % (ess[worst], worst) in out
+        warned = [ln for ln in out if ln.startswith("warning: mcmc min ESS")]
+        assert len(warned) == int(ess[worst] < ESS_WARNING_FLOOR)
+
+    def test_short_chain_skips_ess(self, study_dir, tmp_path, capsys):
+        _, files = study_dir
+        code = run_cli(
+            "fit", "--config", files["config"], "--data", files["data"],
+            "--method", "mcmc", "--outdir", str(tmp_path),
+            "--iterations", "30", "--burn-in", "5", "--thin", "3", "--seed", "11",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "mcmc: ESS not estimated (8 draws kept, need 10)" in out
+        assert "warning" not in out
 
     def test_compare_rejects_duplicates_and_junk(self, study_dir, tmp_path, capsys):
         junk = tmp_path / "junk.json"

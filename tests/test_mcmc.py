@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from meglm.approx import explore_grid, hyper_marginal, latent_marginal
@@ -22,10 +23,11 @@ from meglm.mcmc import (
     tau_x_conditional,
     _initial_state,
     _prepare,
+    _solve_upper,
 )
 from meglm.model import build_joint_model, copy_augment
 from meglm.priors import GammaPrior
-from meglm.studies import FraminghamRecipe, simulate_study
+from meglm.studies import FraminghamRecipe, IbexRecipe, simulate_study
 
 
 def build(config_text: str, dataset: Dataset):
@@ -202,6 +204,64 @@ class TestAlphaConditional:
             alpha_conditional(
                 np.zeros(4), np.zeros((4, 2)), 1.0, np.zeros(2), np.zeros(2)
             )
+
+
+def ibex_sampler_state():
+    """Sampler and initial state of a Gaussian classical-error model (ibex)."""
+    sim = simulate_study(IbexRecipe(seed=1))
+    model = build(sim.model_config, sim.dataset)
+    sampler = _prepare(model)
+    return model, sampler, _initial_state(sampler)
+
+
+class TestConjugateBlocks:
+    def test_triangular_solves_match_scipy_bitwise(self):
+        rng = np.random.default_rng(23)
+        for p in range(1, 7):
+            for _ in range(20):
+                a = rng.normal(size=(p, p))
+                chol = np.linalg.cholesky(a @ a.T + p * np.eye(p))
+                b = rng.normal(size=p)
+                assert np.array_equal(
+                    _solve_upper(chol.T, b, trans=1), solve_triangular(chol, b, lower=True)
+                )
+                assert np.array_equal(
+                    _solve_upper(chol.T, b, trans=0),
+                    solve_triangular(chol.T, b, lower=False),
+                )
+
+    def test_one_factorization_per_block_per_sweep(self, monkeypatch):
+        # a Gaussian classical-error sweep has two conjugate blocks, the
+        # exposure and the regression coefficients, each factored once
+        model, _, _ = ibex_sampler_state()
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        run_chain(model, ChainConfig(iterations=50, burn_in=10, thin=1, seed=3))
+        assert len(calls) == 2 * 50
+
+    def test_non_finite_exposure_block_raises(self):
+        _, sampler, state = ibex_sampler_state()
+        state.tau_x = math.nan
+        with pytest.raises(NumericError, match="exposure coefficients"):
+            gibbs_alpha(state, sampler, np.random.default_rng(1))
+
+    def test_infinite_residual_precision_raises(self):
+        _, sampler, state = ibex_sampler_state()
+        state.tau_eps = math.inf
+        with pytest.raises(NumericError, match="regression coefficients"):
+            mh_beta(state, sampler, 0.2, np.random.default_rng(1))
+
+    def test_nan_latent_x_raises(self):
+        _, sampler, state = ibex_sampler_state()
+        state.x[3] = math.nan
+        with pytest.raises(NumericError, match="regression coefficients"):
+            mh_beta(state, sampler, 0.2, np.random.default_rng(1))
 
 
 def repeated_rows_dataset(n: int, y: float, w: float, family_cols: dict) -> Dataset:
