@@ -78,6 +78,8 @@ class IntegrationGrid:
     thetas holds one internal-scale point per row; weights are normalized
     to sum to one. axes maps standardized steps to internal offsets
     (lambda = mode + axes @ z), which hyper_marginal uses for bin widths.
+    truncated flags a walk stopped by the point cap; skipped counts lattice
+    points dropped because their latent solve raised NumericError.
     """
 
     thetas: np.ndarray
@@ -90,6 +92,7 @@ class IntegrationGrid:
     dz: float
     diff_logdens: float
     truncated: bool = False
+    skipped: int = 0
 
     @property
     def points(self):
@@ -280,9 +283,10 @@ def _explore_lattice(
 ):
     """Breadth-first walk on the standardized lattice around the mode.
 
-    lp_fn maps an internal-scale point to its log posterior. Returns the
-    sorted lattice keys, their points, log posteriors, the standardizing
-    axes matrix, and whether the cap truncated the walk.
+    lp_fn maps an internal-scale point to its log posterior, or to -inf
+    where it cannot be evaluated. Returns the sorted lattice keys, their
+    points, log posteriors, the standardizing axes matrix, and whether the
+    cap truncated the walk.
     """
     m = mode.size
     if m == 0:
@@ -324,10 +328,7 @@ def _explore_lattice(
                 if key in visited:
                     continue
                 visited.add(key)
-                try:
-                    val = lp_fn(point(key))
-                except NumericError:
-                    continue
+                val = lp_fn(point(key))
                 if np.isfinite(val) and val >= lp0 - diff_logdens:
                     retained[key] = val
                     queue.append(key)
@@ -355,7 +356,8 @@ def explore_grid(
     Walks outward in steps of dz along curvature-standardized axes,
     retaining points within diff_logdens of the mode. Weights are the
     normalized posterior densities (equal lattice volumes cancel). The walk
-    stops at cap points and flags the grid truncated.
+    stops at cap points and flags the grid truncated; points whose latent
+    solve fails are dropped and counted as skipped.
     """
     if dz <= 0.0:
         raise SpecError("dz must be positive, got %g" % dz)
@@ -375,9 +377,15 @@ def explore_grid(
             diff_logdens=diff_logdens,
         )
     lam_star, curvature, _, latent_init = _find_hyper_mode(model)
+    skipped = 0
 
     def lp(lam):
-        val, _ = _lp_and_approx(model, lam, internal=True, init=latent_init)
+        nonlocal skipped
+        try:
+            val, _ = _lp_and_approx(model, lam, internal=True, init=latent_init)
+        except NumericError:
+            skipped += 1
+            return -np.inf
         return val
 
     _, thetas, log_post, axes, truncated = _explore_lattice(
@@ -395,6 +403,7 @@ def explore_grid(
         dz=dz,
         diff_logdens=diff_logdens,
         truncated=truncated,
+        skipped=skipped,
     )
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
+from . import families
 from .errors import DataError, NumericError, SpecError
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
 IRLS_TOL = 1.0e-10
 IRLS_MAX_ITER = 100
 ETA_CLAMP = 30.0
+WEIGHT_FLOOR = 1.0e-10
 
 
 @dataclass(frozen=True)
@@ -153,25 +154,6 @@ def attenuation_factor(tau_x, tau_u) -> float:
     return tau_u / (tau_u + tau_x)
 
 
-def _family_irls_pieces(family: str, y, trials, eta):
-    if family == "binomial":
-        p = expit(eta)
-        mu = trials * p
-        weight = np.maximum(trials * p * (1.0 - p), 1.0e-10)
-        dev = 2.0 * float(
-            np.sum(xlogy(y, y) - xlogy(y, mu) + xlogy(trials - y, trials - y)
-                   - xlogy(trials - y, trials - mu))
-        )
-        return mu, weight, dev
-    if family == "poisson":
-        # exp is clamped so a wild intermediate step cannot overflow
-        mu = np.exp(np.clip(eta, -ETA_CLAMP, ETA_CLAMP))
-        weight = mu
-        dev = 2.0 * float(np.sum(xlogy(y, y) - xlogy(y, mu) - (y - mu)))
-        return mu, weight, dev
-    raise SpecError("unknown family %r for the naive fit" % (family,))
-
-
 def naive_glm_fit(y, w, z=None, family: str = "gaussian", trials=None) -> NaiveFit:
     """GLM fit by IRLS with the proxy standing in for the exposure.
 
@@ -199,6 +181,7 @@ def naive_glm_fit(y, w, z=None, family: str = "gaussian", trials=None) -> NaiveF
         trials = np.ones(n)
     else:
         trials = np.asarray(trials, dtype=float)
+    families.check_response(family, y, trials)
 
     if family == "gaussian":
         coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
@@ -215,12 +198,33 @@ def naive_glm_fit(y, w, z=None, family: str = "gaussian", trials=None) -> NaiveF
         )
 
     coef = np.zeros(p)
-    eta = X @ coef
-    _, _, dev = _family_irls_pieces(family, y, trials, eta)
-    for it in range(1, IRLS_MAX_ITER + 1):
-        mu, weight, _ = _family_irls_pieces(family, y, trials, eta)
-        working = eta + (y - mu) / weight
+    dev = step = None
+    for it in range(IRLS_MAX_ITER + 1):
+        eta = X @ coef
+        # fitting policy: eta is clamped so a wild intermediate step cannot
+        # overflow, and the weights are floored so the working response stays
+        # finite where a fitted probability saturates
+        eta_c = np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
+        score, weight = families.score_weight(family, y, trials, eta_c)
+        weight = np.maximum(weight, WEIGHT_FLOOR)
+        dev_new = families.deviance(family, y, trials, eta_c)
         XtW = X.T * weight
+        # separated binary data drives the deviance flat at zero while the
+        # coefficients keep marching outward, so convergence requires a
+        # stable deviance and stable coefficients together
+        stable = it > 0 and step <= 1.0e-6 * (1.0 + float(np.max(np.abs(coef))))
+        if stable and abs(dev_new - dev) < IRLS_TOL:
+            return NaiveFit(
+                names=tuple(names),
+                coefficients=coef,
+                standard_errors=np.sqrt(np.diag(np.linalg.inv(XtW @ X))),
+                deviance=dev_new,
+                iterations=it,
+            )
+        if it == IRLS_MAX_ITER:
+            break
+        dev = dev_new
+        working = eta + score / weight
         try:
             new_coef = np.linalg.solve(XtW @ X, XtW @ working)
         except np.linalg.LinAlgError as exc:
@@ -229,24 +233,6 @@ def naive_glm_fit(y, w, z=None, family: str = "gaussian", trials=None) -> NaiveF
             raise NumericError("naive IRLS diverged to non-finite coefficients")
         step = float(np.max(np.abs(new_coef - coef)))
         coef = new_coef
-        eta = X @ coef
-        _, _, dev_new = _family_irls_pieces(family, y, trials, eta)
-        # separated binary data drives the deviance flat at zero while the
-        # coefficients keep marching outward, so convergence requires a
-        # stable deviance and stable coefficients together
-        stable = step <= 1.0e-6 * (1.0 + float(np.max(np.abs(coef))))
-        if abs(dev_new - dev) < IRLS_TOL and stable:
-            _, weight, _ = _family_irls_pieces(family, y, trials, eta)
-            XtW = X.T * weight
-            cov = np.linalg.inv(XtW @ X)
-            return NaiveFit(
-                names=tuple(names),
-                coefficients=coef,
-                standard_errors=np.sqrt(np.diag(cov)),
-                deviance=dev_new,
-                iterations=it,
-            )
-        dev = dev_new
     raise NumericError(
         "naive IRLS did not converge in %d iterations; "
         "the likelihood may be unbounded (e.g. separated binary data)" % IRLS_MAX_ITER

@@ -14,17 +14,18 @@ Implemented operations
 - gamma_from_mean_equal_variance: Gamma with given mean and variance equal
   to that mean.
 
-The Gamma quantile fit is solved by a nested one-dimensional root search:
-an outer bisection on the shape over the quantile ratio (which is free of
-the rate) and an inner closed-form scaling for the rate. The regularized
-incomplete gamma function is evaluated locally by a series expansion for
-small arguments and a continued fraction for large ones; no special-function
-dependency is needed here and the result is accurate to ~1e-12.
+The Gamma quantile fit finds the shape from the quantile ratio (which is
+free of the rate), then scales the rate to the lower target. The
+regularized incomplete gamma function, its inverse and the normal quantile
+come from scipy.special (gammainc, gammaincinv, ndtri).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from scipy.optimize import brentq
+from scipy.special import gammainc, gammaincinv, ndtri
 
 from .errors import NumericError, SpecError
 
@@ -39,11 +40,9 @@ __all__ = [
     "regularized_gamma_p",
 ]
 
-# Outer bisection bracket on the shape and iteration budget for the nested
-# quantile searches.
+# Root bracket on the shape.
 _SHAPE_LO = 1e-3
 _SHAPE_HI = 1e3
-_MAX_BISECT = 200
 _PROB_TOL = 1e-8
 
 
@@ -68,86 +67,19 @@ class LogNormalFit:
 
 
 def regularized_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0.
-
-    Series expansion for x < a + 1, Lentz continued fraction for the
-    complement otherwise.
-    """
-    if a <= 0.0:
+    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
+    if not a > 0.0:
         raise SpecError("shape must be > 0")
-    if x < 0.0:
+    if not x >= 0.0:
         raise SpecError("argument must be >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
+    return float(gammainc(a, x))
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    # P(a,x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(1000):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    else:
-        raise NumericError("incomplete gamma series failed to converge")
-    log_pref = a * math.log(x) - x - math.lgamma(a)
-    return total * math.exp(log_pref)
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Q(a,x) via the standard continued fraction, evaluated by the
-    # modified Lentz method.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise NumericError("incomplete gamma continued fraction failed to converge")
-    log_pref = a * math.log(x) - x - math.lgamma(a)
-    return math.exp(log_pref) * h
-
-
-def _gamma_quantile(p: float, shape: float) -> float:
-    """Quantile of Gamma(shape, rate=1) by bracketed bisection."""
-    if not 0.0 < p < 1.0:
-        raise SpecError("probability must lie in (0, 1)")
-    hi = shape + 10.0 * math.sqrt(shape) + 10.0
-    while regularized_gamma_p(shape, hi) < p:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericError("gamma quantile bracket failed")
-    lo = 0.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if regularized_gamma_p(shape, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+def _check_targets(q_lo: float, q_hi: float, p_lo: float, p_hi: float) -> None:
+    if not (0.0 < p_lo < p_hi < 1.0):
+        raise SpecError("need 0 < p_lo < p_hi < 1")
+    if not (0.0 < q_lo < q_hi and math.isfinite(q_hi)):
+        raise SpecError("need 0 < q_lo < q_hi < inf")
 
 
 def _gamma_log_quantile(p: float, shape: float) -> float:
@@ -159,7 +91,7 @@ def _gamma_log_quantile(p: float, shape: float) -> float:
     approx = (math.log(p) + math.lgamma(shape + 1.0)) / shape
     if approx < -650.0:
         return approx
-    return math.log(_gamma_quantile(p, shape))
+    return math.log(float(gammaincinv(shape, p)))
 
 
 def gamma_from_quantiles(
@@ -171,22 +103,18 @@ def gamma_from_quantiles(
     """Gamma(shape, rate) whose p_lo/p_hi quantiles equal q_lo/q_hi.
 
     The quantile ratio q_hi/q_lo of a Gamma does not depend on the rate and
-    decreases monotonically in the shape, so the shape is found by bisection
-    on that ratio over [1e-3, 1e3] and the rate follows by scaling. Raises
+    decreases monotonically in the shape, so the shape is the root of that
+    ratio over [1e-3, 1e3] (Brent's method) and the rate follows by scaling. Raises
     NumericError if the fitted CDF misses either target probability by more
     than 1e-8.
     """
-    if not (0.0 < p_lo < p_hi < 1.0):
-        raise SpecError("need 0 < p_lo < p_hi < 1")
-    if not (0.0 < q_lo < q_hi):
-        raise SpecError("need 0 < q_lo < q_hi")
+    _check_targets(q_lo, q_hi, p_lo, p_hi)
     log_target = math.log(q_hi) - math.log(q_lo)
 
     def log_ratio(shape: float) -> float:
         return _gamma_log_quantile(p_hi, shape) - _gamma_log_quantile(p_lo, shape)
 
-    lo, hi = _SHAPE_LO, _SHAPE_HI
-    r_lo, r_hi = log_ratio(lo), log_ratio(hi)
+    r_lo, r_hi = log_ratio(_SHAPE_LO), log_ratio(_SHAPE_HI)
     # the ratio is decreasing in the shape: wide spread needs a small shape.
     if not (r_hi <= log_target <= r_lo):
         raise NumericError(
@@ -194,16 +122,13 @@ def gamma_from_quantiles(
             "for shapes in [%g, %g]"
             % (q_hi / q_lo, math.exp(r_hi), math.exp(min(r_lo, 700.0)), _SHAPE_LO, _SHAPE_HI)
         )
-    for _ in range(_MAX_BISECT):
-        mid = math.sqrt(lo * hi)  # bisect in log space, shape spans decades
-        if log_ratio(mid) > log_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo <= 1.0 + 1e-13:
-            break
-    shape = math.sqrt(lo * hi)
-    rate = _gamma_quantile(p_lo, shape) / q_lo
+    # solve on the log scale: the shape spans decades
+    log_shape = brentq(
+        lambda t: log_ratio(math.exp(t)) - log_target,
+        math.log(_SHAPE_LO), math.log(_SHAPE_HI), xtol=1e-14,
+    )
+    shape = math.exp(log_shape)
+    rate = float(gammaincinv(shape, p_lo)) / q_lo
 
     for p, q in ((p_lo, q_lo), (p_hi, q_hi)):
         err = abs(regularized_gamma_p(shape, rate * q) - p)
@@ -212,40 +137,6 @@ def gamma_from_quantiles(
                 "gamma quantile fit residual %.3g exceeds %.1g" % (err, _PROB_TOL)
             )
     return GammaFit(shape=shape, rate=rate)
-
-
-# Acklam-style rational approximation of the standard normal quantile,
-# refined by one Halley step; good to ~1e-15 which is ample here.
-def _norm_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise SpecError("probability must lie in (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # one Halley refinement against the exact CDF
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    x = x - u / (1.0 + 0.5 * x * u)
-    return x
 
 
 def lognormal_from_quantiles(
@@ -260,12 +151,9 @@ def lognormal_from_quantiles(
     symmetric probabilities this reduces to mu = (ln q_lo + ln q_hi) / 2 and
     sigma = (ln q_hi - ln q_lo) / (2 z).
     """
-    if not (0.0 < p_lo < p_hi < 1.0):
-        raise SpecError("need 0 < p_lo < p_hi < 1")
-    if not (0.0 < q_lo < q_hi):
-        raise SpecError("need 0 < q_lo < q_hi")
-    z_lo = _norm_quantile(p_lo)
-    z_hi = _norm_quantile(p_hi)
+    _check_targets(q_lo, q_hi, p_lo, p_hi)
+    z_lo = float(ndtri(p_lo))
+    z_hi = float(ndtri(p_hi))
     sigma = (math.log(q_hi) - math.log(q_lo)) / (z_hi - z_lo)
     mu = math.log(q_lo) - z_lo * sigma
     return LogNormalFit(mu=mu, sigma=sigma)

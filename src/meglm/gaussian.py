@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 from scipy import linalg
-from scipy.special import expit
 
+from . import families
 from .errors import NumericError, SpecError
 from .model import Conditional, JointModel, assemble_conditional
 from .priors import LOG_2PI
@@ -94,18 +94,6 @@ class GaussianApprox:
         return self.mode[:, None] + shift
 
 
-def _family_score(family: str, y: np.ndarray, trials: np.ndarray, eta: np.ndarray):
-    """Score s = d loglik / d eta and curvature weight W = -d2 loglik / d eta2."""
-    if family == "binomial":
-        p = expit(eta)
-        return y - trials * p, trials * p * (1.0 - p)
-    if family == "poisson":
-        with np.errstate(over="ignore"):
-            mu = np.exp(eta)
-        return y - mu, mu
-    raise SpecError("no score function for family %r" % family)
-
-
 def _chol_with_ridge(H: np.ndarray):
     try:
         return np.linalg.cholesky(H), False
@@ -128,11 +116,11 @@ def _grad_hess(cond: Conditional, v: np.ndarray):
     wres[rows] = cond.gprec[rows] * (cond.obs[rows] - eta[rows])
     g = cond.A.T @ wres + cond.bp - cond.Qp @ v
     H = cond.gauss_hess + cond.Qp
-    if cond.A_ng is not None:
-        eta_ng = eta[: cond.obs_ng.size]
-        s, W = _family_score(cond.family, cond.obs_ng, cond.trials_ng, eta_ng)
-        g = g + cond.A_ng.T @ s
-        H = H + (cond.A_ng * W[:, None]).T @ cond.A_ng
+    if cond.trials_ng is not None:
+        rows = cond.reg_slice
+        s, W = families.score_weight(cond.family, cond.obs[rows], cond.trials_ng, eta[rows])
+        g = g + cond.A[rows].T @ s
+        H = H + (cond.A[rows] * W[:, None]).T @ cond.A[rows]
     return g, H
 
 

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
+from . import families
 from .errors import NumericError, SpecError
 from .model import JointModel
 from .priors import FixedValue, GammaPrior, GaussianPrior
@@ -222,19 +223,6 @@ def _draw_mvn_from_precision(rng, mean: np.ndarray, precision: np.ndarray) -> np
 
 
 # ---------------------------------------------------------------------------
-# family log-likelihood pieces
-
-
-def _loglik_terms(family: str, y: np.ndarray, trials: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    if family == "binomial":
-        return y * eta - trials * np.logaddexp(0.0, eta)
-    if family == "poisson":
-        with np.errstate(over="ignore"):
-            return y * eta - np.exp(eta)
-    raise SpecError("no Metropolis likelihood for family %r" % family)
-
-
-# ---------------------------------------------------------------------------
 # sampler plumbing derived from a JointModel
 
 
@@ -316,7 +304,7 @@ def _prepare(model: JointModel) -> _Sampler:
     if spec.error is None:
         raise SpecError("the sampler requires a measurement error model")
     family = spec.observation.family
-    if family not in ("gaussian", "binomial", "poisson"):
+    if family not in families.FAMILIES:
         raise SpecError("unsupported family for the sampler: %r" % family)
     error_kind = spec.error.kind
 
@@ -511,8 +499,8 @@ def mh_latent_x(state: ChainState, sampler: _Sampler, scale: float, rng) -> tupl
     x_new = state.x + scale * rng.standard_normal(sampler.n_x)
     eta = sampler.eta(state)
     eta_new = eta + beta_x * (x_new - state.x)[sampler.x_index]
-    terms = _loglik_terms(sampler.family, sampler.y, sampler.trials, eta)
-    terms_new = _loglik_terms(sampler.family, sampler.y, sampler.trials, eta_new)
+    terms = families.loglik(sampler.family, sampler.y, sampler.trials, eta)
+    terms_new = families.loglik(sampler.family, sampler.y, sampler.trials, eta_new)
     delta = np.bincount(sampler.x_index, weights=terms_new - terms, minlength=sampler.n_x)
     delta += -0.5 * prior_prec * (x_new**2 - state.x**2) + prior_numer * (x_new - state.x)
     accept = np.log(rng.uniform(size=sampler.n_x)) < delta
@@ -532,8 +520,8 @@ def _update_gamma(state: ChainState, sampler: _Sampler, scale: float, rng) -> tu
         return state.gamma.copy(), 1.0
     g_new = state.gamma + scale * rng.standard_normal(state.gamma.size)
     eta_new = eta + (g_new - state.gamma)
-    delta = _loglik_terms(sampler.family, sampler.y, sampler.trials, eta_new)
-    delta -= _loglik_terms(sampler.family, sampler.y, sampler.trials, eta)
+    delta = families.loglik(sampler.family, sampler.y, sampler.trials, eta_new)
+    delta -= families.loglik(sampler.family, sampler.y, sampler.trials, eta)
     delta -= 0.5 * state.tau_gamma * (g_new**2 - state.gamma**2)
     accept = np.log(rng.uniform(size=state.gamma.size)) < delta
     return np.where(accept, g_new, state.gamma), float(np.mean(accept))
@@ -570,8 +558,8 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
     eta = Xf @ bf + offset
     eta_new = Xf @ bf_new + offset
     delta = float(
-        np.sum(_loglik_terms(sampler.family, sampler.y, sampler.trials, eta_new))
-        - np.sum(_loglik_terms(sampler.family, sampler.y, sampler.trials, eta))
+        np.sum(families.loglik(sampler.family, sampler.y, sampler.trials, eta_new))
+        - np.sum(families.loglik(sampler.family, sampler.y, sampler.trials, eta))
     )
     pm = sampler.beta_mean[free]
     pp = sampler.beta_prec[free]

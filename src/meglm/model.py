@@ -29,7 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import families
 from .errors import DataError, SpecError
+from .families import FAMILIES
 from .priors import LOG_2PI, FixedValue, GammaPrior, GaussianPrior, Prior
 
 __all__ = [
@@ -52,8 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_COPY_PRECISION = 1.0e9
-
-FAMILIES = ("gaussian", "binomial", "poisson")
 
 
 def _check_prior(p, allowed, what: str):
@@ -386,23 +386,12 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         raise DataError("response column %r has no observed values" % (spec.response,))
 
     obs = spec.observation
-    if obs.family == "binomial":
-        if spec.trials is not None:
-            trials = data.column(spec.trials).astype(float)
-            if not np.all(np.isfinite(trials)):
-                raise DataError("trials column %r contains absent values" % (spec.trials,))
-        else:
-            trials = np.ones(n)
-        yv = y[reg_rows]
-        tv = trials[reg_rows]
-        if np.any(yv < 0) or np.any(yv > tv) or np.any(yv != np.round(yv)):
-            raise DataError("binomial response must be integer counts within trials")
-    else:
-        trials = np.ones(n)
-        if obs.family == "poisson":
-            yv = y[reg_rows]
-            if np.any(yv < 0) or np.any(yv != np.round(yv)):
-                raise DataError("poisson response must be nonnegative integer counts")
+    trials = np.ones(n)
+    if obs.family == "binomial" and spec.trials is not None:
+        trials = data.column(spec.trials).astype(float)
+        if not np.all(np.isfinite(trials)):
+            raise DataError("trials column %r contains absent values" % (spec.trials,))
+    families.check_response(obs.family, y[reg_rows], trials[reg_rows])
 
     centering: dict = {}
     p = len(spec.covariates)
@@ -642,7 +631,9 @@ class Conditional:
     Gaussian rows are always evaluated in residual form, never through the
     expanded quadratic, so stiff blocks such as the 1e9 copy link do not
     cancel catastrophically. gauss_hess/gauss_rhs hold the same information
-    as a quadratic form for curvature and closed-form solves.
+    as a quadratic form for curvature and closed-form solves. For a binomial
+    or Poisson response the reg_slice rows are not Gaussian: trials_ng holds
+    their trials and ng_c0 their summed normalizing constant.
     """
 
     dim: int
@@ -656,9 +647,6 @@ class Conditional:
     exp_slice: slice
     prox_slice: slice
     family: str
-    A_ng: Optional[np.ndarray]
-    obs_ng: Optional[np.ndarray]
-    offset_ng: Optional[np.ndarray]
     trials_ng: Optional[np.ndarray]
     gauss_hess: np.ndarray
     gauss_rhs: np.ndarray
@@ -667,33 +655,18 @@ class Conditional:
     bp: np.ndarray
     prior_c0: float
 
-    def eta_ng(self, v: np.ndarray) -> Optional[np.ndarray]:
-        if self.A_ng is None:
-            return None
-        return self.A_ng @ v + self.offset_ng
-
     def log_density(self, v: np.ndarray) -> float:
         """log p(y | v, theta) + log p(v | theta), constants included."""
         eta = self.A @ v + self.offset
         res = self.obs[self.gauss_rows] - eta[self.gauss_rows]
         tau = self.gprec[self.gauss_rows]
         val = self.gauss_const - 0.5 * float(np.sum(tau * res * res))
-        if self.A_ng is not None:
-            eta_ng = eta[: self.obs_ng.size]
-            val += float(np.sum(_family_loglik(self.family, self.obs_ng, self.trials_ng, eta_ng)))
+        if self.trials_ng is not None:
+            rows = self.reg_slice
+            val += float(np.sum(families.loglik(self.family, self.obs[rows], self.trials_ng, eta[rows])))
             val += self.ng_c0
         val += self.prior_c0 + float(self.bp @ v) - 0.5 * float(v @ (self.Qp @ v))
         return val
-
-
-def _family_loglik(family: str, y: np.ndarray, trials: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    if family == "binomial":
-        return y * eta - trials * np.logaddexp(0.0, eta)
-    if family == "poisson":
-        with np.errstate(over="ignore"):
-            lam = np.exp(eta)
-        return y * eta - lam
-    raise SpecError("no non-gaussian loglik for family %r" % family)
 
 
 def _design(model: JointModel) -> dict:
@@ -821,16 +794,8 @@ def _design(model: JointModel) -> dict:
         r_reg = A_reg.T @ res_reg
 
     ng_c0 = 0.0
-    if model.family == "binomial":
-        yv = obs[reg_slice]
-        tv = model.trials[rr]
-        from scipy.special import gammaln
-
-        ng_c0 = float(np.sum(gammaln(tv + 1.0) - gammaln(yv + 1.0) - gammaln(tv - yv + 1.0)))
-    elif model.family == "poisson":
-        from scipy.special import gammaln
-
-        ng_c0 = float(-np.sum(gammaln(obs[reg_slice] + 1.0)))
+    if model.family != "gaussian":
+        ng_c0 = families.log_normalizer(model.family, obs[reg_slice], model.trials[rr])
 
     design = dict(
         A=A, obs=obs, offset=offset,
@@ -903,7 +868,7 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
         gauss_hess[istar, istar] += tau_c
         gauss_hess[ix, istar] += -tau_c * beta_x
         gauss_hess[istar, ix] += -tau_c * beta_x
-    A_ng = obs_ng = offset_ng = trials_ng = None
+    trials_ng = None
     if model.family == "gaussian":
         if dz["G_reg"] is not None:
             G_reg, r_reg = dz["G_reg"], dz["r_reg"]
@@ -915,9 +880,6 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
         gauss_hess = gauss_hess + tau_eps * G_reg
         gauss_rhs = gauss_rhs + tau_eps * r_reg
     else:
-        A_ng = A[dz["reg_slice"]]
-        obs_ng = dz["obs"][dz["reg_slice"]]
-        offset_ng = dz["offset"][dz["reg_slice"]]
         trials_ng = model.trials[model.reg_rows]
 
     gauss_rows = np.flatnonzero(gprec > 0.0)
@@ -943,9 +905,6 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
         exp_slice=dz["exp_slice"],
         prox_slice=dz["prox_slice"],
         family=model.family,
-        A_ng=A_ng,
-        obs_ng=obs_ng,
-        offset_ng=offset_ng,
         trials_ng=trials_ng,
         gauss_hess=gauss_hess,
         gauss_rhs=gauss_rhs,
@@ -982,9 +941,8 @@ def block_log_densities(model: JointModel, v, theta) -> tuple:
             out.append(0.0)
             continue
         if sl is cond.reg_slice and model.family != "gaussian":
-            ll = float(
-                np.sum(_family_loglik(model.family, cond.obs[sl], model.trials[model.reg_rows], eta[sl]))
-            ) + cond.ng_c0
+            terms = families.loglik(cond.family, cond.obs[sl], cond.trials_ng, eta[sl])
+            ll = float(np.sum(terms)) + cond.ng_c0
         else:
             tau = cond.gprec[sl]
             res = cond.obs[sl] - eta[sl]

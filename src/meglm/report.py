@@ -24,6 +24,7 @@ from scipy.stats import gaussian_kde
 
 from .approx import (
     MARGINAL_GRID_SIZE,
+    IntegrationGrid,
     PosteriorMarginal,
     explore_grid,
     hyper_marginal,
@@ -185,7 +186,7 @@ def _ordered(spec: ModelSpec, found: dict) -> dict:
     return out
 
 
-def _grid_fit(model: JointModel, dz: float, diff_logdens: float) -> dict:
+def _grid_fit(model: JointModel, dz: float, diff_logdens: float) -> tuple:
     grid = explore_grid(model, dz=dz, diff_logdens=diff_logdens)
     names = model.latent_names()
     indices, latent_names = [], []
@@ -202,7 +203,7 @@ def _grid_fit(model: JointModel, dz: float, diff_logdens: float) -> dict:
             found[name] = marg
     for j, name in enumerate(grid.names):
         found[name] = hyper_marginal(grid, j)
-    return _ordered(model.spec, found)
+    return _ordered(model.spec, found), grid
 
 
 def naive_marginals(
@@ -210,8 +211,8 @@ def naive_marginals(
     dataset: Dataset,
     dz: float = DEFAULT_DZ,
     diff_logdens: float = DEFAULT_DIFF_LOGDENS,
-) -> dict:
-    """Marginals of the no-error refit: proxies enter as ordinary covariates."""
+) -> tuple:
+    """(marginals, grid) of the no-error refit: proxies enter as ordinary covariates."""
     model = build_joint_model(naive_spec(spec), dataset)
     return _grid_fit(model, dz, diff_logdens)
 
@@ -221,8 +222,8 @@ def laplace_marginals(
     dataset: Dataset,
     dz: float = DEFAULT_DZ,
     diff_logdens: float = DEFAULT_DIFF_LOGDENS,
-) -> dict:
-    """Marginals of the corrected fit via the hyperparameter-grid approximation.
+) -> tuple:
+    """(marginals, grid) of the corrected fit via the hyperparameter-grid approximation.
 
     The grid runs on the plain model: for error models the slope beta_x is a
     grid hyperparameter that multiplies the latent true covariate x directly
@@ -262,6 +263,18 @@ def mcmc_marginals(spec: ModelSpec, dataset: Dataset, config: ChainConfig) -> tu
 def _reported(chain: ChainOutput) -> list:
     """Monitored parameters that become marginals (not the latent x picks)."""
     return [name for name in chain.names if not re.fullmatch(r"x_\d+", name)]
+
+
+def _grid_diagnostics(method: str, grid: IntegrationGrid) -> list:
+    """Stdout warnings for a grid cut short by its point cap or by failed solves."""
+    lines = []
+    if grid.truncated:
+        lines.append("warning: %s grid hit its point cap at %d points" % (method, grid.size))
+    if grid.skipped:
+        lines.append(
+            "warning: %s grid skipped %d points whose latent solve failed" % (method, grid.skipped)
+        )
+    return lines
 
 
 def _chain_diagnostics(chain: ChainOutput) -> list:
@@ -421,20 +434,22 @@ def run_fit(cfg: RunConfig, log=print) -> dict:
     reports = {}
     for method in wanted:
         t0 = time.perf_counter()
-        if method == "naive":
-            marginals = naive_marginals(spec, dataset, cfg.dz, cfg.diff_logdens)
-        elif method == "laplace":
-            marginals = laplace_marginals(spec, dataset, cfg.dz, cfg.diff_logdens)
-        else:
+        if method == "mcmc":
             marginals, chain = mcmc_marginals(spec, dataset, cfg.chain_config())
+        else:
+            grid_fit = naive_marginals if method == "naive" else laplace_marginals
+            marginals, grid = grid_fit(spec, dataset, cfg.dz, cfg.diff_logdens)
         elapsed = time.perf_counter() - t0
         report = build_report(method, marginals, wall_clock_seconds=elapsed)
         path = write_report(report, marginals, outdir)
         reports[method] = report
         log("%s: %d parameters -> %s (%.1fs)" % (method, len(report.parameters), path, elapsed))
         if method == "mcmc":
-            for line in _chain_diagnostics(chain):
-                log(line)
+            diagnostics = _chain_diagnostics(chain)
+        else:
+            diagnostics = _grid_diagnostics(method, grid)
+        for line in diagnostics:
+            log(line)
     if cfg.method == "all":
         cmp_path = write_comparison(reports, outdir)
         log("comparison table -> %s" % cmp_path)

@@ -329,8 +329,8 @@ def test_criterion_07_berkson_correction_direction():
 
     sim = simulate_study(make_recipe("seedling", seed=7))
     spec = parse_model_config(sim.model_config)
-    corrected = laplace_marginals(spec, sim.dataset, dz=0.75, diff_logdens=8.0)
-    naive = naive_marginals(spec, sim.dataset, dz=0.75, diff_logdens=8.0)
+    corrected, _ = laplace_marginals(spec, sim.dataset, dz=0.75, diff_logdens=8.0)
+    naive, _ = naive_marginals(spec, sim.dataset, dz=0.75, diff_logdens=8.0)
 
     for name in ("beta_0", "beta_x", "beta_z"):
         gap = abs(corrected[name].mean - naive[name].mean) / corrected[name].sd

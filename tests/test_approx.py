@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
+import meglm.approx
 import meglm.gaussian
 import meglm.model
 from meglm.approx import (
@@ -22,7 +23,7 @@ from meglm.approx import (
     mixture_marginal,
 )
 from meglm.data import Dataset
-from meglm.errors import SpecError
+from meglm.errors import NumericError, SpecError
 from meglm.gaussian import exact_linear_gaussian_posterior, latent_gaussian_approx
 from meglm.model import (
     ErrorModel,
@@ -300,6 +301,28 @@ class TestExploreGrid:
         assert grid.truncated
         assert grid.size == 15
         assert np.sum(grid.weights) == pytest.approx(1.0, abs=1.0e-12)
+
+    def test_failed_solves_are_skipped_and_counted(self, monkeypatch):
+        model = bernoulli_toy_model()
+        full = explore_grid(model, dz=0.5, diff_logdens=6.0)
+        mode = meglm.approx._find_hyper_mode(model)
+        real_solve = meglm.approx.latent_gaussian_approx
+
+        def solve_below_mode(model, theta, init=None):
+            if model.theta.to_internal(theta)[0] > mode[0][0]:
+                raise NumericError("synthetic inner-solve failure")
+            return real_solve(model, theta, init=init)
+
+        # the walk sees the same mode, then every point above it fails
+        monkeypatch.setattr(meglm.approx, "_find_hyper_mode", lambda m: mode)
+        monkeypatch.setattr(meglm.approx, "latent_gaussian_approx", solve_below_mode)
+        grid = explore_grid(model, dz=0.5, diff_logdens=6.0)
+        assert full.skipped == 0
+        assert grid.skipped == 1
+        assert not grid.truncated
+        below = full.thetas[:, 0] <= mode[0][0]
+        np.testing.assert_array_equal(grid.thetas, full.thetas[below])
+        np.testing.assert_array_equal(grid.log_post, full.log_post[below])
 
     def test_fixed_hyperparameters_give_single_point(self):
         model = conjugate_fixed_model()

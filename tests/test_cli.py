@@ -2,10 +2,12 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 import meglm.cli as cli
+import meglm.report as report
 from meglm.data import Dataset, read_model_config
 from meglm.errors import NumericError
 from meglm.mcmc import ChainConfig, effective_sample_size
@@ -42,6 +44,12 @@ class TestElicit:
     def test_invalid_quantiles_exit_one(self, capsys):
         assert run_cli("elicit", "gamma", "--q", "2.0", "0.5") == 1
         assert "error" in capsys.readouterr().err
+
+    def test_infinite_quantile_exits_one(self, capsys):
+        assert run_cli("elicit", "lognormal", "--q", "40", "inf") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q_hi < inf" in captured.err
 
 
 class TestSimulate:
@@ -189,6 +197,36 @@ class TestFit:
         out = capsys.readouterr().out
         assert "mcmc: ESS not estimated (8 draws kept, need 10)" in out
         assert "warning" not in out
+
+    def test_grid_fit_warns_on_truncated_or_skipped_grid(
+        self, study_dir, tmp_path, monkeypatch, capsys
+    ):
+        _, files = study_dir
+
+        def fit(outdir):
+            code = run_cli(
+                "fit", "--config", files["config"], "--data", files["data"],
+                "--method", "naive", "--outdir", str(outdir),
+            )
+            assert code == 0
+            return capsys.readouterr().out
+
+        assert "warning" not in fit(tmp_path / "clean")
+        real_explore = report.explore_grid
+
+        def flagged(*args, **kwargs):
+            return replace(real_explore(*args, **kwargs), truncated=True, skipped=3)
+
+        monkeypatch.setattr(report, "explore_grid", flagged)
+        out = fit(tmp_path / "flagged").splitlines()
+        assert any(ln.startswith("warning: naive grid hit its point cap") for ln in out)
+        assert "warning: naive grid skipped 3 points whose latent solve failed" in out
+        # the warnings go to stdout only
+        written = [p for p in (tmp_path / "clean").rglob("*") if p.is_file()]
+        assert written
+        for path in written:
+            twin = tmp_path / "flagged" / path.relative_to(tmp_path / "clean")
+            assert twin.read_bytes() == path.read_bytes()
 
     def test_compare_rejects_duplicates_and_junk(self, study_dir, tmp_path, capsys):
         junk = tmp_path / "junk.json"

@@ -296,3 +296,18 @@ class TestNaiveGlm:
     def test_unknown_family(self):
         with pytest.raises(SpecError):
             naive_glm_fit(np.zeros(3), np.arange(3.0), family="gamma")
+
+    @pytest.mark.parametrize(
+        "family, y, trials",
+        [
+            ("poisson", [0.0, 0.5, 2.0, 1.0], None),
+            ("poisson", [0.0, -1.0, 2.0, 1.0], None),
+            ("binomial", [0.0, 1.0, 4.0, 1.0], [1.0, 2.0, 3.0, 2.0]),
+            ("binomial", [0.0, 1.0, 0.5, 1.0], [1.0, 2.0, 3.0, 2.0]),
+        ],
+    )
+    def test_invalid_counts_are_data_errors(self, family, y, trials):
+        # without the check these either fit silently (non-integer counts)
+        # or run out of iterations and blame separated data
+        with pytest.raises(DataError):
+            naive_glm_fit(np.array(y), np.array([-1.0, 0.0, 0.5, 1.0]), family=family, trials=trials)

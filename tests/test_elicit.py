@@ -83,6 +83,11 @@ class TestGammaFromQuantiles:
             # ratio barely above 1 needs a shape beyond the bracket
             elicit.gamma_from_quantiles(1.0, 1.0 + 1e-9)
 
+    def test_rejects_non_finite_targets(self):
+        for q_lo, q_hi in ((1.0, math.inf), (1.0, math.nan), (math.nan, 2.0)):
+            with pytest.raises(SpecError):
+                elicit.gamma_from_quantiles(q_lo, q_hi)
+
 
 class TestLogNormalFromQuantiles:
     def test_symmetric_closed_form(self):
@@ -106,6 +111,13 @@ class TestLogNormalFromQuantiles:
             fit = elicit.lognormal_from_quantiles(q_lo, q_hi, 0.05, 0.9)
             assert stats.lognorm.cdf(q_lo, fit.sigma, scale=math.exp(fit.mu)) == pytest.approx(0.05, abs=1e-9)
             assert stats.lognorm.cdf(q_hi, fit.sigma, scale=math.exp(fit.mu)) == pytest.approx(0.9, abs=1e-9)
+
+    def test_rejects_bad_targets(self):
+        for q_lo, q_hi in ((130.0, 40.0), (40.0, math.inf), (40.0, math.nan), (math.nan, 130.0)):
+            with pytest.raises(SpecError):
+                elicit.lognormal_from_quantiles(q_lo, q_hi)
+        with pytest.raises(SpecError):
+            elicit.lognormal_from_quantiles(40.0, 130.0, 0.9, math.nan)
 
 
 class TestRangeConversions:

@@ -193,8 +193,8 @@ class TestMarginalSources:
     def test_naive_and_laplace_share_regression_names(self, tmp_path):
         sim, _ = ibex_files(tmp_path, seed=9)
         spec = parse_model_config(sim.model_config)
-        nai = naive_marginals(spec, sim.dataset, dz=1.0, diff_logdens=4.0)
-        lap = laplace_marginals(spec, sim.dataset, dz=1.2, diff_logdens=3.0)
+        nai, _ = naive_marginals(spec, sim.dataset, dz=1.0, diff_logdens=4.0)
+        lap, _ = laplace_marginals(spec, sim.dataset, dz=1.2, diff_logdens=3.0)
         reg = {"beta_0", "beta_x", "beta_z1", "beta_z2", "beta_z3", "beta_z4"}
         assert reg <= set(nai) and reg <= set(lap)
         assert list(nai)[:2] == ["beta_0", "beta_x"]
@@ -212,8 +212,8 @@ class TestMarginalSources:
         # beta_x * x must give the same marginals at criterion-6 tolerances
         sim = simulate_study(make_recipe(study, **overrides))
         model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
-        plain = _grid_fit(model, dz=1.0, diff_logdens=4.0)
-        augmented = _grid_fit(copy_augment(model), dz=1.0, diff_logdens=4.0)
+        plain, _ = _grid_fit(model, dz=1.0, diff_logdens=4.0)
+        augmented, _ = _grid_fit(copy_augment(model), dz=1.0, diff_logdens=4.0)
         assert list(plain) == list(augmented)
         for name, ref in augmented.items():
             assert abs(plain[name].mean - ref.mean) < 0.1 * ref.sd, name
