@@ -1,19 +1,20 @@
 """Nested posterior approximation over a hyperparameter grid.
 
 The latent field is integrated out with a Gaussian (Laplace) approximation
-at each hyperparameter value; the hyperparameter posterior is explored on a
-standardized lattice around its mode, and latent and hyperparameter
-marginals are assembled as finite mixtures over the retained grid points.
+at each hyperparameter value. The hyperparameter mode is found by damped
+Newton steps on finite-difference derivatives, the posterior is explored on
+a standardized lattice around that mode, and latent and hyperparameter
+marginals are assembled as finite mixtures over the retained grid points;
+the latent mixtures reuse the moments of the walk's own solves.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 from scipy.interpolate import CubicSpline
 
 from .errors import NumericError, SpecError
@@ -41,7 +42,7 @@ GRID_POINT_CAP = 50_000
 MARGINAL_GRID_SIZE = 75
 MARGINAL_SPAN_SD = 5.0
 FD_STEP = 1.0e-4
-MAX_POLISH_ITER = 40
+MAX_MODE_ITER = 40
 
 
 @dataclass(eq=False)
@@ -80,6 +81,10 @@ class IntegrationGrid:
     (lambda = mode + axes @ z), which hyper_marginal uses for bin widths.
     truncated flags a walk stopped by the point cap; skipped counts lattice
     points dropped because their latent solve raised NumericError.
+    latent_mean and latent_sd (K x d, one row per thetas row) hold the
+    latent mode and every component's marginal standard deviation from
+    the solve at each point; a hand-built grid without them has no latent
+    marginals.
     """
 
     thetas: np.ndarray
@@ -93,6 +98,8 @@ class IntegrationGrid:
     diff_logdens: float
     truncated: bool = False
     skipped: int = 0
+    latent_mean: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    latent_sd: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     @property
     def points(self):
@@ -147,50 +154,48 @@ def _lp_and_approx(model, theta, internal=False, init=None):
     return float(lp), approx
 
 
-def _fd_gradient(fn: Callable, lam: np.ndarray, h: float) -> np.ndarray:
+def _fd_derivatives(fn: Callable, lam: np.ndarray, f0: float, h: float):
+    """Central finite-difference gradient and symmetrized Hessian of fn at lam.
+
+    f0 = fn(lam) comes from the caller and the gradient reuses the Hessian's
+    on-axis points, so one stencil costs 2 m^2 evaluations of fn.
+    """
     m = lam.size
     g = np.empty(m)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        g[i] = (fn(lam + e) - fn(lam - e)) / (2.0 * h)
-    return g
-
-
-def _fd_hessian(fn: Callable, lam: np.ndarray, h: float) -> np.ndarray:
-    """Central finite-difference Hessian, symmetrized."""
-    m = lam.size
     H = np.empty((m, m))
-    f0 = fn(lam)
+    step = h * np.eye(m)
     for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h
-        H[i, i] = (fn(lam + ei) - 2.0 * f0 + fn(lam - ei)) / (h * h)
+        ei = step[i]
+        fp = fn(lam + ei)
+        fm = fn(lam - ei)
+        g[i] = (fp - fm) / (2.0 * h)
+        H[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
         for j in range(i + 1, m):
-            ej = np.zeros(m)
-            ej[j] = h
+            ej = step[j]
             fpp = fn(lam + ei + ej)
             fpm = fn(lam + ei - ej)
             fmp = fn(lam - ei + ej)
             fmm = fn(lam - ei - ej)
             H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return H
+    return g, H
 
 
 def _find_hyper_mode(model: JointModel):
-    """Quasi-Newton ascent plus finite-difference polish, in internal scale.
+    """Damped Newton ascent on finite-difference derivatives, in internal scale.
 
-    Returns (mode, curvature, lp_at_mode, latent_init) where curvature is
-    the negative Hessian of the internal-scale log posterior at the mode.
+    Starts from the prior-based initial point and backtracks each step
+    until the log posterior rises, stopping once the Newton decrement is
+    small. Returns (mode, curvature, lp_at_mode, latent_init), where
+    curvature is the negative finite-difference Hessian of the
+    internal-scale log posterior at the mode (from the last iteration's
+    stencil) and latent_init is the latent mode found there.
     """
     layout = model.theta
     m = layout.dim
-    lam0 = layout.to_internal(layout.init_natural())
 
     warm = {"v": None}
 
     def lp(lam):
-        lam = np.asarray(lam, dtype=float)
         if not np.all(np.isfinite(lam)):
             return -np.inf
         try:
@@ -203,37 +208,25 @@ def _find_hyper_mode(model: JointModel):
         warm["v"] = approx.mode
         return val
 
-    def neg(lam):
-        val = lp(lam)
-        return 1.0e12 if not np.isfinite(val) else -val
-
-    res = optimize.minimize(neg, lam0, method="BFGS", options={"gtol": 1.0e-6})
-    lam = np.asarray(res.x, dtype=float)
-    if not np.all(np.isfinite(lam)) or not np.isfinite(lp(lam)):
-        # the quasi-Newton run wandered into the barrier; restart the
-        # damped-Newton polish from the prior-based initial point instead
-        lam = np.array(lam0, dtype=float)
-    if not np.isfinite(lp(lam)):
-        raise NumericError("hyperparameter mode search did not converge")
-
-    # polish with damped Newton on finite-difference derivatives; the
-    # quasi-Newton line search can stall well short of the mode, so keep
-    # iterating with backtracking until the Newton decrement is small
+    lam = np.asarray(layout.to_internal(layout.init_natural()), dtype=float)
     f_here = lp(lam)
-    for _ in range(MAX_POLISH_ITER):
-        g = _fd_gradient(lp, lam, FD_STEP)
-        H = _fd_hessian(lp, lam, FD_STEP)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
-            # a finite-difference stencil arm fell off the support; the
-            # backtracking search below cannot use these derivatives
-            break
+    if not np.isfinite(f_here):
+        raise NumericError("hyperparameter mode search did not converge")
+    latent_init = warm["v"]
+    # every iteration takes its derivatives at lam first, so whichever way
+    # the loop ends, (g, C) belong to the returned point
+    for it in range(MAX_MODE_ITER + 1):
+        g, H = _fd_derivatives(lp, lam, f_here, FD_STEP)
         C = -H
+        if it == MAX_MODE_ITER or not (np.all(np.isfinite(g)) and np.all(np.isfinite(C))):
+            # out of iterations, or a stencil arm fell off the support and
+            # the backtracking search below cannot use these derivatives
+            break
         evals = np.linalg.eigvalsh(C)
-        if evals[0] <= 0.0:
-            # ridge an indefinite model so the step still ascends
-            C = C + (abs(evals[0]) + 1.0e-3) * np.eye(m)
+        # ridge an indefinite model so the step still ascends
+        ridge = abs(evals[0]) + 1.0e-3 if evals[0] <= 0.0 else 0.0
         try:
-            step = np.linalg.solve(C, g)
+            step = np.linalg.solve(C + ridge * np.eye(m), g)
         except np.linalg.LinAlgError:
             break
         decrement_sq = float(g @ step)
@@ -242,35 +235,28 @@ def _find_hyper_mode(model: JointModel):
         if float(np.max(np.abs(step))) > 1.0:
             step = step / float(np.max(np.abs(step)))
         t = 1.0
-        improved = False
         for _ in range(20):
             cand = lam + t * step
             f_cand = lp(cand)
             if np.isfinite(f_cand) and f_cand > f_here:
-                lam, f_here = cand, f_cand
-                improved = True
+                lam, f_here, latent_init = cand, f_cand, warm["v"]
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
 
-    C = -_fd_hessian(lp, lam, FD_STEP)
     if not np.all(np.isfinite(C)):
         raise NumericError(
             "curvature at the hyperparameter mode is not finite"
         )
-    evals = np.linalg.eigvalsh(C)
-    if m and evals[0] <= 0.0:
+    if np.linalg.eigvalsh(C)[0] <= 0.0:
         raise NumericError(
             "curvature at the hyperparameter mode is not positive definite"
         )
-    g = _fd_gradient(lp, lam, FD_STEP)
-    if m:
-        normalized = float(g @ np.linalg.solve(C, g))
-        if not np.isfinite(normalized) or math.sqrt(max(normalized, 0.0)) > 0.5:
-            raise NumericError("hyperparameter mode search did not converge")
-    lp_mode, approx = _lp_and_approx(model, lam, internal=True, init=warm["v"])
-    return lam, C, lp_mode, approx.mode
+    normalized = float(g @ np.linalg.solve(C, g))
+    if not np.isfinite(normalized) or math.sqrt(max(normalized, 0.0)) > 0.5:
+        raise NumericError("hyperparameter mode search did not converge")
+    return lam, C, f_here, latent_init
 
 
 def _explore_lattice(
@@ -284,19 +270,13 @@ def _explore_lattice(
     """Breadth-first walk on the standardized lattice around the mode.
 
     lp_fn maps an internal-scale point to its log posterior, or to -inf
-    where it cannot be evaluated. Returns the sorted lattice keys, their
-    points, log posteriors, the standardizing axes matrix, and whether the
-    cap truncated the walk.
+    where it cannot be evaluated. The lattice origin is evaluated first,
+    and a point is retained when its value is within diff_logdens of the
+    origin's. Returns the sorted lattice keys, their points, log
+    posteriors, the standardizing axes matrix, and whether the cap
+    truncated the walk.
     """
     m = mode.size
-    if m == 0:
-        return (
-            [()],
-            np.zeros((1, 0)),
-            np.array([lp_fn(mode)]),
-            np.zeros((0, 0)),
-            False,
-        )
     evals, vecs = np.linalg.eigh(np.asarray(curvature, dtype=float))
     if evals[0] <= 0.0:
         raise NumericError(
@@ -308,7 +288,7 @@ def _explore_lattice(
         return mode + axes @ (dz * np.asarray(key, dtype=float))
 
     origin = (0,) * m
-    lp0 = lp_fn(mode)
+    lp0 = lp_fn(point(origin))
     if not np.isfinite(lp0):
         raise NumericError("log posterior is not finite at the hyperparameter mode")
     retained = {origin: lp0}
@@ -357,7 +337,10 @@ def explore_grid(
     retaining points within diff_logdens of the mode. Weights are the
     normalized posterior densities (equal lattice volumes cancel). The walk
     stops at cap points and flags the grid truncated; points whose latent
-    solve fails are dropped and counted as skipped.
+    solve fails are dropped and counted as skipped. Every latent solve
+    starts from the latent mode at the hyperparameter mode, so the grid
+    does not depend on the walk order; each retained point keeps its
+    latent mode and marginal standard deviations for latent_marginals.
     """
     if dz <= 0.0:
         raise SpecError("dz must be positive, got %g" % dz)
@@ -365,6 +348,7 @@ def explore_grid(
         raise SpecError("diff_logdens must be positive, got %g" % diff_logdens)
     layout = model.theta
     if layout.dim == 0:
+        approx = latent_gaussian_approx(model, layout.to_natural(np.zeros(0)))
         return IntegrationGrid(
             thetas=np.zeros((1, 0)),
             log_post=np.zeros(1),
@@ -375,22 +359,33 @@ def explore_grid(
             axes=np.zeros((0, 0)),
             dz=dz,
             diff_logdens=diff_logdens,
+            latent_mean=approx.mode[None, :],
+            latent_sd=approx.marginal_sd()[None, :],
         )
     lam_star, curvature, _, latent_init = _find_hyper_mode(model)
     skipped = 0
+    lp_origin = None
+    moments = {}
 
     def lp(lam):
-        nonlocal skipped
+        nonlocal skipped, lp_origin
         try:
-            val, _ = _lp_and_approx(model, lam, internal=True, init=latent_init)
+            val, approx = _lp_and_approx(model, lam, internal=True, init=latent_init)
         except NumericError:
             skipped += 1
             return -np.inf
+        if lp_origin is None:
+            lp_origin = val
+        # the walk's own retention rule, so only retained points pay for
+        # the marginal standard deviations
+        if val >= lp_origin - diff_logdens:
+            moments[lam.tobytes()] = (approx.mode, approx.marginal_sd())
         return val
 
     _, thetas, log_post, axes, truncated = _explore_lattice(
         lp, lam_star, curvature, dz, diff_logdens, cap=cap
     )
+    latent = [moments[t.tobytes()] for t in thetas]
     w = np.exp(log_post - np.max(log_post))
     return IntegrationGrid(
         thetas=thetas,
@@ -404,6 +399,8 @@ def explore_grid(
         diff_logdens=diff_logdens,
         truncated=truncated,
         skipped=skipped,
+        latent_mean=np.array([mean for mean, _ in latent]),
+        latent_sd=np.array([sd for _, sd in latent]),
     )
 
 
@@ -463,35 +460,24 @@ def latent_marginals(
     """Latent posterior marginals for several indices in one grid pass.
 
     Each grid point contributes one Gaussian component per index, with the
-    conditional mean and marginal standard deviation from the Newton solve
-    at that point. Every solve starts from the latent mean at the
-    hyperparameter mode, so results do not depend on evaluation order.
+    conditional mean and marginal standard deviation that explore_grid
+    kept from its Newton solve at that point; nothing is solved here.
     """
     if grid.size == 0:
         raise SpecError("integration grid is empty")
-    layout = model.theta
     d = model.layout.dim
     idx = np.asarray(list(indices), dtype=int)
     if idx.size and (np.min(idx) < 0 or np.max(idx) >= d):
         raise SpecError(
             "latent index out of range: model has %d latent components" % d
         )
-    if grid.mode.size:
-        theta_star = layout.to_natural(grid.mode)
-        init = latent_gaussian_approx(model, theta_star).mode
-    else:
-        init = None
-    K = grid.size
-    means = np.empty((K, idx.size))
-    sds = np.empty((K, idx.size))
-    for k in range(K):
-        theta_nat = layout.to_natural(grid.thetas[k])
-        approx = latent_gaussian_approx(model, theta_nat, init=init)
-        means[k] = approx.mode[idx]
-        sds[k] = approx.marginal_sd(idx)
+    if grid.latent_mean.shape != (grid.size, d) or grid.latent_sd.shape != (grid.size, d):
+        raise SpecError(
+            "integration grid holds no latent moments for a %d-component model" % d
+        )
     return [
-        mixture_marginal(means[:, c], sds[:, c], grid.weights)
-        for c in range(idx.size)
+        mixture_marginal(grid.latent_mean[:, c], grid.latent_sd[:, c], grid.weights)
+        for c in idx
     ]
 
 

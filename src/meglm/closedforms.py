@@ -16,7 +16,6 @@ from . import families
 from .errors import DataError, NumericError, SpecError
 
 __all__ = [
-    "MecConditional",
     "DiagonalGaussian",
     "NaiveFit",
     "mec_conditional",
@@ -34,19 +33,13 @@ WEIGHT_FLOOR = 1.0e-10
 
 
 @dataclass(frozen=True)
-class MecConditional:
-    """Conditional law of the true exposure given its proxy, classical error.
+class DiagonalGaussian:
+    """Independent Gaussian components, one mean and precision each.
 
-    The precision is diagonal, so mean and precision_diag fully describe
-    the distribution componentwise.
+    Every closed-form conditional and marginal here has a diagonal
+    precision, so mean and precision_diag fully describe it.
     """
 
-    mean: np.ndarray
-    precision_diag: np.ndarray
-
-
-@dataclass(frozen=True)
-class DiagonalGaussian:
     mean: np.ndarray
     precision_diag: np.ndarray
 
@@ -82,7 +75,7 @@ def _positive_scalar(value, name: str) -> float:
     return v
 
 
-def mec_conditional(w, alpha0, tau_x, tau_u, d) -> MecConditional:
+def mec_conditional(w, alpha0, tau_x, tau_u, d) -> DiagonalGaussian:
     """Exposure given proxy under classical error, componentwise.
 
     mean_i = (tau_x alpha0 + tau_u d_i w_i) / (tau_x + tau_u d_i), a
@@ -96,7 +89,7 @@ def mec_conditional(w, alpha0, tau_x, tau_u, d) -> MecConditional:
     w, d = np.broadcast_arrays(w, d)
     precision = tau_x + tau_u * d
     mean = (tau_x * float(alpha0) + tau_u * d * w) / precision
-    return MecConditional(mean=mean, precision_diag=precision)
+    return DiagonalGaussian(mean=mean, precision_diag=precision)
 
 
 def mec_marginal_w(alpha0, tau_x, tau_u, d) -> DiagonalGaussian:
@@ -164,23 +157,27 @@ def naive_glm_fit(y, w, z=None, family: str = "gaussian", trials=None) -> NaiveF
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     n = y.size
+    trials = np.ones(n) if trials is None else np.asarray(trials, dtype=float)
+    z = np.zeros((n, 0)) if z is None else np.asarray(z, dtype=float)
+    if z.ndim == 1:
+        z = z[:, None]
+    for name, arr in (("w", w), ("trials", trials)):
+        if arr.shape != y.shape:
+            raise DataError("%s has shape %r but the response has %r" % (name, arr.shape, y.shape))
+    if z.shape[0] != n:
+        raise DataError("z has %d rows but the response has %d" % (z.shape[0], n))
+    for name, arr in (("y", y), ("w", w), ("z", z), ("trials", trials)):
+        if not np.all(np.isfinite(arr)):
+            raise DataError("%s holds non-finite values" % name)
     cols = [np.ones(n), w]
     names = ["beta_0", "beta_x"]
-    if z is not None:
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 1:
-            z = z[:, None]
-        for j in range(z.shape[1]):
-            cols.append(z[:, j])
-            names.append("beta_z%d" % (j + 1,))
+    for j in range(z.shape[1]):
+        cols.append(z[:, j])
+        names.append("beta_z%d" % (j + 1,))
     X = np.column_stack(cols)
     p = X.shape[1]
     if np.linalg.matrix_rank(X) < p:
         raise DataError("design matrix for the naive fit is rank deficient")
-    if trials is None:
-        trials = np.ones(n)
-    else:
-        trials = np.asarray(trials, dtype=float)
     families.check_response(family, y, trials)
 
     if family == "gaussian":

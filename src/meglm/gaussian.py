@@ -68,19 +68,18 @@ class GaussianApprox:
         return int(self.mode.size)
 
     def marginal_sd(self, indices=None) -> np.ndarray:
-        """Marginal posterior standard deviations by per-index solve.
+        """Marginal posterior standard deviations from the inverse factor.
 
-        With Q = L L', var_k = || L^{-1} e_k ||^2.
+        With Q = L L', var_k = || L^{-1} e_k ||^2, the squared norm of
+        column k of L^{-1}. The inverse is taken with numpy, like the
+        Cholesky factor, because scipy loads a separate OpenBLAS whose
+        thread pool competes with numpy's when both run multithreaded.
         """
-        d = self.dim
+        inv = np.linalg.inv(self.precision_chol)
+        sd = np.sqrt(np.sum(inv * inv, axis=0))
         if indices is None:
-            idx = np.arange(d)
-        else:
-            idx = np.atleast_1d(np.asarray(indices, dtype=int))
-        E = np.zeros((d, idx.size))
-        E[idx, np.arange(idx.size)] = 1.0
-        Y = linalg.solve_triangular(self.precision_chol, E, lower=True)
-        return np.sqrt(np.sum(Y * Y, axis=0))
+            return sd
+        return sd[np.atleast_1d(np.asarray(indices, dtype=int))]
 
     def logpdf(self, x) -> float:
         return gaussian_logpdf(x, self.mode, self.precision_chol)
@@ -94,16 +93,26 @@ class GaussianApprox:
         return self.mode[:, None] + shift
 
 
-def _chol_with_ridge(H: np.ndarray):
+def _chol_with_ridge(H: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.cholesky(H), False
+        return np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         pass
     ridged = H + RIDGE * np.eye(H.shape[0])
     try:
-        return np.linalg.cholesky(ridged), True
+        return np.linalg.cholesky(ridged)
     except np.linalg.LinAlgError:
         raise NumericError("conditional precision is not positive definite")
+
+
+def _from_factor(mode: np.ndarray, L: np.ndarray, steps: int, f: float) -> GaussianApprox:
+    return GaussianApprox(
+        mode=mode,
+        precision_chol=L,
+        log_det_precision=2.0 * float(np.sum(np.log(np.diag(L)))),
+        converged_in=steps,
+        log_density_at_mode=f,
+    )
 
 
 def _grad_hess(cond: Conditional, v: np.ndarray):
@@ -142,16 +151,8 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> GaussianApprox:
         # displacement along them at that floor is O(eps * |v|).
         tol = np.maximum(NEWTON_TOL, 16.0 * _EPS * np.diag(H) * (1.0 + float(np.max(np.abs(v)))))
         if np.all(np.abs(g) <= tol):
-            L, _ = _chol_with_ridge(H)
-            log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
-            return GaussianApprox(
-                mode=v,
-                precision_chol=L,
-                log_det_precision=log_det,
-                converged_in=steps,
-                log_density_at_mode=f,
-            )
-        L, _ = _chol_with_ridge(H)
+            return _from_factor(v, _chol_with_ridge(H), steps, f)
+        L = _chol_with_ridge(H)
         step = linalg.cho_solve((L, True), g)
         decrement_sq = float(g @ step)
         if decrement_sq <= 64.0 * _EPS * (1.0 + abs(f)):
@@ -166,14 +167,8 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> GaussianApprox:
                 v, f = v_new, f_new
                 steps += 1
                 _, H = _grad_hess(cond, v)
-                L, _ = _chol_with_ridge(H)
-            return GaussianApprox(
-                mode=v,
-                precision_chol=L,
-                log_det_precision=2.0 * float(np.sum(np.log(np.diag(L)))),
-                converged_in=steps,
-                log_density_at_mode=f,
-            )
+                L = _chol_with_ridge(H)
+            return _from_factor(v, L, steps, f)
         # accept steps that keep f flat to within roundoff, not only strict
         # ascents: near the mode the objective is quadratic in a step below
         # sqrt(eps), so demanding f_new >= f exactly would damp the step to
@@ -211,12 +206,6 @@ def exact_linear_gaussian_posterior(model: JointModel, theta) -> GaussianApprox:
     cond = assemble_conditional(model, theta)
     Q = cond.Qp + cond.gauss_hess
     b = cond.bp + cond.gauss_rhs
-    L, _ = _chol_with_ridge(Q)
+    L = _chol_with_ridge(Q)
     mean = linalg.cho_solve((L, True), b)
-    return GaussianApprox(
-        mode=mean,
-        precision_chol=L,
-        log_det_precision=2.0 * float(np.sum(np.log(np.diag(L)))),
-        converged_in=0,
-        log_density_at_mode=cond.log_density(mean),
-    )
+    return _from_factor(mean, L, 0, cond.log_density(mean))

@@ -131,12 +131,15 @@ class ChainState:
 # conjugate conditionals (pure parameter computations)
 
 
+def _gamma_conditional(prior: GammaPrior, resid: np.ndarray) -> tuple:
+    """Gamma(shape, rate) of a precision given its zero-mean Gaussian residuals."""
+    return prior.shape + 0.5 * resid.size, prior.rate + 0.5 * float(resid @ resid)
+
+
 def tau_x_conditional(x: np.ndarray, exposure_mean: np.ndarray, prior: GammaPrior) -> tuple:
     """Gamma(shape, rate) of the exposure precision given x and its mean."""
     resid = np.asarray(x, dtype=float) - np.asarray(exposure_mean, dtype=float)
-    shape = prior.shape + 0.5 * resid.size
-    rate = prior.rate + 0.5 * float(resid @ resid)
-    return shape, rate
+    return _gamma_conditional(prior, resid)
 
 
 def tau_u_conditional(
@@ -571,17 +574,12 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
 
 
 def _gibbs_tau_eps(state: ChainState, sampler: _Sampler, rng) -> float:
-    resid = sampler.y - sampler.eta(state)
-    prior = sampler.tau_eps_prior
-    shape = prior.shape + 0.5 * resid.size
-    rate = prior.rate + 0.5 * float(resid @ resid)
+    shape, rate = _gamma_conditional(sampler.tau_eps_prior, sampler.y - sampler.eta(state))
     return _draw_gamma(rng, shape, rate)
 
 
 def _gibbs_tau_gamma(state: ChainState, sampler: _Sampler, rng) -> float:
-    prior = sampler.tau_gamma_prior
-    shape = prior.shape + 0.5 * state.gamma.size
-    rate = prior.rate + 0.5 * float(state.gamma @ state.gamma)
+    shape, rate = _gamma_conditional(sampler.tau_gamma_prior, state.gamma)
     return _draw_gamma(rng, shape, rate)
 
 

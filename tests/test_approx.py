@@ -350,6 +350,22 @@ class TestExploreGrid:
         assert np.max(np.abs(g1.thetas - g2.thetas)) < 1.0e-5
         assert np.max(np.abs(g1.weights - g2.weights)) < 1.0e-6
 
+    def test_mode_search_solve_count(self, monkeypatch):
+        calls = []
+        real_solve = meglm.approx.latent_gaussian_approx
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(meglm.approx, "latent_gaussian_approx", counting)
+        mode, curvature, _, _ = meglm.approx._find_hyper_mode(bernoulli_toy_model())
+        # one solve at the prior point, then three two-point stencils with an
+        # accepted step between them
+        assert len(calls) <= 9
+        assert mode[0] == pytest.approx(0.6005616365, abs=1.0e-8)
+        assert curvature[0, 0] > 0.0
+
     def test_retention_cutoff_holds(self):
         model = bernoulli_toy_model()
         grid = explore_grid(model, dz=0.5, diff_logdens=6.0)
@@ -445,6 +461,8 @@ class TestLatentMarginal:
             axes=grid.axes,
             dz=grid.dz,
             diff_logdens=grid.diff_logdens,
+            latent_mean=grid.latent_mean[perm],
+            latent_sd=grid.latent_sd[perm],
         )
         a = latent_marginal(model, grid, 0)
         b = latent_marginal(model, shuffled, 0)
@@ -458,6 +476,45 @@ class TestLatentMarginal:
         single = latent_marginal(model, grid, 2)
         assert np.max(np.abs(batch[1].density - single.density)) < 1.0e-14
         assert batch[0].mean == pytest.approx(latent_marginal(model, grid, 0).mean)
+
+    @pytest.mark.parametrize(
+        "make", [bernoulli_toy_model, linear_two_free_model, conjugate_fixed_model]
+    )
+    def test_marginals_reuse_the_walk_solves(self, make, monkeypatch):
+        model = make()
+        grid = explore_grid(model)
+        d = model.layout.dim
+        assert grid.latent_mean.shape == grid.latent_sd.shape == (grid.size, d)
+        # every stored row is the solve at that point from the mode's latent mean
+        if grid.mode.size:
+            init = latent_gaussian_approx(model, model.theta.to_natural(grid.mode)).mode
+        else:
+            init = None
+        for k in range(grid.size):
+            fresh = latent_gaussian_approx(
+                model, model.theta.to_natural(grid.thetas[k]), init=init
+            )
+            assert np.max(np.abs(grid.latent_mean[k] - fresh.mode)) < 1.0e-9
+            assert np.max(np.abs(grid.latent_sd[k] - fresh.marginal_sd())) < 1.0e-9
+        calls = []
+
+        def no_solve(*args, **kwargs):
+            calls.append(args)
+            return latent_gaussian_approx(*args, **kwargs)
+
+        monkeypatch.setattr(meglm.approx, "latent_gaussian_approx", no_solve)
+        margs = latent_marginals(model, grid, range(d))
+        assert calls == []
+        assert [m.mean for m in margs] == pytest.approx(
+            list(grid.weights @ grid.latent_mean), abs=1.0e-3
+        )
+
+    def test_hand_built_grid_without_moments_is_rejected(self):
+        model = linear_two_free_model()
+        grid = explore_grid(model)
+        bare = replace(grid, latent_mean=np.zeros((0, 0)), latent_sd=np.zeros((0, 0)))
+        with pytest.raises(SpecError):
+            latent_marginal(model, bare, 0)
 
 
 def handmade_grid(center, scale, scale_kind, steps=12, dz=0.5):

@@ -8,6 +8,7 @@ from scipy import optimize, stats
 from scipy.special import expit
 
 from meglm.closedforms import (
+    DiagonalGaussian,
     attenuation_factor,
     meb_conditional,
     mec_conditional,
@@ -40,6 +41,11 @@ class TestMecConditional:
         assert 1.0 / var == pytest.approx(5.0, rel=1.0e-6)
         assert got.mean[0] == pytest.approx(2.8, abs=1.0e-12)
         assert got.precision_diag[0] == pytest.approx(5.0, abs=1.0e-12)
+
+    def test_returns_the_shared_diagonal_type(self):
+        got = mec_conditional(w=4.0, alpha0=1.0, tau_x=2.0, tau_u=3.0, d=1.0)
+        assert type(got) is DiagonalGaussian
+        assert type(got) is type(mec_marginal_w(1.0, 2.0, 3.0, 1.0))
 
     def test_agreement_case(self):
         rng = np.random.default_rng(11)
@@ -311,3 +317,21 @@ class TestNaiveGlm:
         # or run out of iterations and blame separated data
         with pytest.raises(DataError):
             naive_glm_fit(np.array(y), np.array([-1.0, 0.0, 0.5, 1.0]), family=family, trials=trials)
+
+    @pytest.mark.parametrize(
+        "y, w, z, trials",
+        [
+            ([0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.5], None, None),
+            ([0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.5, 1.0], [[0.1], [0.2], [0.3]], None),
+            ([0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.5, 1.0], None, [1.0, 2.0]),
+            ([0.0, 1.0, np.nan, 0.0], [-1.0, 0.0, 0.5, 1.0], None, None),
+            ([0.0, 1.0, 1.0, 0.0], [-1.0, np.nan, 0.5, 1.0], None, None),
+            ([0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.5, 1.0], [0.1, np.inf, 0.3, 0.2], None),
+        ],
+        ids=["short-w", "short-z", "short-trials", "nan-y", "nan-w", "inf-z"],
+    )
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_mismatched_or_non_finite_inputs_are_data_errors(self, family, y, w, z, trials):
+        z = None if z is None else np.array(z)
+        with pytest.raises(DataError):
+            naive_glm_fit(np.array(y), np.array(w), z, family=family, trials=trials)
