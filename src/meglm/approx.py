@@ -43,6 +43,14 @@ MARGINAL_GRID_SIZE = 75
 MARGINAL_SPAN_SD = 5.0
 FD_STEP = 1.0e-4
 MAX_MODE_ITER = 40
+# Newton decrement g' C^{-1} g below which the mode search stops: the step
+# left is under 1e-3 in curvature-standardized units, far inside one grid
+# step, and a further stencil would only confirm it. The copy-augmented
+# model keeps 1e-12: its 1e9 copy link puts round-off noise of order 1 into
+# the finite-difference curvature, so the stencil it stops on sets its grid
+# axes by chance, and it steps on until no step rises.
+MODE_STEP_TOL = 1.0e-6
+AUGMENTED_MODE_STEP_TOL = 1.0e-12
 
 
 @dataclass(eq=False)
@@ -184,14 +192,17 @@ def _find_hyper_mode(model: JointModel):
     """Damped Newton ascent on finite-difference derivatives, in internal scale.
 
     Starts from the prior-based initial point and backtracks each step
-    until the log posterior rises, stopping once the Newton decrement is
-    small. Returns (mode, curvature, lp_at_mode, latent_init), where
+    until the log posterior rises. Once the squared Newton decrement falls
+    below MODE_STEP_TOL (AUGMENTED_MODE_STEP_TOL for a copy-augmented
+    model) it takes that last short step without a further stencil and
+    stops. Returns (mode, curvature, lp_at_mode, latent_init), where
     curvature is the negative finite-difference Hessian of the
     internal-scale log posterior at the mode (from the last iteration's
     stencil) and latent_init is the latent mode found there.
     """
     layout = model.theta
     m = layout.dim
+    step_tol = AUGMENTED_MODE_STEP_TOL if model.is_augmented else MODE_STEP_TOL
 
     warm = {"v": None}
 
@@ -213,8 +224,8 @@ def _find_hyper_mode(model: JointModel):
     if not np.isfinite(f_here):
         raise NumericError("hyperparameter mode search did not converge")
     latent_init = warm["v"]
-    # every iteration takes its derivatives at lam first, so whichever way
-    # the loop ends, (g, C) belong to the returned point
+    # every iteration takes its derivatives at lam first, so (g, C) belong
+    # to the returned point, or to one a final short step away
     for it in range(MAX_MODE_ITER + 1):
         g, H = _fd_derivatives(lp, lam, f_here, FD_STEP)
         C = -H
@@ -230,7 +241,16 @@ def _find_hyper_mode(model: JointModel):
         except np.linalg.LinAlgError:
             break
         decrement_sq = float(g @ step)
-        if not np.isfinite(decrement_sq) or decrement_sq < 1.0e-12:
+        if not np.isfinite(decrement_sq):
+            break
+        if decrement_sq < step_tol:
+            # the step left is too short to need confirming by another
+            # stencil: take it if it does not lower the log posterior, and
+            # keep this stencil's (g, C), taken that close to the mode
+            cand = lam + step
+            f_cand = lp(cand)
+            if np.isfinite(f_cand) and f_cand >= f_here:
+                lam, f_here, latent_init = cand, f_cand, warm["v"]
             break
         if float(np.max(np.abs(step))) > 1.0:
             step = step / float(np.max(np.abs(step)))

@@ -18,6 +18,12 @@ beta_x * x so that the regression row reads x_star with unit coefficient,
 turning the conditional latent distribution given hyperparameters into a
 Gaussian-friendly form for any fixed beta_x.
 
+Given the hyperparameters, each stacked row touches the few global
+coefficients and at most two components of one local block (x_k, its
+copy and the random effects of the rows sharing x_k), so the latent
+precision is block-arrowhead (`LatentBlocks`) and the design is stored
+row by row, never as a dense N x d matrix.
+
 Continuous covariates and proxies are centered at build time; the applied
 constants are recorded on the model for report back-transformation.
 """
@@ -44,6 +50,7 @@ __all__ = [
     "ThetaLayout",
     "JointModel",
     "Conditional",
+    "LatentBlocks",
     "build_joint_model",
     "copy_augment",
     "naive_spec",
@@ -621,51 +628,171 @@ def naive_spec(spec: ModelSpec) -> ModelSpec:
 # ---------------------------------------------------------------------------
 # conditional (given theta) assembly
 
+# latent blocks of the global part of the arrowhead precision; every layout
+# lists them first
+GLOBAL_BLOCKS = ("beta0", "beta_x", "beta_z", "alpha0", "alpha_z")
+
+
+@dataclass(frozen=True, eq=False)
+class LatentBlocks:
+    """Block-arrowhead structure of the latent precision, fixed per model.
+
+    Given theta, the first p latent components (beta_0, beta_x, beta_z,
+    alpha_0, alpha_z) form a dense global block, and the other m split
+    into local blocks that only the global block couples: block k holds
+    x_k, x_star_k and the gamma_i of the rows with x_index[i] == k, or a
+    lone gamma_i when the model has no x. Work vectors list the global
+    components first and then the local ones by slot, sorted by block
+    size, block and position in the block; `perm` maps each work position
+    to its latent index. The blocks of size s form one group (s, count,
+    slot0, flat0): they fill slots slot0 .. slot0 + count*s, and their
+    s x s matrices fill entries flat0 .. flat0 + count*s*s of one flat
+    array of length n_flat, where `diag` indexes each slot's diagonal.
+
+    Design rows scatter into this structure through fixed indices: row r
+    has its local entries in slots[r] (N x q) and its q x q local pairs in
+    the flat array at pair_index (raveled N x q x q). Only the first
+    n_global_rows rows (regression and exposure) have global coefficients;
+    their local-global products land in the row-major m x p border at
+    border_index (raveled n_global_rows x q x p).
+    """
+
+    p: int
+    m: int
+    perm: np.ndarray
+    groups: tuple
+    n_flat: int
+    diag: np.ndarray
+    slots: np.ndarray
+    pair_index: np.ndarray
+    n_global_rows: int
+    border_index: np.ndarray
+
+    def to_latent(self, w: np.ndarray) -> np.ndarray:
+        """Reorder a work vector (or the rows of a work matrix) to latent order."""
+        out = np.empty_like(w)
+        out[self.perm] = w
+        return out
+
+
+def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
+                   n_global_rows: int) -> LatentBlocks:
+    """Local blocks from the latent layout, and the scatter indices of the rows."""
+    m = layout.dim - p
+    block = np.empty(m, dtype=np.intp)
+    x_slice = layout.slice("x")
+    for name in ("x", "x_star"):
+        s = layout.slice(name)
+        if s is not None:
+            block[s.start - p:s.stop - p] = np.arange(s.stop - s.start)
+    s = layout.slice("gamma")
+    if s is not None:
+        block[s.start - p:s.stop - p] = x_index if x_slice is not None else np.arange(s.stop - s.start)
+
+    row_block = block[cols - p]
+    bad = np.flatnonzero(np.any(row_block != row_block[:, :1], axis=1))
+    if bad.size:
+        raise SpecError("design row %d touches two local latent blocks" % (bad[0] + 1))
+
+    size = np.bincount(block, minlength=int(block.max()) + 1 if m else 0)
+    first = np.argsort(block, kind="stable")
+    pos = np.empty(m, dtype=np.intp)
+    pos[first] = np.arange(m) - (np.cumsum(size) - size)[block[first]]
+    order = np.lexsort((pos, block, size[block]))
+    slot = np.empty(m, dtype=np.intp)
+    slot[order] = np.arange(m)
+
+    # slot k of a group (s, count, slot0, flat0) starts its block row at
+    # flat0 + (k - slot0) * s and sits at column (k - slot0) % s
+    row_start = np.empty(m, dtype=np.intp)
+    col_in_block = np.empty(m, dtype=np.intp)
+    groups = []
+    slot0 = flat0 = 0
+    for s in np.unique(size):
+        s = int(s)
+        count = int(np.count_nonzero(size == s))
+        k = np.arange(count * s)
+        row_start[slot0:slot0 + count * s] = flat0 + k * s
+        col_in_block[slot0:slot0 + count * s] = k % s
+        groups.append((s, count, slot0, flat0))
+        slot0 += count * s
+        flat0 += count * s * s
+
+    slots = slot[cols - p]
+    return LatentBlocks(
+        p=p,
+        m=m,
+        perm=np.concatenate((np.arange(p), p + order)),
+        groups=tuple(groups),
+        n_flat=flat0,
+        diag=row_start + col_in_block,
+        slots=slots,
+        pair_index=(row_start[slots][:, :, None] + col_in_block[slots][:, None, :]).ravel(),
+        n_global_rows=n_global_rows,
+        border_index=(slots[:n_global_rows, :, None] * p + np.arange(p)).ravel(),
+    )
+
 
 @dataclass(eq=False)
 class Conditional:
     """Everything the Gaussian engine needs about p(v | y, theta).
 
-    The stacked rows of A cover regression, exposure, proxy, and (for
-    augmented models) the copy-link pseudo-observations 0 = x_star - beta_x x.
-    Gaussian rows are always evaluated in residual form, never through the
-    expanded quadratic, so stiff blocks such as the 1e9 copy link do not
-    cancel catastrophically. gauss_hess/gauss_rhs hold the same information
-    as a quadratic form for curvature and closed-form solves. For a binomial
-    or Poisson response the reg_slice rows are not Gaussian: trials_ng holds
-    their trials and ng_c0 their summed normalizing constant.
+    The stacked rows cover regression, exposure, proxy, and (for augmented
+    models) the copy-link pseudo-observations 0 = x_star - beta_x x. Each
+    row is stored compactly: its coefficients on the p global latent
+    components are a row of A (N x p), and its at most q <= 2 coefficients
+    on local components sit at latent columns cols with values vals (both
+    N x q; padding entries have value 0), so the linear predictor is
+    eta = A v[:p] + sum_j vals[:, j] v[cols[:, j]] + offset. gauss_hess
+    holds each row's Gaussian precision, which is also its curvature weight
+    (0 on binomial or Poisson rows); gauss_rows spans the Gaussian rows,
+    which follow the regression rows of a binomial or Poisson response.
+    Gaussian rows are always evaluated in
+    residual form, never through an expanded quadratic, so stiff blocks
+    such as the 1e9 copy link do not cancel catastrophically. For a
+    binomial or Poisson response the reg_slice rows are not Gaussian:
+    trials_ng holds their trials and ng_c0 their summed normalizing
+    constant. The latent prior is independent, with precisions prior_prec
+    and precision-weighted means bp. blocks is the model's block-arrowhead
+    structure.
     """
 
     dim: int
     A: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     obs: np.ndarray
     offset: np.ndarray
-    gprec: np.ndarray
-    gauss_rows: np.ndarray
+    gauss_hess: np.ndarray
+    gauss_rows: slice
     gauss_const: float
     reg_slice: slice
     exp_slice: slice
     prox_slice: slice
     family: str
     trials_ng: Optional[np.ndarray]
-    gauss_hess: np.ndarray
-    gauss_rhs: np.ndarray
     ng_c0: float
-    Qp: np.ndarray
+    prior_prec: np.ndarray
     bp: np.ndarray
     prior_c0: float
+    blocks: LatentBlocks
+
+    def eta(self, v: np.ndarray) -> np.ndarray:
+        """Linear predictor of every stacked row at latent vector v."""
+        local = (self.vals * v[self.cols]).sum(axis=1)
+        return self.A @ v[:self.A.shape[1]] + local + self.offset
 
     def log_density(self, v: np.ndarray) -> float:
         """log p(y | v, theta) + log p(v | theta), constants included."""
-        eta = self.A @ v + self.offset
-        res = self.obs[self.gauss_rows] - eta[self.gauss_rows]
-        tau = self.gprec[self.gauss_rows]
-        val = self.gauss_const - 0.5 * float(np.sum(tau * res * res))
+        eta = self.eta(v)
+        rows = self.gauss_rows
+        res = self.obs[rows] - eta[rows]
+        val = self.gauss_const - 0.5 * float((self.gauss_hess[rows] * res * res).sum())
         if self.trials_ng is not None:
             rows = self.reg_slice
-            val += float(np.sum(families.loglik(self.family, self.obs[rows], self.trials_ng, eta[rows])))
+            val += float(families.loglik(self.family, self.obs[rows], self.trials_ng, eta[rows]).sum())
             val += self.ng_c0
-        val += self.prior_c0 + float(self.bp @ v) - 0.5 * float(v @ (self.Qp @ v))
+        val += self.prior_c0 + float(self.bp @ v) - 0.5 * float((self.prior_prec * v) @ v)
         return val
 
 
@@ -684,8 +811,9 @@ def _design(model: JointModel) -> dict:
     n_prox = 0 if model.proxy_obs is None else int(model.proxy_obs.size)
     n_copy = model.n_x if model.is_augmented else 0
     N = n_reg + n_exp + n_prox + n_copy
+    p = sum(size for blk, size in zip(layout.order, layout.sizes) if blk in GLOBAL_BLOCKS)
 
-    A = np.zeros((N, d))
+    A = np.zeros((N, p))
     obs = np.zeros(N)
     offset = np.zeros(N)
     reg_slice = slice(0, n_reg)
@@ -707,20 +835,7 @@ def _design(model: JointModel) -> dict:
     if s is not None:
         free_cols = [j for j, pr in enumerate(spec.beta_z) if not isinstance(pr, FixedValue)]
         A[reg_slice, s] = model.Z[np.ix_(rr, free_cols)]
-    x_slice = layout.slice("x")
-    xs_slice = layout.slice("x_star")
-    reg_x_rows = reg_x_cols = None
-    if x_slice is not None:
-        tgt = xs_slice if model.is_augmented else x_slice
-        reg_x_rows = np.arange(n_reg)
-        reg_x_cols = tgt.start + model.x_index[rr]
-        A[reg_x_rows, reg_x_cols] = 1.0
-    s = layout.slice("gamma")
-    if s is not None:
-        A[reg_slice, s] = np.eye(model.n)[rr]
-
     if classical:
-        A[np.arange(n_reg, n_reg + n_exp), x_slice.start + np.arange(n_exp)] = -1.0
         s = layout.slice("alpha0")
         if s is not None:
             A[exp_slice, s.start] = 1.0
@@ -729,20 +844,50 @@ def _design(model: JointModel) -> dict:
             free_cols = [j for j, pr in enumerate(spec.exposure.alpha_z) if not isinstance(pr, FixedValue)]
             A[exp_slice, s] = model.Z[:, free_cols]
         offset[exp_slice] = model.exp_offset
-        obs[exp_slice] = 0.0
-
     if n_prox:
-        A[np.arange(prox_slice.start, prox_slice.stop),
-          x_slice.start + model.proxy_x_index] = model.proxy_sign
         obs[prox_slice] = model.proxy_obs
 
-    # copy-link pseudo-rows: 0 = x_star - beta_x x + eps, precision copy_precision;
-    # the theta-dependent -beta_x coefficient on x is filled per theta
-    copy_rows = copy_x_cols = None
+    # local entries as (rows, latent columns, value, sign); a nonzero sign
+    # marks a coefficient sign * beta_x that assemble_conditional fills in:
+    # beta_x on x in the plain regression rows, -beta_x on x in the
+    # copy-link rows 0 = x_star - beta_x x
+    x_slice = layout.slice("x")
+    xs_slice = layout.slice("x_star")
+    g_slice = layout.slice("gamma")
+    entries = []
+    if x_slice is not None:
+        if model.is_augmented:
+            entries.append((np.arange(n_reg), xs_slice.start + model.x_index[rr], 1.0, 0.0))
+        else:
+            entries.append((np.arange(n_reg), x_slice.start + model.x_index[rr], 0.0, 1.0))
+    if g_slice is not None:
+        entries.append((np.arange(n_reg), g_slice.start + rr, 1.0, 0.0))
+    if classical:
+        entries.append((exp_slice.start + np.arange(n_exp), x_slice.start + np.arange(n_exp), -1.0, 0.0))
+    if n_prox:
+        entries.append((prox_slice.start + np.arange(n_prox), x_slice.start + model.proxy_x_index,
+                        model.proxy_sign, 0.0))
     if n_copy:
-        copy_rows = np.arange(copy_slice.start, copy_slice.stop)
-        copy_x_cols = x_slice.start + np.arange(n_copy)
-        A[copy_rows, xs_slice.start + np.arange(n_copy)] = 1.0
+        rows = copy_slice.start + np.arange(n_copy)
+        entries.append((rows, xs_slice.start + np.arange(n_copy), 1.0, 0.0))
+        entries.append((rows, x_slice.start + np.arange(n_copy), 0.0, -1.0))
+    counts = np.bincount(np.concatenate([e[0] for e in entries]), minlength=N) if entries else np.zeros(N, int)
+    q = int(counts.max()) if N else 0
+    cols = np.full((N, q), p, dtype=np.intp)
+    vals = np.zeros((N, q))
+    beta_sign = np.zeros((N, q))
+    filled = np.zeros(N, dtype=np.intp)
+    for rows, c, value, sign in entries:
+        k = filled[rows]
+        cols[rows, k] = c
+        vals[rows, k] = value
+        beta_sign[rows, k] = sign
+        filled[rows] += 1
+    for j in range(1, q):
+        # padding repeats the row's first column, so it stays in its block
+        pad = counts <= j
+        cols[pad, j] = cols[pad, 0]
+    beta_at = np.nonzero(beta_sign)
 
     # static latent prior
     prior_prec = np.zeros(d)
@@ -774,144 +919,93 @@ def _design(model: JointModel) -> dict:
             const += 0.5 * (math.log(pk) - LOG_2PI)
     const -= 0.5 * float(np.sum(prior_prec * prior_mean * prior_mean))
 
-    # theta-free gaussian-block Gram pieces
-    A_exp = A[exp_slice]
-    A_prox = A[prox_slice]
-    res_exp = obs[exp_slice] - offset[exp_slice]
-    res_prox = obs[prox_slice] - offset[prox_slice]
-    dW = model.proxy_weights if n_prox else np.zeros(0)
-    G_exp = A_exp.T @ A_exp if n_exp else None
-    r_exp = A_exp.T @ res_exp if n_exp else None
-    G_prox = (A_prox * dW[:, None]).T @ A_prox if n_prox else None
-    r_prox = A_prox.T @ (dW * res_prox) if n_prox else None
-
-    reg_theta_free = model.is_augmented or spec.error is None
-    G_reg = r_reg = None
-    if model.family == "gaussian" and reg_theta_free:
-        A_reg = A[reg_slice]
-        res_reg = obs[reg_slice] - offset[reg_slice]
-        G_reg = A_reg.T @ A_reg
-        r_reg = A_reg.T @ res_reg
-
     ng_c0 = 0.0
+    trials_ng = None
     if model.family != "gaussian":
-        ng_c0 = families.log_normalizer(model.family, obs[reg_slice], model.trials[rr])
+        trials_ng = model.trials[rr]
+        ng_c0 = families.log_normalizer(model.family, obs[reg_slice], trials_ng)
 
     design = dict(
-        A=A, obs=obs, offset=offset,
+        A=A, cols=cols, vals=vals, obs=obs, offset=offset,
+        beta_at=beta_at, beta_sign=beta_sign[beta_at],
         reg_slice=reg_slice, exp_slice=exp_slice, prox_slice=prox_slice,
         copy_slice=copy_slice,
-        reg_x_rows=reg_x_rows, reg_x_cols=reg_x_cols,
-        copy_rows=copy_rows, copy_x_cols=copy_x_cols,
-        prior_prec=prior_prec, bp=bp, prior_const=const,
-        G_exp=G_exp, r_exp=r_exp,
-        G_prox=G_prox, r_prox=r_prox,
-        G_reg=G_reg, r_reg=r_reg,
-        ng_c0=ng_c0,
-        n_reg=n_reg, n_exp=n_exp, n_prox=n_prox, n_copy=n_copy,
+        prior_prec=prior_prec, bp=bp, prior_const=const, gamma_slice=g_slice,
+        trials_ng=trials_ng, ng_c0=ng_c0,
+        n_exp=n_exp, n_prox=n_prox, n_copy=n_copy,
+        # every row is Gaussian except the regression rows of a binomial
+        # or Poisson response
+        gauss_rows=slice(n_reg if model.family != "gaussian" else 0, N),
+        blocks=_latent_blocks(layout, p, model.x_index, cols, n_reg + n_exp),
     )
     cache["design"] = design
     return design
 
 
 def assemble_conditional(model: JointModel, theta) -> Conditional:
-    """Build the per-theta conditional view of the stacked model."""
+    """Build the per-theta conditional view of the stacked model.
+
+    Only the theta-dependent values are written: the beta_x coefficients of
+    the local entries, the row precisions and the random-effect prior.
+    """
     theta = model.theta.validate(theta)
     dz = _design(model)
     layout = model.layout
-    d = layout.dim
-    spec = model.spec
-    classical = spec.error is not None and spec.error.kind == "classical"
 
-    tau_u = model.theta.value("tau_u", theta) if model.theta.has("tau_u") else None
-    tau_x = model.theta.value("tau_x", theta) if model.theta.has("tau_x") else None
-    tau_eps = model.theta.value("tau_eps", theta) if model.theta.has("tau_eps") else None
-    tau_gamma = model.theta.value("tau_gamma", theta) if model.theta.has("tau_gamma") else None
-    beta_x = model.theta.value("beta_x", theta) if model.theta.has("beta_x") else None
-    for name, val in (("tau_u", tau_u), ("tau_x", tau_x), ("tau_eps", tau_eps), ("tau_gamma", tau_gamma)):
-        if val is not None and val <= 0.0:
-            raise SpecError("hyperparameter %s must be > 0, got %g" % (name, val))
+    named = dict(model.theta.fixed)
+    named.update(zip(model.theta.names, theta.tolist()))
+    for name in ("tau_u", "tau_x", "tau_eps", "tau_gamma"):
+        if named.get(name, 1.0) <= 0.0:
+            raise SpecError("hyperparameter %s must be > 0, got %g" % (name, named[name]))
+    tau_u, tau_x, tau_eps, tau_gamma, beta_x = (
+        named.get(name) for name in ("tau_u", "tau_x", "tau_eps", "tau_gamma", "beta_x"))
 
-    A = dz["A"]
-    if spec.error is not None and not model.is_augmented:
-        A = A.copy()
-        A[dz["reg_x_rows"], dz["reg_x_cols"]] = beta_x
-    elif model.is_augmented:
-        A = A.copy()
-        A[dz["copy_rows"], dz["copy_x_cols"]] = -beta_x
+    vals = dz["vals"]
+    if dz["beta_sign"].size:
+        vals = vals.copy()
+        vals[dz["beta_at"]] = dz["beta_sign"] * beta_x
 
-    n_reg, n_exp, n_prox, n_copy = dz["n_reg"], dz["n_exp"], dz["n_prox"], dz["n_copy"]
-    gprec = np.zeros(A.shape[0])
-    if n_exp:
-        gprec[dz["exp_slice"]] = tau_x
-    if n_prox:
-        gprec[dz["prox_slice"]] = tau_u * model.proxy_weights
-    if n_copy:
-        gprec[dz["copy_slice"]] = model.copy_precision
+    gauss_hess = np.zeros(dz["obs"].size)
+    if dz["n_exp"]:
+        gauss_hess[dz["exp_slice"]] = tau_x
+    if dz["n_prox"]:
+        gauss_hess[dz["prox_slice"]] = tau_u * model.proxy_weights
+    if dz["n_copy"]:
+        gauss_hess[dz["copy_slice"]] = model.copy_precision
     if model.family == "gaussian":
-        gprec[dz["reg_slice"]] = tau_eps
-
-    # curvature and linear term of the gaussian rows, as cached Gram pieces
-    gauss_hess = np.zeros((d, d))
-    gauss_rhs = np.zeros(d)
-    if n_exp:
-        gauss_hess += tau_x * dz["G_exp"]
-        gauss_rhs += tau_x * dz["r_exp"]
-    if n_prox:
-        gauss_hess += tau_u * dz["G_prox"]
-        gauss_rhs += tau_u * dz["r_prox"]
-    if n_copy:
-        tau_c = model.copy_precision
-        ix = dz["copy_x_cols"]
-        istar = np.arange(layout.slice("x_star").start, layout.slice("x_star").stop)
-        gauss_hess[ix, ix] += tau_c * beta_x * beta_x
-        gauss_hess[istar, istar] += tau_c
-        gauss_hess[ix, istar] += -tau_c * beta_x
-        gauss_hess[istar, ix] += -tau_c * beta_x
-    trials_ng = None
-    if model.family == "gaussian":
-        if dz["G_reg"] is not None:
-            G_reg, r_reg = dz["G_reg"], dz["r_reg"]
-        else:
-            A_reg = A[dz["reg_slice"]]
-            res = dz["obs"][dz["reg_slice"]] - dz["offset"][dz["reg_slice"]]
-            G_reg = A_reg.T @ A_reg
-            r_reg = A_reg.T @ res
-        gauss_hess = gauss_hess + tau_eps * G_reg
-        gauss_rhs = gauss_rhs + tau_eps * r_reg
-    else:
-        trials_ng = model.trials[model.reg_rows]
-
-    gauss_rows = np.flatnonzero(gprec > 0.0)
-    gauss_const = 0.5 * float(np.sum(np.log(gprec[gauss_rows]) - LOG_2PI))
+        gauss_hess[dz["reg_slice"]] = tau_eps
+    gauss_rows = dz["gauss_rows"]
+    gauss_const = 0.5 * float((np.log(gauss_hess[gauss_rows]) - LOG_2PI).sum())
 
     # latent prior; only the random-effect precision depends on theta
-    Qp = np.diag(dz["prior_prec"]).copy()
+    prior_prec = dz["prior_prec"]
     prior_c0 = dz["prior_const"]
-    s = layout.slice("gamma")
+    s = dz["gamma_slice"]
     if s is not None:
-        Qp[np.arange(s.start, s.stop), np.arange(s.start, s.stop)] += tau_gamma
+        prior_prec = prior_prec.copy()
+        prior_prec[s] = tau_gamma
         prior_c0 += 0.5 * (s.stop - s.start) * (math.log(tau_gamma) - LOG_2PI)
 
     return Conditional(
-        dim=d,
-        A=A,
+        dim=layout.dim,
+        A=dz["A"],
+        cols=dz["cols"],
+        vals=vals,
         obs=dz["obs"],
         offset=dz["offset"],
-        gprec=gprec,
+        gauss_hess=gauss_hess,
         gauss_rows=gauss_rows,
         gauss_const=gauss_const,
         reg_slice=dz["reg_slice"],
         exp_slice=dz["exp_slice"],
         prox_slice=dz["prox_slice"],
         family=model.family,
-        trials_ng=trials_ng,
-        gauss_hess=gauss_hess,
-        gauss_rhs=gauss_rhs,
+        trials_ng=dz["trials_ng"],
         ng_c0=dz["ng_c0"],
-        Qp=Qp,
+        prior_prec=prior_prec,
         bp=dz["bp"],
         prior_c0=prior_c0,
+        blocks=dz["blocks"],
     )
 
 
@@ -933,18 +1027,17 @@ def block_log_densities(model: JointModel, v, theta) -> tuple:
     """(regression, exposure, proxy) block log likelihoods at (v, theta)."""
     v = np.asarray(v, dtype=float)
     cond = assemble_conditional(model, theta)
-    eta = cond.A @ v + cond.offset
+    eta = cond.eta(v)
     out = []
     for sl in (cond.reg_slice, cond.exp_slice, cond.prox_slice):
-        rows = np.arange(sl.start, sl.stop)
-        if rows.size == 0:
+        if sl.stop == sl.start:
             out.append(0.0)
             continue
         if sl is cond.reg_slice and model.family != "gaussian":
             terms = families.loglik(cond.family, cond.obs[sl], cond.trials_ng, eta[sl])
             ll = float(np.sum(terms)) + cond.ng_c0
         else:
-            tau = cond.gprec[sl]
+            tau = cond.gauss_hess[sl]
             res = cond.obs[sl] - eta[sl]
             ll = float(np.sum(-0.5 * tau * res * res + 0.5 * (np.log(tau) - LOG_2PI)))
         out.append(ll)

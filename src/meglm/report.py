@@ -34,7 +34,7 @@ from .approx import (
 from .data import Dataset, read_model_config
 from .errors import DataError, NumericError, SpecError
 from .mcmc import MIN_ESS_DRAWS, ChainConfig, ChainOutput, effective_sample_size, run_chain
-from .model import JointModel, ModelSpec, build_joint_model, naive_spec
+from .model import GLOBAL_BLOCKS, JointModel, ModelSpec, build_joint_model, naive_spec
 
 # copy_augment is not called here; the binding stays because
 # perfbench/run.py traces model builds through report.copy_augment
@@ -58,10 +58,6 @@ __all__ = [
 ]
 
 METHODS = ("naive", "laplace", "mcmc")
-
-# latent blocks whose components are reported as model parameters; the
-# per-unit x, x_star, and gamma components are fit artifacts, not parameters
-PARAMETER_BLOCKS = ("beta0", "beta_x", "beta_z", "alpha0", "alpha_z")
 
 DEFAULT_DZ = 0.5
 DEFAULT_DIFF_LOGDENS = 20.0
@@ -190,7 +186,9 @@ def _grid_fit(model: JointModel, dz: float, diff_logdens: float) -> tuple:
     grid = explore_grid(model, dz=dz, diff_logdens=diff_logdens)
     names = model.latent_names()
     indices, latent_names = [], []
-    for block in PARAMETER_BLOCKS:
+    # the global latent blocks are the model parameters; the per-unit x,
+    # x_star and gamma components are fit artifacts, not parameters
+    for block in GLOBAL_BLOCKS:
         sl = model.layout.slice(block)
         if sl is None or sl.stop == sl.start:
             continue

@@ -1,6 +1,7 @@
 """Joint model assembly: layouts, densities, configs, and error paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,6 +338,58 @@ class TestJointDensity:
         naive = build_joint_model(naive_spec(small_classical_spec()), small_classical_data())
         with pytest.raises(SpecError, match="latent covariate"):
             copy_augment(naive)
+
+
+class TestBerksonWeights:
+    """Heteroscedastic Berkson error: one known weight per group scales tau_u."""
+
+    def spec(self):
+        return replace(berkson_poisson_spec(), weights="d")
+
+    def data(self, d):
+        return Dataset.from_arrays(
+            y=[1, 3, 0, 2],
+            z=[0.0, 0.25, 0.5, 0.75],
+            w=[1.2, 1.2, 0.4, 0.4],
+            house=[1, 1, 2, 2],
+            d=d,
+        )
+
+    def test_weights_must_be_constant_within_group(self):
+        with pytest.raises(DataError, match="not constant within group"):
+            build_joint_model(self.spec(), self.data([2.0, 3.0, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("d", [[2.0, 2.0, 0.0, 0.0], [-1.0, -1.0, 0.5, 0.5]])
+    def test_non_positive_weights_rejected(self, d):
+        with pytest.raises(DataError, match="must be positive and complete"):
+            build_joint_model(self.spec(), self.data(d))
+
+    def test_absent_weights_rejected(self):
+        with pytest.raises(DataError, match="must be positive and complete"):
+            build_joint_model(self.spec(), self.data([2.0, 2.0, math.nan, math.nan]))
+        no_column = Dataset.from_arrays(
+            y=[1, 3], z=[0.0, 0.25], w=[1.2, 1.2], house=[1, 1]
+        )
+        with pytest.raises(DataError, match="no column named 'd'"):
+            build_joint_model(self.spec(), no_column)
+
+    def test_proxy_term_uses_group_weights(self):
+        d_group = np.array([2.0, 0.5])
+        model = build_joint_model(self.spec(), self.data([2.0, 2.0, 0.5, 0.5]))
+        assert np.array_equal(model.proxy_weights, d_group)
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=model.layout.dim) * 0.3
+        theta = np.array([0.6, 16.0, 20.0])
+        tau_u = theta[1]
+        x = v[2:4]
+        reg, expo, prox = block_log_densities(model, v, theta)
+        expected = stats.norm.logpdf(
+            -np.array([1.2, 0.4]), -x, 1.0 / np.sqrt(tau_u * d_group)
+        ).sum()
+        assert expo == 0.0
+        assert prox == pytest.approx(expected, abs=1.0e-12)
+        unweighted = build_joint_model(berkson_poisson_spec(), self.data([2.0, 2.0, 0.5, 0.5]))
+        assert block_log_densities(unweighted, v, theta)[0] == pytest.approx(reg, abs=1.0e-12)
 
 
 class TestNaive:
