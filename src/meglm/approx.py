@@ -71,14 +71,6 @@ class PosteriorMarginal:
     q975: float
     moments_only: bool = False
 
-    @property
-    def grid(self):
-        return list(zip(self.values.tolist(), self.density.tolist()))
-
-    @property
-    def quantiles(self) -> dict:
-        return {0.025: self.q025, 0.5: self.q50, 0.975: self.q975}
-
 
 @dataclass(eq=False)
 class IntegrationGrid:
@@ -108,13 +100,6 @@ class IntegrationGrid:
     skipped: int = 0
     latent_mean: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     latent_sd: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-    @property
-    def points(self):
-        return [
-            (self.thetas[k], float(self.log_post[k]), float(self.weights[k]))
-            for k in range(self.thetas.shape[0])
-        ]
 
     @property
     def size(self) -> int:
@@ -362,10 +347,10 @@ def explore_grid(
     does not depend on the walk order; each retained point keeps its
     latent mode and marginal standard deviations for latent_marginals.
     """
-    if dz <= 0.0:
-        raise SpecError("dz must be positive, got %g" % dz)
-    if diff_logdens <= 0.0:
-        raise SpecError("diff_logdens must be positive, got %g" % diff_logdens)
+    if not (math.isfinite(dz) and dz > 0.0):
+        raise SpecError("dz must be finite and positive, got %g" % dz)
+    if not (math.isfinite(diff_logdens) and diff_logdens > 0.0):
+        raise SpecError("diff_logdens must be finite and positive, got %g" % diff_logdens)
     layout = model.theta
     if layout.dim == 0:
         approx = latent_gaussian_approx(model, layout.to_natural(np.zeros(0)))
@@ -558,10 +543,8 @@ def hyper_marginal(grid: IntegrationGrid, j: int) -> PosteriorMarginal:
     else:
         lam_grid = values
         jac = np.ones_like(values)
-    if uniq.size == 3:
-        log_density = np.polyval(np.polyfit(centers, log_f, 2), lam_grid)
-    else:
-        log_density = CubicSpline(centers, log_f, bc_type="not-a-knot")(lam_grid)
+    # through three centers the not-a-knot spline is their interpolating parabola
+    log_density = CubicSpline(centers, log_f, bc_type="not-a-knot")(lam_grid)
     density = np.exp(np.asarray(log_density, dtype=float)) * jac
     mass = float(np.trapezoid(density, values))
     return marginal_from_grid(values, density / mass)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -61,10 +60,6 @@ class Dataset:
                 return cls._parse(fh, str(path))
         except OSError as exc:
             raise DataError("cannot read dataset %s: %s" % (path, exc))
-
-    @classmethod
-    def from_text(cls, text: str, label: str = "<string>") -> "Dataset":
-        return cls._parse(io.StringIO(text), label)
 
     @classmethod
     def _parse(cls, fh, label: str) -> "Dataset":

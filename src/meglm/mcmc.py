@@ -27,8 +27,8 @@ from scipy.linalg.lapack import dtrtrs
 
 from . import families
 from .errors import NumericError, SpecError
-from .model import JointModel
-from .priors import FixedValue, GammaPrior, GaussianPrior
+from .model import Coefficient, JointModel
+from .priors import GammaPrior
 
 __all__ = [
     "ChainConfig",
@@ -63,7 +63,6 @@ class ChainConfig:
     thin: int = 10
     seed: Optional[int] = None
     proposal_scales: Optional[dict] = None
-    adapt: bool = True
     monitor_x: Optional[tuple] = None
     store_x: bool = False
 
@@ -292,12 +291,11 @@ class _Sampler:
         return eta
 
 
-def _prior_mean_prec(prior) -> tuple:
-    if isinstance(prior, FixedValue):
-        return prior.value, math.inf
-    if isinstance(prior, GaussianPrior):
-        return prior.mean, prior.precision
-    raise SpecError("expected a gaussian or fixed prior, got %r" % (prior,))
+def _prior_arrays(coefficients: list) -> tuple:
+    """(mean, precision, free) arrays; a fixed value has infinite precision."""
+    mean = np.array([c.prior.mean if c.free else c.prior.value for c in coefficients])
+    prec = np.array([c.prior.precision if c.free else math.inf for c in coefficients])
+    return mean, prec, np.isfinite(prec)
 
 
 def _prepare(model: JointModel) -> _Sampler:
@@ -316,16 +314,13 @@ def _prepare(model: JointModel) -> _Sampler:
     y = model.y[reg_rows]
     trials = model.trials[reg_rows]
 
-    p = model.Z.shape[1]
-    X = np.empty((reg_rows.size, 2 + p))
-    X[:, 0] = 1.0
-    X[:, 1] = 0.0
-    X[:, 2:] = model.Z[reg_rows]
-    beta_priors = [spec.beta0, spec.beta_x] + list(spec.beta_z)
-    beta_names = ("beta_0", "beta_x") + tuple("beta_%s" % c for c in spec.covariates)
-    beta_mean = np.array([_prior_mean_prec(pr)[0] for pr in beta_priors])
-    beta_prec = np.array([_prior_mean_prec(pr)[1] for pr in beta_priors])
-    beta_free = np.isfinite(beta_prec)
+    # under measurement error beta_x is a hyperparameter of the grid model,
+    # so the table leaves it out; here it is a regression coefficient whose
+    # column, the x slot, is filled in at each update
+    betas = [c for c in model.coefficients if not c.exposure]
+    betas.insert(1, Coefficient("beta_x", "beta_x", np.zeros(reg_rows.size), spec.beta_x))
+    X = np.column_stack([c.column for c in betas])
+    beta_mean, beta_prec, beta_free = _prior_arrays(betas)
 
     x_index = model.x_index[reg_rows]
     w = model.proxy_sign * model.proxy_obs
@@ -343,7 +338,7 @@ def _prepare(model: JointModel) -> _Sampler:
         reg_rows=reg_rows,
         X=X,
         x_col=1,
-        beta_names=beta_names,
+        beta_names=tuple(c.name for c in betas),
         beta_free=beta_free,
         beta_mean=beta_mean,
         beta_prec=beta_prec,
@@ -362,17 +357,11 @@ def _prepare(model: JointModel) -> _Sampler:
     )
 
     if error_kind == "classical":
-        exposure = spec.exposure
-        q = len(exposure.alpha_z)
-        design = np.empty((model.n_x, 1 + q))
-        design[:, 0] = 1.0
-        design[:, 1:] = model.Z
-        alpha_priors = [exposure.alpha0] + list(exposure.alpha_z)
-        alpha_mean = np.array([_prior_mean_prec(pr)[0] for pr in alpha_priors])
-        alpha_prec = np.array([_prior_mean_prec(pr)[1] for pr in alpha_priors])
-        free = np.isfinite(alpha_prec)
+        alphas = [c for c in model.coefficients if c.exposure]
+        design = np.column_stack([c.column for c in alphas])
+        alpha_mean, alpha_prec, free = _prior_arrays(alphas)
         sampler.exp_design = design
-        sampler.alpha_names = ("alpha_0",) + tuple("alpha_%s" % c for c in spec.covariates)
+        sampler.alpha_names = tuple(c.name for c in alphas)
         sampler.alpha_mean = alpha_mean
         sampler.alpha_prec = alpha_prec
         sampler.alpha_free = free
@@ -382,7 +371,7 @@ def _prepare(model: JointModel) -> _Sampler:
         sampler.exp_free = design[:, free]
         sampler.exp_fixed = design[:, ~free]
         sampler.exp_gram = sampler.exp_free.T @ sampler.exp_free
-        sampler.tau_x_prior = exposure.tau_x
+        sampler.tau_x_prior = spec.exposure.tau_x
     else:
         sampler.w_group = w
         sampler.d_group = d
@@ -394,15 +383,10 @@ def _prepare(model: JointModel) -> _Sampler:
 
 
 def _initial_state(sampler: _Sampler) -> ChainState:
-    def prior_value(prior, fallback: float) -> float:
-        if prior is None:
-            return math.nan
-        if isinstance(prior, FixedValue):
-            return prior.value
-        if isinstance(prior, GammaPrior):
-            return prior.shape / prior.rate
-        return fallback
-
+    # precisions start at their prior means, or at their fixed values
+    theta = sampler.model.theta
+    start = dict(theta.fixed)
+    start.update(zip(theta.names, theta.init_natural().tolist()))
     counts = np.bincount(sampler.proxy_index, minlength=sampler.n_x).astype(float)
     counts[counts == 0.0] = 1.0
     x0 = np.bincount(sampler.proxy_index, weights=sampler.w, minlength=sampler.n_x) / counts
@@ -414,15 +398,15 @@ def _initial_state(sampler: _Sampler) -> ChainState:
         beta=beta,
         alpha=np.zeros(0),
         gamma=np.zeros(sampler.y.size) if sampler.has_gamma else np.zeros(0),
-        tau_u=prior_value(sampler.tau_u_prior, 1.0),
-        tau_eps=prior_value(sampler.tau_eps_prior, math.nan),
-        tau_gamma=prior_value(sampler.tau_gamma_prior, math.nan),
+        tau_u=start["tau_u"],
+        tau_x=start.get("tau_x", math.nan),
+        tau_eps=start.get("tau_eps", math.nan),
+        tau_gamma=start.get("tau_gamma", math.nan),
     )
     if sampler.error_kind == "classical":
         alpha = sampler.alpha_mean.copy()
         alpha[sampler.alpha_free] = 0.0
         state.alpha = alpha
-        state.tau_x = prior_value(sampler.tau_x_prior, 1.0)
     return state
 
 
@@ -592,16 +576,8 @@ def _monitor_layout(sampler: _Sampler, cfg: ChainConfig) -> tuple:
     names = [n for n, f in zip(sampler.beta_names, sampler.beta_free) if f]
     if sampler.error_kind == "classical":
         names.extend(n for n, f in zip(sampler.alpha_names, sampler.alpha_free) if f)
-    taus = tuple(
-        tau_name
-        for tau_name, prior in (
-            ("tau_u", sampler.tau_u_prior),
-            ("tau_x", sampler.tau_x_prior),
-            ("tau_eps", sampler.tau_eps_prior),
-            ("tau_gamma", sampler.tau_gamma_prior),
-        )
-        if prior is not None and not isinstance(prior, FixedValue)
-    )
+    # the free precisions, in the grid model's order (tau_u, tau_x, tau_eps, tau_gamma)
+    taus = tuple(name for name in sampler.model.theta.names if name.startswith("tau_"))
     names.extend(taus)
     if cfg.store_x:
         x_picks = tuple(range(sampler.n_x))
@@ -644,20 +620,12 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
     accept_counts = {"x": 0, "beta": 0, "gamma": 0}
 
     classical = sampler.error_kind == "classical"
-    tau_x_free = classical and not isinstance(sampler.tau_x_prior, FixedValue)
-    tau_u_free = not isinstance(sampler.tau_u_prior, FixedValue)
-    tau_eps_free = sampler.tau_eps_prior is not None and not isinstance(
-        sampler.tau_eps_prior, FixedValue
-    )
-    tau_gamma_free = sampler.tau_gamma_prior is not None and not isinstance(
-        sampler.tau_gamma_prior, FixedValue
-    )
     mh_needed = sampler.family != "gaussian"
 
     for it in range(1, cfg.iterations + 1):
-        if tau_x_free:
+        if "tau_x" in taus:
             state.tau_x = gibbs_tau_x(state, sampler, rng)
-        if tau_u_free:
+        if "tau_u" in taus:
             state.tau_u = gibbs_tau_u(state, sampler, rng)
         if classical and sampler.alpha_any_free:
             state.alpha = gibbs_alpha(state, sampler, rng)
@@ -670,12 +638,12 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
             )
         state.beta, acc_b = mh_beta(state, sampler, math.exp(log_scales["beta"]), rng)
 
-        if tau_eps_free:
+        if "tau_eps" in taus:
             state.tau_eps = _gibbs_tau_eps(state, sampler, rng)
-        if tau_gamma_free:
+        if "tau_gamma" in taus:
             state.tau_gamma = _gibbs_tau_gamma(state, sampler, rng)
 
-        if mh_needed and cfg.adapt and it <= cfg.burn_in:
+        if mh_needed and it <= cfg.burn_in:
             step = (it + _ADAPT_OFFSET) ** -0.6
             updates = {"x": acc_x, "beta": acc_b}
             if acc_g is not None:

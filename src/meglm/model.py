@@ -10,9 +10,13 @@ likelihood over a shared latent Gaussian field:
   written as observations -w with mean -x, both with precision tau_u
   scaled by known per-observation weights.
 
-The latent field is laid out in the fixed order (beta_0, beta_z, alpha_0,
-alpha_z, x, x_star, gamma); components that a given model does not use are
-simply absent. Hyperparameters are ordered (beta_x, tau_u, tau_x, family
+The regression and exposure coefficients (beta_0, beta_x in a model
+without error, beta_z, alpha_0, alpha_z) each carry a Gaussian prior or a
+fixed value. `build_joint_model` records that choice once, in the model's
+coefficient table (`Coefficient`): the free coefficients open the latent
+field, followed by x, x_star and gamma, and the fixed ones become offsets.
+Components that a given model does not use are simply absent.
+Hyperparameters are ordered (beta_x, tau_u, tau_x, family
 hyperparameters). `copy_augment` appends a high-precision copy x_star of
 beta_x * x so that the regression row reads x_star with unit coefficient,
 turning the conditional latent distribution given hyperparameters into a
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = [
     "LatentLayout",
     "ThetaEntry",
     "ThetaLayout",
+    "Coefficient",
     "JointModel",
     "Conditional",
     "LatentBlocks",
@@ -143,6 +148,7 @@ class ModelSpec:
 
     def validate(self) -> None:
         _check_prior(self.beta0, (GaussianPrior, FixedValue), "beta0")
+        _check_prior(self.beta_x, (GaussianPrior, FixedValue), "beta_x")
         for k, p in enumerate(self.beta_z):
             _check_prior(p, (GaussianPrior, FixedValue), "beta_z[%d]" % k)
         if len(self.beta_z) != len(self.covariates):
@@ -153,7 +159,6 @@ class ModelSpec:
             if self.exposure is not None:
                 raise SpecError("exposure model requires a classical error model")
         elif self.error.kind == "classical":
-            _check_prior(self.beta_x, (GaussianPrior, FixedValue), "beta_x")
             if self.exposure is None:
                 raise SpecError("classical error requires an exposure model")
             if len(self.exposure.alpha_z) != len(self.covariates):
@@ -164,7 +169,6 @@ class ModelSpec:
             if self.group is not None:
                 raise SpecError("grouped latent covariates are only supported for Berkson error")
         else:  # berkson
-            _check_prior(self.beta_x, (GaussianPrior, FixedValue), "beta_x")
             if self.exposure is not None:
                 raise SpecError("Berkson error models do not take an exposure model")
             if len(self.proxies) != 1:
@@ -247,11 +251,6 @@ class ThetaLayout:
                 return v
         return float(theta[self.index(name)])
 
-    def has(self, name: str) -> bool:
-        if any(n == name for n, _ in self.fixed):
-            return True
-        return any(e.name == name for e in self.entries)
-
     def log_prior(self, theta: np.ndarray) -> float:
         return float(sum(e.prior.log_density(float(v)) for e, v in zip(self.entries, theta)))
 
@@ -276,20 +275,47 @@ class ThetaLayout:
         return float(sum(lam[i] for i, e in enumerate(self.entries) if e.scale == "log"))
 
     def init_natural(self) -> np.ndarray:
-        out = np.empty(self.dim)
-        for i, e in enumerate(self.entries):
-            if isinstance(e.prior, GaussianPrior):
-                out[i] = e.prior.mean
-            elif isinstance(e.prior, GammaPrior):
-                out[i] = e.prior.mean
-            else:
-                raise SpecError("free hyperparameter %s has no initializable prior" % e.name)
-        return out
+        # free entries carry a GaussianPrior or a GammaPrior, and both have a mean
+        return np.array([e.prior.mean for e in self.entries], dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class Coefficient:
+    """One regression or exposure coefficient of the linear predictors.
+
+    block is its latent block ("beta0", "beta_x", "beta_z", "alpha0" or
+    "alpha_z"); column holds the values it multiplies, one per row of its
+    observation block: the observed regression rows for a beta, the n_x
+    exposure rows for an alpha. prior is a GaussianPrior, making the
+    coefficient a component of the global latent block, or a FixedValue,
+    making it a known offset.
+    """
+
+    name: str
+    block: str
+    column: np.ndarray
+    prior: Prior
+
+    @property
+    def free(self) -> bool:
+        return not isinstance(self.prior, FixedValue)
+
+    @property
+    def exposure(self) -> bool:
+        """Whether the coefficient acts in the exposure rows."""
+        return self.block.startswith("alpha")
 
 
 @dataclass(eq=False)
 class JointModel:
     """Assembled stacked model over a fixed dataset.
+
+    `coefficients` is the coefficient table, in latent order: beta_0,
+    beta_x (naive models only; under measurement error it is a
+    hyperparameter), the beta_z, alpha_0, then the alpha_z. Its free
+    entries are the first latent components, in that order; its fixed
+    entries enter the linear predictors as offsets. The layout, the design
+    and the sampler all derive from it.
 
     Treat instances as immutable; `_cache` holds derived design matrices.
     """
@@ -300,10 +326,9 @@ class JointModel:
     y: np.ndarray
     trials: np.ndarray
     Z: np.ndarray
-    reg_offset: np.ndarray
+    coefficients: tuple
     reg_rows: np.ndarray
     x_index: Optional[np.ndarray]
-    exp_offset: Optional[np.ndarray]
     proxy_obs: Optional[np.ndarray]
     proxy_weights: Optional[np.ndarray]
     proxy_x_index: Optional[np.ndarray]
@@ -332,28 +357,11 @@ class JointModel:
         return (n_reg, n_exp, n_prox)
 
     def latent_names(self) -> tuple:
-        names = []
-        for blk, size in zip(self.layout.order, self.layout.sizes):
-            if size == 0:
-                continue
-            if blk == "beta0":
-                names.append("beta_0")
-            elif blk == "beta_x":
-                names.append("beta_x")
-            elif blk == "beta_z":
-                names.extend("beta_%s" % c for c, p in zip(self.spec.covariates, self.spec.beta_z)
-                             if not isinstance(p, FixedValue))
-            elif blk == "alpha0":
-                names.append("alpha_0")
-            elif blk == "alpha_z":
-                names.extend("alpha_%s" % c for c, p in zip(self.spec.covariates, self.spec.exposure.alpha_z)
-                             if not isinstance(p, FixedValue))
-            elif blk == "x":
-                names.extend("x_%d" % (i + 1) for i in range(size))
-            elif blk == "x_star":
-                names.extend("x_star_%d" % (i + 1) for i in range(size))
-            elif blk == "gamma":
-                names.extend("gamma_%d" % (i + 1) for i in range(size))
+        names = [c.name for c in self.coefficients if c.free]
+        for blk in ("x", "x_star", "gamma"):
+            s = self.layout.slice(blk)
+            if s is not None:
+                names.extend("%s_%d" % (blk, i + 1) for i in range(s.stop - s.start))
         return tuple(names)
 
 
@@ -373,6 +381,16 @@ def _theta_entry(name: str, scale: str, prior: Prior, entries: list, fixed: list
         fixed.append((name, prior.value))
     else:
         entries.append(ThetaEntry(name=name, scale=scale, prior=prior))
+
+
+def _proxy_weights(spec: ModelSpec, data) -> np.ndarray:
+    """The known per-row proxy precision factors (all ones without a weights column)."""
+    if spec.weights is None:
+        return np.ones(data.n_rows)
+    d_col = data.column(spec.weights).astype(float)
+    if not np.all(np.isfinite(d_col)) or np.any(d_col <= 0):
+        raise DataError("weights column %r must be positive and complete" % (spec.weights,))
+    return d_col
 
 
 def build_joint_model(spec: ModelSpec, data) -> JointModel:
@@ -414,7 +432,6 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         Z[:, j] = vals
 
     x_index = None
-    exp_offset = None
     proxy_obs = None
     proxy_weights = None
     proxy_x_index = None
@@ -438,12 +455,7 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         n_x = n
         x_index = np.arange(n)
         wcols = [data.column(c).astype(float) for c in spec.proxies]
-        if spec.weights is not None:
-            d_col = data.column(spec.weights).astype(float)
-            if not np.all(np.isfinite(d_col)) or np.any(d_col <= 0):
-                raise DataError("weights column %r must be positive and complete" % (spec.weights,))
-        else:
-            d_col = np.ones(n)
+        d_col = _proxy_weights(spec, data)
         rows = []
         for wvals in wcols:
             seen = np.flatnonzero(np.isfinite(wvals))
@@ -465,13 +477,6 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         proxy_weights = np.concatenate(w_list)
         proxy_x_index = np.concatenate(idx_list)
         proxy_sign = 1.0
-        # exposure offset from fixed alpha entries
-        exp_offset = np.zeros(n)
-        if isinstance(spec.exposure.alpha0, FixedValue):
-            exp_offset += spec.exposure.alpha0.value
-        for j, pr in enumerate(spec.exposure.alpha_z):
-            if isinstance(pr, FixedValue):
-                exp_offset += pr.value * Z[:, j]
     else:  # berkson
         wvals = data.column(spec.proxies[0]).astype(float)
         if not np.all(np.isfinite(wvals)):
@@ -485,29 +490,20 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         else:
             x_index = np.arange(n)
             n_x = n
-        w_group = np.full(n_x, np.nan)
-        for i in range(n):
-            g = x_index[i]
-            if np.isnan(w_group[g]):
-                w_group[g] = wvals[i]
-            elif w_group[g] != wvals[i]:
-                raise DataError(
-                    "proxy column %r is not constant within group (row %d)"
-                    % (spec.proxies[0], i + 1)
-                )
-        if spec.weights is not None:
-            d_col = data.column(spec.weights).astype(float)
-            if not np.all(np.isfinite(d_col)) or np.any(d_col <= 0):
-                raise DataError("weights column %r must be positive and complete" % (spec.weights,))
-            d_group = np.full(n_x, np.nan)
-            for i in range(n):
-                g = x_index[i]
-                if np.isnan(d_group[g]):
-                    d_group[g] = d_col[i]
-                elif d_group[g] != d_col[i]:
-                    raise DataError("weights column %r is not constant within group" % (spec.weights,))
-        else:
-            d_group = np.ones(n_x)
+        # each group takes the values of its first row; a row that differs
+        # is reported by its 1-based position in the file
+        _, first = np.unique(x_index, return_index=True)
+        w_group = wvals[first]
+        bad = np.flatnonzero(wvals != w_group[x_index])
+        if bad.size:
+            raise DataError(
+                "proxy column %r is not constant within group (row %d)"
+                % (spec.proxies[0], bad[0] + 1)
+            )
+        d_col = _proxy_weights(spec, data)
+        d_group = d_col[first]
+        if np.any(d_col != d_group[x_index]):
+            raise DataError("weights column %r is not constant within group" % (spec.weights,))
         if spec.center:
             m = float(np.mean(w_group))
             w_group = w_group - m
@@ -517,35 +513,34 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         proxy_x_index = np.arange(n_x)
         proxy_sign = -1.0
 
-    # latent layout in the fixed order
-    order, sizes = [], []
-
-    def add_block(name: str, size: int) -> None:
-        order.append(name)
-        sizes.append(size)
-
-    add_block("beta0", 0 if isinstance(spec.beta0, FixedValue) else 1)
+    # the coefficient table, in latent order; each beta column is taken at
+    # the observed regression rows and each alpha column at the n_x = n
+    # exposure rows
+    classical = spec.error is not None and spec.error.kind == "classical"
+    coefficients = [Coefficient("beta_0", "beta0", np.ones(reg_rows.size), spec.beta0)]
     if spec.error is None and naive_x is not None:
-        add_block("beta_x", 0 if isinstance(spec.beta_x, FixedValue) else 1)
-    add_block("beta_z", sum(1 for pr in spec.beta_z if not isinstance(pr, FixedValue)))
-    if spec.error is not None and spec.error.kind == "classical":
-        add_block("alpha0", 0 if isinstance(spec.exposure.alpha0, FixedValue) else 1)
-        add_block("alpha_z", sum(1 for pr in spec.exposure.alpha_z if not isinstance(pr, FixedValue)))
-    if spec.error is not None:
-        add_block("x", n_x)
-    if obs.random_effect is not None:
-        add_block("gamma", n)
-    layout = LatentLayout(order=tuple(order), sizes=tuple(sizes))
+        coefficients.append(Coefficient("beta_x", "beta_x", naive_x[reg_rows], spec.beta_x))
+    coefficients += [
+        Coefficient("beta_%s" % c, "beta_z", Z[reg_rows, j], pr)
+        for j, (c, pr) in enumerate(zip(spec.covariates, spec.beta_z))
+    ]
+    if classical:
+        coefficients.append(Coefficient("alpha_0", "alpha0", np.ones(n), spec.exposure.alpha0))
+        coefficients += [
+            Coefficient("alpha_%s" % c, "alpha_z", Z[:, j], pr)
+            for j, (c, pr) in enumerate(zip(spec.covariates, spec.exposure.alpha_z))
+        ]
 
-    # fixed-coefficient contributions to the regression linear predictor
-    reg_offset = np.zeros(n)
-    if isinstance(spec.beta0, FixedValue):
-        reg_offset += spec.beta0.value
-    for j, pr in enumerate(spec.beta_z):
-        if isinstance(pr, FixedValue):
-            reg_offset += pr.value * Z[:, j]
-    if spec.error is None and naive_x is not None and isinstance(spec.beta_x, FixedValue):
-        reg_offset += spec.beta_x.value * naive_x
+    # latent layout: the free coefficients by block, then x and gamma
+    order = list(dict.fromkeys(c.block for c in coefficients))
+    sizes = [sum(c.free for c in coefficients if c.block == blk) for blk in order]
+    if spec.error is not None:
+        order.append("x")
+        sizes.append(n_x)
+    if obs.random_effect is not None:
+        order.append("gamma")
+        sizes.append(n)
+    layout = LatentLayout(order=tuple(order), sizes=tuple(sizes))
 
     # hyperparameter layout: (beta_x, tau_u, tau_x, family hyperparameters)
     entries: list = []
@@ -553,7 +548,7 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
     if spec.error is not None:
         _theta_entry("beta_x", "identity", spec.beta_x, entries, fixed)
         _theta_entry("tau_u", "log", spec.error.tau_u, entries, fixed)
-        if spec.error.kind == "classical":
+        if classical:
             _theta_entry("tau_x", "log", spec.exposure.tau_x, entries, fixed)
     if obs.family == "gaussian":
         _theta_entry("tau_eps", "log", obs.residual_precision, entries, fixed)
@@ -568,10 +563,9 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         y=y,
         trials=trials,
         Z=Z,
-        reg_offset=reg_offset,
+        coefficients=tuple(coefficients),
         reg_rows=reg_rows,
         x_index=x_index,
-        exp_offset=exp_offset,
         proxy_obs=proxy_obs,
         proxy_weights=proxy_weights,
         proxy_x_index=proxy_x_index,
@@ -627,11 +621,6 @@ def naive_spec(spec: ModelSpec) -> ModelSpec:
 
 # ---------------------------------------------------------------------------
 # conditional (given theta) assembly
-
-# latent blocks of the global part of the arrowhead precision; every layout
-# lists them first
-GLOBAL_BLOCKS = ("beta0", "beta_x", "beta_z", "alpha0", "alpha_z")
-
 
 @dataclass(frozen=True, eq=False)
 class LatentBlocks:
@@ -804,14 +793,14 @@ def _design(model: JointModel) -> dict:
 
     layout = model.layout
     d = layout.dim
-    spec = model.spec
-    n_reg = int(model.reg_rows.size)
-    classical = spec.error is not None and spec.error.kind == "classical"
+    rr = model.reg_rows
+    n_reg = int(rr.size)
+    classical = model.spec.error is not None and model.spec.error.kind == "classical"
     n_exp = model.n_x if classical else 0
     n_prox = 0 if model.proxy_obs is None else int(model.proxy_obs.size)
     n_copy = model.n_x if model.is_augmented else 0
     N = n_reg + n_exp + n_prox + n_copy
-    p = sum(size for blk, size in zip(layout.order, layout.sizes) if blk in GLOBAL_BLOCKS)
+    p = sum(c.free for c in model.coefficients)
 
     A = np.zeros((N, p))
     obs = np.zeros(N)
@@ -821,31 +810,24 @@ def _design(model: JointModel) -> dict:
     prox_slice = slice(n_reg + n_exp, n_reg + n_exp + n_prox)
     copy_slice = slice(n_reg + n_exp + n_prox, N)
 
-    rr = model.reg_rows
     obs[reg_slice] = model.y[rr]
-    offset[reg_slice] = model.reg_offset[rr]
-
-    s = layout.slice("beta0")
-    if s is not None:
-        A[reg_slice, s.start] = 1.0
-    s = layout.slice("beta_x")
-    if s is not None:
-        A[reg_slice, s.start] = model.naive_x[rr]
-    s = layout.slice("beta_z")
-    if s is not None:
-        free_cols = [j for j, pr in enumerate(spec.beta_z) if not isinstance(pr, FixedValue)]
-        A[reg_slice, s] = model.Z[np.ix_(rr, free_cols)]
-    if classical:
-        s = layout.slice("alpha0")
-        if s is not None:
-            A[exp_slice, s.start] = 1.0
-        s = layout.slice("alpha_z")
-        if s is not None:
-            free_cols = [j for j, pr in enumerate(spec.exposure.alpha_z) if not isinstance(pr, FixedValue)]
-            A[exp_slice, s] = model.Z[:, free_cols]
-        offset[exp_slice] = model.exp_offset
     if n_prox:
         obs[prox_slice] = model.proxy_obs
+
+    # free coefficient k is latent component k and fills column k of A; a
+    # fixed one adds its share of the linear predictor to the offset
+    prior_prec = np.zeros(d)
+    prior_mean = np.zeros(d)
+    k = 0
+    for c in model.coefficients:
+        rows = exp_slice if c.exposure else reg_slice
+        if c.free:
+            A[rows, k] = c.column
+            prior_prec[k] = c.prior.precision
+            prior_mean[k] = c.prior.mean
+            k += 1
+        else:
+            offset[rows] += c.prior.value * c.column
 
     # local entries as (rows, latent columns, value, sign); a nonzero sign
     # marks a coefficient sign * beta_x that assemble_conditional fills in:
@@ -888,28 +870,6 @@ def _design(model: JointModel) -> dict:
         pad = counts <= j
         cols[pad, j] = cols[pad, 0]
     beta_at = np.nonzero(beta_sign)
-
-    # static latent prior
-    prior_prec = np.zeros(d)
-    prior_mean = np.zeros(d)
-
-    def set_prior(sl: Optional[slice], priors: Sequence[Prior]) -> None:
-        if sl is None:
-            return
-        k = sl.start
-        for pr in priors:
-            if isinstance(pr, FixedValue):
-                continue
-            prior_prec[k] = pr.precision
-            prior_mean[k] = pr.mean
-            k += 1
-
-    set_prior(layout.slice("beta0"), [spec.beta0])
-    set_prior(layout.slice("beta_x"), [spec.beta_x])
-    set_prior(layout.slice("beta_z"), list(spec.beta_z))
-    if classical:
-        set_prior(layout.slice("alpha0"), [spec.exposure.alpha0])
-        set_prior(layout.slice("alpha_z"), list(spec.exposure.alpha_z))
 
     # expand log N(v; m, 1/p) = [log(p)/2 - log(2 pi)/2 - p m^2/2] + (p m) v - p v^2/2
     bp = prior_prec * prior_mean
@@ -954,9 +914,6 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
 
     named = dict(model.theta.fixed)
     named.update(zip(model.theta.names, theta.tolist()))
-    for name in ("tau_u", "tau_x", "tau_eps", "tau_gamma"):
-        if named.get(name, 1.0) <= 0.0:
-            raise SpecError("hyperparameter %s must be > 0, got %g" % (name, named[name]))
     tau_u, tau_x, tau_eps, tau_gamma, beta_x = (
         named.get(name) for name in ("tau_u", "tau_x", "tau_eps", "tau_gamma", "beta_x"))
 

@@ -34,7 +34,7 @@ from .approx import (
 from .data import Dataset, read_model_config
 from .errors import DataError, NumericError, SpecError
 from .mcmc import MIN_ESS_DRAWS, ChainConfig, ChainOutput, effective_sample_size, run_chain
-from .model import GLOBAL_BLOCKS, JointModel, ModelSpec, build_joint_model, naive_spec
+from .model import JointModel, ModelSpec, build_joint_model, naive_spec
 
 # copy_augment is not called here; the binding stays because
 # perfbench/run.py traces model builds through report.copy_augment
@@ -89,10 +89,10 @@ class RunConfig:
             )
         if self.method in ("mcmc", "all") and self.seed is None:
             raise SpecError("method %r draws random numbers: --seed is required" % (self.method,))
-        if self.dz <= 0.0:
-            raise SpecError("dz must be positive, got %g" % self.dz)
-        if self.diff_logdens <= 0.0:
-            raise SpecError("diff-logdens must be positive, got %g" % self.diff_logdens)
+        if not (math.isfinite(self.dz) and self.dz > 0.0):
+            raise SpecError("dz must be finite and positive, got %g" % self.dz)
+        if not (math.isfinite(self.diff_logdens) and self.diff_logdens > 0.0):
+            raise SpecError("diff-logdens must be finite and positive, got %g" % self.diff_logdens)
 
     def chain_config(self) -> ChainConfig:
         return ChainConfig(
@@ -184,21 +184,11 @@ def _ordered(spec: ModelSpec, found: dict) -> dict:
 
 def _grid_fit(model: JointModel, dz: float, diff_logdens: float) -> tuple:
     grid = explore_grid(model, dz=dz, diff_logdens=diff_logdens)
-    names = model.latent_names()
-    indices, latent_names = [], []
-    # the global latent blocks are the model parameters; the per-unit x,
-    # x_star and gamma components are fit artifacts, not parameters
-    for block in GLOBAL_BLOCKS:
-        sl = model.layout.slice(block)
-        if sl is None or sl.stop == sl.start:
-            continue
-        for i in range(sl.start, sl.stop):
-            indices.append(i)
-            latent_names.append(names[i])
-    found = {}
-    if indices:
-        for name, marg in zip(latent_names, latent_marginals(model, grid, indices)):
-            found[name] = marg
+    # the free coefficients, the first latent components, are the model
+    # parameters; the per-unit x, x_star and gamma components are fit
+    # artifacts, not parameters
+    params = [c.name for c in model.coefficients if c.free]
+    found = dict(zip(params, latent_marginals(model, grid, range(len(params)))))
     for j, name in enumerate(grid.names):
         found[name] = hyper_marginal(grid, j)
     return _ordered(model.spec, found), grid

@@ -379,6 +379,12 @@ class TestExploreGrid:
         with pytest.raises(SpecError):
             explore_grid(model, diff_logdens=-1.0)
 
+    @pytest.mark.parametrize("setting", ["dz", "diff_logdens"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_settings_are_rejected(self, setting, value):
+        with pytest.raises(SpecError, match="%s must be finite and positive" % setting):
+            explore_grid(bernoulli_toy_model(), **{setting: value})
+
 
 class TestLatentMarginal:
     def test_single_point_is_exact_gaussian(self):

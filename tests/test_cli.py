@@ -106,6 +106,24 @@ class TestFit:
             "--method", "naive", "--outdir", str(tmp_path),
         ) == 1
 
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--dz", "nan", "dz"),
+        ("--dz", "inf", "dz"),
+        ("--diff-logdens", "nan", "diff-logdens"),
+        ("--diff-logdens", "inf", "diff-logdens"),
+    ])
+    def test_non_finite_grid_setting_exits_one(
+        self, study_dir, tmp_path, capsys, flag, value, setting
+    ):
+        _, files = study_dir
+        code = run_cli(
+            "fit", "--config", files["config"], "--data", files["data"],
+            "--method", "laplace", "--outdir", str(tmp_path / "out"), flag, value,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "meglm: error: %s must be finite and positive" % setting in err
+
     def test_malformed_csv_names_offending_row(self, study_dir, tmp_path, capsys):
         _, files = study_dir
         bad = tmp_path / "bad.csv"

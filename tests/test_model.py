@@ -9,12 +9,14 @@ from scipy import stats
 
 from meglm.data import Dataset, parse_model_config
 from meglm.errors import DataError, SpecError
+from meglm.mcmc import _prepare
 from meglm.model import (
     DEFAULT_COPY_PRECISION,
     ErrorModel,
     ExposureModel,
     ModelSpec,
     ObservationModel,
+    assemble_conditional,
     block_log_densities,
     build_joint_model,
     copy_augment,
@@ -195,6 +197,23 @@ class TestErrors:
         )
         with pytest.raises(DataError, match="not constant within group"):
             build_joint_model(berkson_poisson_spec(), data)
+
+    def test_interleaved_groups_name_the_first_differing_row(self):
+        # house 1 first differs at row 5 and house 2 at row 4, so file
+        # order, not group order, picks the row
+        data = Dataset.from_arrays(
+            y=[1, 3, 0, 2, 1],
+            z=[0.0, 0.25, 0.5, 0.75, 1.0],
+            w=[1.2, 0.4, 1.2, 0.5, 1.3],
+            house=[1, 2, 1, 2, 1],
+        )
+        with pytest.raises(DataError, match=r"not constant within group \(row 4\)"):
+            build_joint_model(berkson_poisson_spec(), data)
+
+    def test_naive_slope_prior_checked(self):
+        spec = replace(naive_spec(small_classical_spec()), beta_x=GammaPrior(1.0, 1.0))
+        with pytest.raises(SpecError, match="beta_x must be GaussianPrior/FixedValue"):
+            build_joint_model(spec, small_classical_data())
 
     def test_binomial_response_checked(self):
         spec = ModelSpec(
@@ -390,6 +409,91 @@ class TestBerksonWeights:
         assert prox == pytest.approx(expected, abs=1.0e-12)
         unweighted = build_joint_model(berkson_poisson_spec(), self.data([2.0, 2.0, 0.5, 0.5]))
         assert block_log_densities(unweighted, v, theta)[0] == pytest.approx(reg, abs=1.0e-12)
+
+
+class TestCoefficientTable:
+    """Fixed coefficients become offsets, free ones latent columns, on both fitters."""
+
+    def data(self):
+        return Dataset.from_arrays(
+            y=[0.3, -1.2, math.nan, 0.8],
+            z1=[0.5, 1.5, -2.0, 3.0],
+            z2=[1.0, -1.0, 0.25, 2.0],
+            w=[1.1, -0.4, 0.2, 0.9],
+        )
+
+    def classical_spec(self):
+        return ModelSpec(
+            observation=ObservationModel(family="gaussian", residual_precision=GammaPrior(2.0, 1.0)),
+            error=ErrorModel(kind="classical", tau_u=GammaPrior(3.0, 1.0)),
+            exposure=ExposureModel(
+                alpha0=GaussianPrior(0.5, 1.0),
+                alpha_z=(FixedValue(0.3), GaussianPrior(-0.2, 0.5)),
+                tau_x=GammaPrior(1.0, 1.0),
+            ),
+            beta0=FixedValue(0.7),
+            beta_x=GaussianPrior(0.1, 0.01),
+            beta_z=(FixedValue(-0.4), GaussianPrior(1.0, 2.0)),
+            response="y",
+            proxies=("w",),
+            covariates=("z1", "z2"),
+            center=False,
+        )
+
+    def test_classical_fixed_and_free_coefficients(self):
+        data = self.data()
+        z1, z2 = data.column("z1"), data.column("z2")
+        rr = np.array([0, 1, 3])
+        model = build_joint_model(self.classical_spec(), data)
+        assert model.latent_names() == ("beta_z2", "alpha_0", "alpha_z2", "x_1", "x_2", "x_3", "x_4")
+
+        cond = assemble_conditional(model, model.theta.init_natural())
+        reg, exp_, prox = cond.reg_slice, cond.exp_slice, cond.prox_slice
+        assert cond.A.shape == (3 + 4 + 4, 3)
+        assert np.array_equal(cond.A[reg], np.column_stack([z2[rr], np.zeros(3), np.zeros(3)]))
+        assert np.array_equal(cond.A[exp_], np.column_stack([np.zeros(4), np.ones(4), z2]))
+        assert not cond.A[prox].any()
+        assert np.allclose(cond.offset[reg], 0.7 - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
+        assert np.allclose(cond.offset[exp_], 0.3 * z1, rtol=0.0, atol=1e-15)
+        assert not cond.offset[prox].any()
+        assert np.array_equal(cond.prior_prec, [2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(cond.bp, [2.0, 0.5, -0.1, 0.0, 0.0, 0.0, 0.0])
+
+        sampler = _prepare(model)
+        assert sampler.beta_names == ("beta_0", "beta_x", "beta_z1", "beta_z2")
+        assert np.array_equal(sampler.beta_mean, [0.7, 0.1, -0.4, 1.0])
+        assert np.array_equal(sampler.beta_prec, [math.inf, 0.01, math.inf, 2.0])
+        assert np.array_equal(sampler.beta_free, [False, True, False, True])
+        assert sampler.alpha_names == ("alpha_0", "alpha_z1", "alpha_z2")
+        assert np.array_equal(sampler.alpha_mean, [0.5, 0.3, -0.2])
+        assert np.array_equal(sampler.alpha_prec, [1.0, math.inf, 0.5])
+        assert np.array_equal(sampler.alpha_free, [True, False, True])
+        assert np.array_equal(sampler.exp_design, np.column_stack([np.ones(4), z1, z2]))
+
+    def test_naive_fixed_beta_x(self):
+        data = self.data()
+        z1, z2, w = data.column("z1"), data.column("z2"), data.column("w")
+        rr = np.array([0, 1, 3])
+        spec = replace(self.classical_spec(), beta0=GaussianPrior(0.0, 1.0e-4), beta_x=FixedValue(0.8))
+        model = build_joint_model(naive_spec(spec), data)
+        assert model.latent_names() == ("beta_0", "beta_z2")
+        assert model.theta.names == ("tau_eps",)
+
+        cond = assemble_conditional(model, model.theta.init_natural())
+        assert cond.A.shape == (3, 2)
+        assert np.array_equal(cond.A, np.column_stack([np.ones(3), z2[rr]]))
+        assert np.allclose(cond.offset, 0.8 * w[rr] - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
+        assert np.array_equal(cond.prior_prec, [1.0e-4, 2.0])
+        assert np.array_equal(cond.bp, [0.0, 2.0])
+
+        # under error the same fixed slope is a fixed hyperparameter of the
+        # grid model and a fixed regression coefficient of the sampler
+        model = build_joint_model(spec, data)
+        assert dict(model.theta.fixed)["beta_x"] == 0.8
+        sampler = _prepare(model)
+        assert np.array_equal(sampler.beta_mean, [0.0, 0.8, -0.4, 1.0])
+        assert np.array_equal(sampler.beta_prec, [1.0e-4, math.inf, math.inf, 2.0])
+        assert np.array_equal(sampler.beta_free, [True, False, False, True])
 
 
 class TestNaive:
