@@ -7,10 +7,13 @@ updates for x (exact for Gaussian responses, componentwise random-walk
 Metropolis otherwise), a regression-block update (conjugate for Gaussian,
 joint random-walk Metropolis otherwise), and the family precision.
 
-Each Gaussian coefficient block is Cholesky-factored once per sweep: the one
-factor gives both the conditional mean and the draw's noise, through direct
-LAPACK triangular solves. Design pieces that do not change between sweeps
-are computed once when the sampler is prepared.
+The regression coefficients (beta_x among them) and the exposure
+coefficients are two blocks of one type, `_Coefficients`, with one
+conjugate draw for Gaussian rows: Cholesky-factored once, the one factor
+gives both the conditional mean and the draw's noise, through direct
+LAPACK triangular solves. Under Berkson error x has no exposure law: the
+exposure block has no columns and tau_x is 0, so no update branches on the
+error kind.
 
 Proposal scales adapt by Robbins-Monro toward a 0.35 acceptance rate and
 freeze when burn-in ends. All randomness flows through one counter-based
@@ -121,7 +124,7 @@ class ChainState:
     alpha: np.ndarray
     gamma: np.ndarray
     tau_u: float
-    tau_x: float = math.nan
+    tau_x: float = 0.0  # no exposure law under Berkson error
     tau_eps: float = math.nan
     tau_gamma: float = math.nan
 
@@ -228,26 +231,71 @@ def _draw_mvn_from_precision(rng, mean: np.ndarray, precision: np.ndarray) -> np
 # sampler plumbing derived from a JointModel
 
 
+@dataclass(eq=False)
+class _Coefficients:
+    """A block of coefficients with independent Gaussian or fixed priors.
+
+    Column j of design holds the values coefficient j multiplies, one per
+    row of its observation block. A fixed coefficient has infinite prior
+    precision and keeps its value. free and fixed hold the positions of
+    the free and the fixed coefficients; prior_diag and prior_shift are the
+    prior precision matrix and precision-weighted mean of the free ones.
+    """
+
+    label: str
+    names: tuple
+    design: np.ndarray
+    mean: np.ndarray
+    prec: np.ndarray
+    free: np.ndarray
+    fixed: np.ndarray
+    prior_diag: np.ndarray
+    prior_shift: np.ndarray
+
+    @classmethod
+    def of(cls, label: str, coefficients: list, rows: int) -> "_Coefficients":
+        columns = [c.column for c in coefficients]
+        design = np.column_stack(columns) if columns else np.zeros((rows, 0))
+        mean = np.array([c.prior.mean if c.free else c.prior.value for c in coefficients])
+        prec = np.array([c.prior.precision if c.free else math.inf for c in coefficients])
+        free = np.flatnonzero(np.isfinite(prec))
+        return cls(label, tuple(c.name for c in coefficients), design, mean, prec, free,
+                   np.flatnonzero(np.isinf(prec)), np.diag(prec[free]), prec[free] * mean[free])
+
+    def fixed_part(self, values: np.ndarray) -> np.ndarray:
+        """The fixed coefficients' share of each row's linear predictor."""
+        return self.design[:, self.fixed] @ values[self.fixed]
+
+    def draw(self, rng, values: np.ndarray, tau: float, resid: np.ndarray) -> np.ndarray:
+        """Conjugate draw of the free coefficients given Gaussian rows.
+
+        The rows have precision tau and residuals resid once every term of
+        their mean except the free coefficients' is taken off.
+        """
+        design = self.design[:, self.free]
+        precision = tau * (design.T @ design) + self.prior_diag
+        rhs = tau * (design.T @ resid) + self.prior_shift
+        mean, upper = _gaussian_block(precision, rhs, self.label)
+        out = values.copy()
+        out[self.free] = _draw_from_factor(rng, mean, upper)
+        return out
+
+
+# beta_x's place in the regression block; its design column is the x slot
+_BETA_X = 1
+
+
 @dataclass
 class _Sampler:
     model: JointModel
     family: str
-    error_kind: str
-    # regression block
+    # regression block; the x slot of beta.design is overwritten in place by
+    # `regression_design`, so no value of it outlives one update
     y: np.ndarray
     trials: np.ndarray
-    reg_rows: np.ndarray
-    # columns: intercept, x slot, covariates; the x slot is overwritten in
-    # place by `regression_design`, so no value of it outlives one update
-    X: np.ndarray
-    x_col: int
-    beta_names: tuple
-    beta_free: np.ndarray
-    beta_mean: np.ndarray
-    beta_prec: np.ndarray
-    beta_any_free: bool
-    beta_prior_diag: np.ndarray   # np.diag(beta_prec[free])
-    beta_prior_shift: np.ndarray  # beta_prec[free] * beta_mean[free]
+    beta: _Coefficients
+    # exposure block, with no columns under Berkson error
+    alpha: _Coefficients
     # latent exposure plumbing
     n_x: int
     x_index: np.ndarray
@@ -257,32 +305,28 @@ class _Sampler:
     proxy_index: np.ndarray
     sum_d: np.ndarray
     sum_dw: np.ndarray
-    # classical exposure model
-    exp_design: Optional[np.ndarray] = None
-    alpha_names: tuple = ()
-    alpha_free: Optional[np.ndarray] = None
-    alpha_mean: Optional[np.ndarray] = None
-    alpha_prec: Optional[np.ndarray] = None
-    alpha_any_free: bool = False
-    alpha_prior_diag: Optional[np.ndarray] = None
-    alpha_prior_shift: Optional[np.ndarray] = None
-    exp_free: Optional[np.ndarray] = None    # exp_design[:, alpha_free]
-    exp_fixed: Optional[np.ndarray] = None   # exp_design[:, ~alpha_free]
-    exp_gram: Optional[np.ndarray] = None    # exp_free.T @ exp_free
-    tau_x_prior: object = None
-    # berkson prior pieces
-    w_group: Optional[np.ndarray] = None
-    d_group: Optional[np.ndarray] = None
     # hyperpriors
-    tau_u_prior: object = None
-    tau_eps_prior: object = None
-    tau_gamma_prior: object = None
-    has_gamma: bool = False
+    tau_u_prior: object
+    tau_x_prior: object
+    tau_eps_prior: object
+    tau_gamma_prior: object
+    has_gamma: bool
+
+    # the coefficient blocks' arrays under flat names; free masks are boolean
+    beta_names = property(lambda self: self.beta.names)
+    beta_mean = property(lambda self: self.beta.mean)
+    beta_prec = property(lambda self: self.beta.prec)
+    beta_free = property(lambda self: np.isfinite(self.beta.prec))
+    alpha_names = property(lambda self: self.alpha.names)
+    alpha_mean = property(lambda self: self.alpha.mean)
+    alpha_prec = property(lambda self: self.alpha.prec)
+    alpha_free = property(lambda self: np.isfinite(self.alpha.prec))
+    exp_design = property(lambda self: self.alpha.design)
 
     def regression_design(self, x: np.ndarray) -> np.ndarray:
         """The regression design at latent values x (the shared buffer)."""
-        self.X[:, self.x_col] = x[self.x_index]
-        return self.X
+        self.beta.design[:, _BETA_X] = x[self.x_index]
+        return self.beta.design
 
     def eta(self, state: ChainState) -> np.ndarray:
         eta = self.regression_design(state.x) @ state.beta
@@ -291,123 +335,64 @@ class _Sampler:
         return eta
 
 
-def _prior_arrays(coefficients: list) -> tuple:
-    """(mean, precision, free) arrays; a fixed value has infinite precision."""
-    mean = np.array([c.prior.mean if c.free else c.prior.value for c in coefficients])
-    prec = np.array([c.prior.precision if c.free else math.inf for c in coefficients])
-    return mean, prec, np.isfinite(prec)
-
-
 def _prepare(model: JointModel) -> _Sampler:
     spec = model.spec
     if model.is_augmented:
         raise SpecError("the sampler works on the plain model, not the augmented one")
     if spec.error is None:
         raise SpecError("the sampler requires a measurement error model")
-    family = spec.observation.family
-    if family not in families.FAMILIES:
-        raise SpecError("unsupported family for the sampler: %r" % family)
-    error_kind = spec.error.kind
 
-    n = model.n
     reg_rows = model.reg_rows
-    y = model.y[reg_rows]
-    trials = model.trials[reg_rows]
-
     # under measurement error beta_x is a hyperparameter of the grid model,
     # so the table leaves it out; here it is a regression coefficient whose
     # column, the x slot, is filled in at each update
     betas = [c for c in model.coefficients if not c.exposure]
-    betas.insert(1, Coefficient("beta_x", "beta_x", np.zeros(reg_rows.size), spec.beta_x))
-    X = np.column_stack([c.column for c in betas])
-    beta_mean, beta_prec, beta_free = _prior_arrays(betas)
+    betas.insert(_BETA_X, Coefficient("beta_x", "beta_x", np.zeros(reg_rows.size), spec.beta_x))
+    alphas = [c for c in model.coefficients if c.exposure]
 
     x_index = model.x_index[reg_rows]
-    w = model.proxy_sign * model.proxy_obs
+    w = model.proxy_obs
     d = model.proxy_weights
     proxy_index = model.proxy_x_index
-    sum_d = np.bincount(proxy_index, weights=d, minlength=model.n_x)
-    sum_dw = np.bincount(proxy_index, weights=d * w, minlength=model.n_x)
-
-    sampler = _Sampler(
+    obs = spec.observation
+    return _Sampler(
         model=model,
-        family=family,
-        error_kind=error_kind,
-        y=y,
-        trials=trials,
-        reg_rows=reg_rows,
-        X=X,
-        x_col=1,
-        beta_names=tuple(c.name for c in betas),
-        beta_free=beta_free,
-        beta_mean=beta_mean,
-        beta_prec=beta_prec,
-        beta_any_free=bool(np.any(beta_free)),
-        beta_prior_diag=np.diag(beta_prec[beta_free]),
-        beta_prior_shift=beta_prec[beta_free] * beta_mean[beta_free],
+        family=model.family,
+        y=model.y[reg_rows],
+        trials=model.trials[reg_rows],
+        beta=_Coefficients.of(_BETA_BLOCK, betas, reg_rows.size),
+        alpha=_Coefficients.of(_ALPHA_BLOCK, alphas, model.n_x),
         n_x=model.n_x,
         x_index=x_index,
         x_counts=np.bincount(x_index, minlength=model.n_x),
         w=w,
         d=d,
         proxy_index=proxy_index,
-        sum_d=sum_d,
-        sum_dw=sum_dw,
+        sum_d=np.bincount(proxy_index, weights=d, minlength=model.n_x),
+        sum_dw=np.bincount(proxy_index, weights=d * w, minlength=model.n_x),
         tau_u_prior=spec.error.tau_u,
+        tau_x_prior=spec.exposure.tau_x if spec.exposure is not None else None,
+        tau_eps_prior=obs.residual_precision,
+        tau_gamma_prior=obs.random_effect,
+        has_gamma=obs.random_effect is not None,
     )
-
-    if error_kind == "classical":
-        alphas = [c for c in model.coefficients if c.exposure]
-        design = np.column_stack([c.column for c in alphas])
-        alpha_mean, alpha_prec, free = _prior_arrays(alphas)
-        sampler.exp_design = design
-        sampler.alpha_names = tuple(c.name for c in alphas)
-        sampler.alpha_mean = alpha_mean
-        sampler.alpha_prec = alpha_prec
-        sampler.alpha_free = free
-        sampler.alpha_any_free = bool(np.any(free))
-        sampler.alpha_prior_diag = np.diag(alpha_prec[free])
-        sampler.alpha_prior_shift = alpha_prec[free] * alpha_mean[free]
-        sampler.exp_free = design[:, free]
-        sampler.exp_fixed = design[:, ~free]
-        sampler.exp_gram = sampler.exp_free.T @ sampler.exp_free
-        sampler.tau_x_prior = spec.exposure.tau_x
-    else:
-        sampler.w_group = w
-        sampler.d_group = d
-
-    sampler.tau_eps_prior = spec.observation.residual_precision
-    sampler.tau_gamma_prior = spec.observation.random_effect
-    sampler.has_gamma = spec.observation.random_effect is not None
-    return sampler
 
 
 def _initial_state(sampler: _Sampler) -> ChainState:
-    # precisions start at their prior means, or at their fixed values
+    # free coefficients start at 0 and free precisions at their prior
+    # means; fixed values stay as they are
     theta = sampler.model.theta
-    start = dict(theta.fixed)
-    start.update(zip(theta.names, theta.init_natural().tolist()))
+    start = theta.named(theta.init_natural())
     counts = np.bincount(sampler.proxy_index, minlength=sampler.n_x).astype(float)
     counts[counts == 0.0] = 1.0
     x0 = np.bincount(sampler.proxy_index, weights=sampler.w, minlength=sampler.n_x) / counts
-
-    beta = sampler.beta_mean.copy()
-    beta[sampler.beta_free] = 0.0
-    state = ChainState(
+    return ChainState(
         x=x0,
-        beta=beta,
-        alpha=np.zeros(0),
+        beta=np.where(sampler.beta_free, 0.0, sampler.beta_mean),
+        alpha=np.where(sampler.alpha_free, 0.0, sampler.alpha_mean),
         gamma=np.zeros(sampler.y.size) if sampler.has_gamma else np.zeros(0),
-        tau_u=start["tau_u"],
-        tau_x=start.get("tau_x", math.nan),
-        tau_eps=start.get("tau_eps", math.nan),
-        tau_gamma=start.get("tau_gamma", math.nan),
+        **{name: v for name, v in start.items() if name.startswith("tau_")},
     )
-    if sampler.error_kind == "classical":
-        alpha = sampler.alpha_mean.copy()
-        alpha[sampler.alpha_free] = 0.0
-        state.alpha = alpha
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +401,7 @@ def _initial_state(sampler: _Sampler) -> ChainState:
 
 def gibbs_tau_x(state: ChainState, sampler: _Sampler, rng) -> float:
     shape, rate = tau_x_conditional(
-        state.x, sampler.exp_design @ state.alpha, sampler.tau_x_prior
+        state.x, sampler.alpha.design @ state.alpha, sampler.tau_x_prior
     )
     return _draw_gamma(rng, shape, rate)
 
@@ -432,29 +417,18 @@ def gibbs_alpha(state: ChainState, sampler: _Sampler, rng) -> np.ndarray:
     """Conjugate draw of the free exposure coefficients.
 
     The same arithmetic as `alpha_conditional` followed by
-    `_draw_mvn_from_precision`, with the design pieces taken from the
-    sampler and the precision factored once.
+    `_draw_mvn_from_precision`, with the precision factored once.
     """
-    free = sampler.alpha_free
-    alpha = state.alpha.copy()
-    if not sampler.alpha_any_free:
-        return alpha
-    offset = sampler.exp_fixed @ alpha[~free]
-    precision = state.tau_x * sampler.exp_gram + sampler.alpha_prior_diag
-    rhs = state.tau_x * (sampler.exp_free.T @ (state.x - offset)) + sampler.alpha_prior_shift
-    mean, upper = _gaussian_block(precision, rhs, _ALPHA_BLOCK)
-    alpha[free] = _draw_from_factor(rng, mean, upper)
-    return alpha
+    alpha = sampler.alpha
+    if not alpha.free.size:
+        return state.alpha.copy()
+    return alpha.draw(rng, state.alpha, state.tau_x, state.x - alpha.fixed_part(state.alpha))
 
 
 def _x_prior_precision_mean(state: ChainState, sampler: _Sampler) -> tuple:
-    """Per-unit Gaussian prior pieces for x from the error/exposure laws."""
-    if sampler.error_kind == "classical":
-        prec = state.tau_x + state.tau_u * sampler.sum_d
-        numer = state.tau_x * (sampler.exp_design @ state.alpha) + state.tau_u * sampler.sum_dw
-    else:
-        prec = state.tau_u * sampler.d_group
-        numer = state.tau_u * sampler.d_group * sampler.w_group
+    """Prior precision and precision-weighted mean of each x (tau_x is 0 under Berkson error)."""
+    prec = state.tau_x + state.tau_u * sampler.sum_d
+    numer = state.tau_x * (sampler.alpha.design @ state.alpha) + state.tau_u * sampler.sum_dw
     return prec, numer
 
 
@@ -468,7 +442,7 @@ def mh_latent_x(state: ChainState, sampler: _Sampler, scale: float, rng) -> tupl
     in place with acceptance 1 by convention.
     """
     prior_prec, prior_numer = _x_prior_precision_mean(state, sampler)
-    beta_x = state.beta[sampler.x_col]
+    beta_x = state.beta[_BETA_X]
 
     if sampler.family == "gaussian":
         eta = sampler.eta(state)
@@ -520,26 +494,22 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
     Gaussian responses use the exact conjugate multivariate normal draw
     (acceptance 1); other families take one joint random-walk step.
     """
-    free = sampler.beta_free
+    coef = sampler.beta
+    free = coef.free
     beta = state.beta.copy()
-    if not sampler.beta_any_free:
+    if not free.size:
         return beta, 1.0
     X = sampler.regression_design(state.x)
-    offset = X[:, ~free] @ beta[~free]
+    offset = coef.fixed_part(beta)
     if sampler.has_gamma:
         offset = offset + state.gamma
-    Xf = X[:, free]
 
     if sampler.family == "gaussian":
-        precision = state.tau_eps * (Xf.T @ Xf) + sampler.beta_prior_diag
-        rhs = state.tau_eps * (Xf.T @ (sampler.y - offset))
-        rhs += sampler.beta_prior_shift
-        mean, upper = _gaussian_block(precision, rhs, _BETA_BLOCK)
-        beta[free] = _draw_from_factor(rng, mean, upper)
-        return beta, 1.0
+        return coef.draw(rng, beta, state.tau_eps, sampler.y - offset), 1.0
 
     if scale == 0.0:
         return beta, 1.0
+    Xf = X[:, free]
     bf = beta[free]
     bf_new = bf + scale * rng.standard_normal(bf.size)
     eta = Xf @ bf + offset
@@ -548,8 +518,8 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
         np.sum(families.loglik(sampler.family, sampler.y, sampler.trials, eta_new))
         - np.sum(families.loglik(sampler.family, sampler.y, sampler.trials, eta))
     )
-    pm = sampler.beta_mean[free]
-    pp = sampler.beta_prec[free]
+    pm = coef.mean[free]
+    pp = coef.prec[free]
     delta -= 0.5 * float(pp @ ((bf_new - pm) ** 2 - (bf - pm) ** 2))
     accepted = math.log(rng.uniform()) < delta
     if accepted:
@@ -573,9 +543,7 @@ def _gibbs_tau_gamma(state: ChainState, sampler: _Sampler, rng) -> float:
 
 def _monitor_layout(sampler: _Sampler, cfg: ChainConfig) -> tuple:
     """Monitored names, the free precisions among them, and the x picks."""
-    names = [n for n, f in zip(sampler.beta_names, sampler.beta_free) if f]
-    if sampler.error_kind == "classical":
-        names.extend(n for n, f in zip(sampler.alpha_names, sampler.alpha_free) if f)
+    names = [coef.names[i] for coef in (sampler.beta, sampler.alpha) for i in coef.free]
     # the free precisions, in the grid model's order (tau_u, tau_x, tau_eps, tau_gamma)
     taus = tuple(name for name in sampler.model.theta.names if name.startswith("tau_"))
     names.extend(taus)
@@ -597,9 +565,10 @@ def _monitor_layout(sampler: _Sampler, cfg: ChainConfig) -> tuple:
 
 def _record(state: ChainState, sampler: _Sampler, taus: tuple, x_picks: np.ndarray) -> np.ndarray:
     """One draws row, in the column order of `_monitor_layout`."""
-    alpha = state.alpha[sampler.alpha_free] if sampler.error_kind == "classical" else ()
     taus = [getattr(state, t) for t in taus]
-    return np.concatenate((state.beta[sampler.beta_free], alpha, taus, state.x[x_picks]))
+    return np.concatenate(
+        (state.beta[sampler.beta.free], state.alpha[sampler.alpha.free], taus, state.x[x_picks])
+    )
 
 
 def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
@@ -616,10 +585,8 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
     names, taus, x_picks = _monitor_layout(sampler, cfg)
     draws = np.empty((cfg.kept, len(names)))
     kept = 0
-    accept_totals = {"x": 0.0, "beta": 0.0, "gamma": 0.0}
-    accept_counts = {"x": 0, "beta": 0, "gamma": 0}
+    accept_totals = {}
 
-    classical = sampler.error_kind == "classical"
     mh_needed = sampler.family != "gaussian"
 
     for it in range(1, cfg.iterations + 1):
@@ -627,15 +594,11 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
             state.tau_x = gibbs_tau_x(state, sampler, rng)
         if "tau_u" in taus:
             state.tau_u = gibbs_tau_u(state, sampler, rng)
-        if classical and sampler.alpha_any_free:
-            state.alpha = gibbs_alpha(state, sampler, rng)
+        state.alpha = gibbs_alpha(state, sampler, rng)
 
         state.x, acc_x = mh_latent_x(state, sampler, math.exp(log_scales["x"]), rng)
-        acc_g = None
         if sampler.has_gamma:
-            state.gamma, acc_g = _update_gamma(
-                state, sampler, math.exp(log_scales["gamma"]), rng
-            )
+            state.gamma, acc_g = _update_gamma(state, sampler, math.exp(log_scales["gamma"]), rng)
         state.beta, acc_b = mh_beta(state, sampler, math.exp(log_scales["beta"]), rng)
 
         if "tau_eps" in taus:
@@ -643,12 +606,12 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
         if "tau_gamma" in taus:
             state.tau_gamma = _gibbs_tau_gamma(state, sampler, rng)
 
+        accepted = {"x": acc_x, "beta": acc_b}
+        if sampler.has_gamma:
+            accepted["gamma"] = acc_g
         if mh_needed and it <= cfg.burn_in:
             step = (it + _ADAPT_OFFSET) ** -0.6
-            updates = {"x": acc_x, "beta": acc_b}
-            if acc_g is not None:
-                updates["gamma"] = acc_g
-            for block, acc in updates.items():
+            for block, acc in accepted.items():
                 if np.isfinite(log_scales[block]):
                     log_scales[block] += step * (acc - ADAPT_TARGET)
                     log_scales[block] = min(
@@ -656,22 +619,13 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
                     )
 
         if it > cfg.burn_in:
-            accept_totals["x"] += acc_x
-            accept_counts["x"] += 1
-            accept_totals["beta"] += acc_b
-            accept_counts["beta"] += 1
-            if acc_g is not None:
-                accept_totals["gamma"] += acc_g
-                accept_counts["gamma"] += 1
+            for block, acc in accepted.items():
+                accept_totals[block] = accept_totals.get(block, 0.0) + acc
             if (it - cfg.burn_in) % cfg.thin == 0 and kept < draws.shape[0]:
                 draws[kept] = _record(state, sampler, taus, x_picks)
                 kept += 1
 
-    rates = {
-        block: (accept_totals[block] / accept_counts[block])
-        for block in accept_totals
-        if accept_counts[block]
-    }
+    rates = {block: total / (cfg.iterations - cfg.burn_in) for block, total in accept_totals.items()}
     return ChainOutput(names=names, draws=draws[:kept], acceptance_rates=rates, config=cfg)
 
 

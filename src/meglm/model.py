@@ -6,9 +6,10 @@ likelihood over a shared latent Gaussian field:
 - the regression block: the outcome given the linear predictor,
 - the exposure block (classical error only): zero-valued pseudo-observations
   encoding 0 = -x + alpha_0 + z alpha_z + eps_x with precision tau_x,
-- the proxy block: classical replicates w = x + u, or the Berkson form
-  written as observations -w with mean -x, both with precision tau_u
-  scaled by known per-observation weights.
+- the proxy block: observations w with mean x and precision tau_u scaled
+  by known per-observation weights. Classical replicates read w = x + u
+  and a Berkson proxy x = w + u; the Gaussian term is the same, so both
+  kinds store one row per proxy value.
 
 The regression and exposure coefficients (beta_0, beta_x in a model
 without error, beta_z, alpha_0, alpha_z) each carry a Gaussian prior or a
@@ -226,12 +227,6 @@ class ThetaLayout:
     def scales(self) -> tuple:
         return tuple(e.scale for e in self.entries)
 
-    def index(self, name: str) -> int:
-        for i, e in enumerate(self.entries):
-            if e.name == name:
-                return i
-        raise SpecError("no free hyperparameter named %r" % (name,))
-
     def validate(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
@@ -245,11 +240,17 @@ class ThetaLayout:
                 raise SpecError("hyperparameter %s must be > 0, got %g" % (e.name, v))
         return theta
 
+    def named(self, theta: np.ndarray) -> dict:
+        """Every hyperparameter value by name: the fixed ones, then the free ones."""
+        out = dict(self.fixed)
+        out.update(zip(self.names, np.asarray(theta, dtype=float).tolist()))
+        return out
+
     def value(self, name: str, theta: np.ndarray) -> float:
-        for n, v in self.fixed:
-            if n == name:
-                return v
-        return float(theta[self.index(name)])
+        named = self.named(theta)
+        if name not in named:
+            raise SpecError("no hyperparameter named %r" % (name,))
+        return named[name]
 
     def log_prior(self, theta: np.ndarray) -> float:
         return float(sum(e.prior.log_density(float(v)) for e, v in zip(self.entries, theta)))
@@ -332,7 +333,6 @@ class JointModel:
     proxy_obs: Optional[np.ndarray]
     proxy_weights: Optional[np.ndarray]
     proxy_x_index: Optional[np.ndarray]
-    proxy_sign: float
     naive_x: Optional[np.ndarray]
     layout: LatentLayout
     theta: ThetaLayout
@@ -431,18 +431,17 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
             centering[col] = m
         Z[:, j] = vals
 
+    # the proxy columns, one row per replicate
+    wmat = np.vstack([data.column(c).astype(float) for c in spec.proxies]) if spec.proxies else None
     x_index = None
     proxy_obs = None
     proxy_weights = None
     proxy_x_index = None
-    proxy_sign = 1.0
     naive_x = None
     n_x = 0
 
     if spec.error is None:
-        if spec.proxies:
-            wcols = [data.column(c).astype(float) for c in spec.proxies]
-            wmat = np.vstack(wcols)
+        if wmat is not None:
             if np.all(~np.isfinite(wmat), axis=0).any():
                 raise DataError("a row has no observed proxy value")
             with np.errstate(invalid="ignore"):
@@ -454,31 +453,15 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
     elif spec.error.kind == "classical":
         n_x = n
         x_index = np.arange(n)
-        wcols = [data.column(c).astype(float) for c in spec.proxies]
         d_col = _proxy_weights(spec, data)
-        rows = []
-        for wvals in wcols:
-            seen = np.flatnonzero(np.isfinite(wvals))
-            rows.append((wvals, seen))
-        if sum(seen.size for _, seen in rows) == 0:
+        # one proxy row per observed value, replicate by replicate
+        replicate, proxy_x_index = np.nonzero(np.isfinite(wmat))
+        if proxy_x_index.size == 0:
             raise DataError("no observed proxy values")
-        if spec.center:
-            pooled = np.concatenate([wvals[seen] for wvals, seen in rows])
-            m = float(np.mean(pooled))
-            centering["+".join(spec.proxies)] = m
-        else:
-            m = 0.0
-        obs_list, w_list, idx_list = [], [], []
-        for wvals, seen in rows:
-            obs_list.append(wvals[seen] - m)
-            w_list.append(d_col[seen])
-            idx_list.append(seen)
-        proxy_obs = np.concatenate(obs_list)
-        proxy_weights = np.concatenate(w_list)
-        proxy_x_index = np.concatenate(idx_list)
-        proxy_sign = 1.0
+        proxy_obs = wmat[replicate, proxy_x_index]
+        proxy_weights = d_col[proxy_x_index]
     else:  # berkson
-        wvals = data.column(spec.proxies[0]).astype(float)
+        wvals = wmat[0]
         if not np.all(np.isfinite(wvals)):
             raise DataError("Berkson proxy column %r contains absent values" % (spec.proxies[0],))
         if spec.group is not None:
@@ -493,25 +476,22 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         # each group takes the values of its first row; a row that differs
         # is reported by its 1-based position in the file
         _, first = np.unique(x_index, return_index=True)
-        w_group = wvals[first]
-        bad = np.flatnonzero(wvals != w_group[x_index])
+        proxy_obs = wvals[first]
+        bad = np.flatnonzero(wvals != proxy_obs[x_index])
         if bad.size:
             raise DataError(
                 "proxy column %r is not constant within group (row %d)"
                 % (spec.proxies[0], bad[0] + 1)
             )
         d_col = _proxy_weights(spec, data)
-        d_group = d_col[first]
-        if np.any(d_col != d_group[x_index]):
+        proxy_weights = d_col[first]
+        if np.any(d_col != proxy_weights[x_index]):
             raise DataError("weights column %r is not constant within group" % (spec.weights,))
-        if spec.center:
-            m = float(np.mean(w_group))
-            w_group = w_group - m
-            centering[spec.proxies[0]] = m
-        proxy_obs = -w_group
-        proxy_weights = d_group
         proxy_x_index = np.arange(n_x)
-        proxy_sign = -1.0
+    if proxy_obs is not None and spec.center:
+        m = float(np.mean(proxy_obs))
+        proxy_obs = proxy_obs - m
+        centering["+".join(spec.proxies)] = m
 
     # the coefficient table, in latent order; each beta column is taken at
     # the observed regression rows and each alpha column at the n_x = n
@@ -569,7 +549,6 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
         proxy_obs=proxy_obs,
         proxy_weights=proxy_weights,
         proxy_x_index=proxy_x_index,
-        proxy_sign=proxy_sign,
         naive_x=naive_x,
         layout=layout,
         theta=theta_layout,
@@ -744,6 +723,11 @@ class Conditional:
     constant. The latent prior is independent, with precisions prior_prec
     and precision-weighted means bp. blocks is the model's block-arrowhead
     structure.
+
+    `_design` builds one theta-free Conditional per model, and
+    `assemble_conditional` copies it with the theta-dependent values filled
+    in: the beta_x entries of vals, gauss_hess and gauss_const, and the
+    random-effect part of prior_prec and prior_c0.
     """
 
     dim: int
@@ -752,7 +736,7 @@ class Conditional:
     vals: np.ndarray
     obs: np.ndarray
     offset: np.ndarray
-    gauss_hess: np.ndarray
+    gauss_hess: Optional[np.ndarray]
     gauss_rows: slice
     gauss_const: float
     reg_slice: slice
@@ -785,8 +769,16 @@ class Conditional:
         return val
 
 
-def _design(model: JointModel) -> dict:
-    """Cached theta-free design pieces for the stacked model."""
+def _design(model: JointModel) -> tuple:
+    """The model's theta-free Conditional and how theta fills it in (cached).
+
+    Returns (template, precisions, beta_at, beta_sign). The template has 0
+    at the beta_x entries of vals, where beta_sign * beta_x belongs, no
+    gauss_hess, and the prior of the coefficients only. precisions is the
+    row-precision table: per row block, (rows, hyperparameter name or None,
+    factor), the rows' precision being the named value times factor, or
+    factor itself.
+    """
     cache = model._cache
     if "design" in cache:
         return cache["design"]
@@ -794,10 +786,7 @@ def _design(model: JointModel) -> dict:
     layout = model.layout
     d = layout.dim
     rr = model.reg_rows
-    n_reg = int(rr.size)
-    classical = model.spec.error is not None and model.spec.error.kind == "classical"
-    n_exp = model.n_x if classical else 0
-    n_prox = 0 if model.proxy_obs is None else int(model.proxy_obs.size)
+    n_reg, n_exp, n_prox = model.block_sizes
     n_copy = model.n_x if model.is_augmented else 0
     N = n_reg + n_exp + n_prox + n_copy
     p = sum(c.free for c in model.coefficients)
@@ -829,6 +818,17 @@ def _design(model: JointModel) -> dict:
         else:
             offset[rows] += c.prior.value * c.column
 
+    # every row block's precision; binomial and Poisson rows have none
+    precisions = tuple(
+        entry for entry in (
+            (reg_slice, "tau_eps", 1.0) if model.family == "gaussian" else (reg_slice, None, 0.0),
+            (exp_slice, "tau_x", 1.0),
+            (prox_slice, "tau_u", model.proxy_weights),
+            (copy_slice, None, model.copy_precision),
+        )
+        if entry[0].stop > entry[0].start
+    )
+
     # local entries as (rows, latent columns, value, sign); a nonzero sign
     # marks a coefficient sign * beta_x that assemble_conditional fills in:
     # beta_x on x in the plain regression rows, -beta_x on x in the
@@ -844,11 +844,10 @@ def _design(model: JointModel) -> dict:
             entries.append((np.arange(n_reg), x_slice.start + model.x_index[rr], 0.0, 1.0))
     if g_slice is not None:
         entries.append((np.arange(n_reg), g_slice.start + rr, 1.0, 0.0))
-    if classical:
+    if n_exp:
         entries.append((exp_slice.start + np.arange(n_exp), x_slice.start + np.arange(n_exp), -1.0, 0.0))
     if n_prox:
-        entries.append((prox_slice.start + np.arange(n_prox), x_slice.start + model.proxy_x_index,
-                        model.proxy_sign, 0.0))
+        entries.append((prox_slice.start + np.arange(n_prox), x_slice.start + model.proxy_x_index, 1.0, 0.0))
     if n_copy:
         rows = copy_slice.start + np.arange(n_copy)
         entries.append((rows, xs_slice.start + np.arange(n_copy), 1.0, 0.0))
@@ -885,85 +884,66 @@ def _design(model: JointModel) -> dict:
         trials_ng = model.trials[rr]
         ng_c0 = families.log_normalizer(model.family, obs[reg_slice], trials_ng)
 
-    design = dict(
-        A=A, cols=cols, vals=vals, obs=obs, offset=offset,
-        beta_at=beta_at, beta_sign=beta_sign[beta_at],
-        reg_slice=reg_slice, exp_slice=exp_slice, prox_slice=prox_slice,
-        copy_slice=copy_slice,
-        prior_prec=prior_prec, bp=bp, prior_const=const, gamma_slice=g_slice,
-        trials_ng=trials_ng, ng_c0=ng_c0,
-        n_exp=n_exp, n_prox=n_prox, n_copy=n_copy,
+    template = Conditional(
+        dim=d,
+        A=A,
+        cols=cols,
+        vals=vals,
+        obs=obs,
+        offset=offset,
+        gauss_hess=None,
         # every row is Gaussian except the regression rows of a binomial
         # or Poisson response
         gauss_rows=slice(n_reg if model.family != "gaussian" else 0, N),
+        gauss_const=math.nan,
+        reg_slice=reg_slice,
+        exp_slice=exp_slice,
+        prox_slice=prox_slice,
+        family=model.family,
+        trials_ng=trials_ng,
+        ng_c0=ng_c0,
+        prior_prec=prior_prec,
+        bp=bp,
+        prior_c0=const,
         blocks=_latent_blocks(layout, p, model.x_index, cols, n_reg + n_exp),
     )
-    cache["design"] = design
-    return design
+    cache["design"] = (template, precisions, beta_at, beta_sign[beta_at])
+    return cache["design"]
 
 
 def assemble_conditional(model: JointModel, theta) -> Conditional:
-    """Build the per-theta conditional view of the stacked model.
+    """The conditional p(v | y, theta) of the stacked model.
 
-    Only the theta-dependent values are written: the beta_x coefficients of
-    the local entries, the row precisions and the random-effect prior.
+    Copies the model's theta-free Conditional (`_design`) with the beta_x
+    coefficients of the local entries, the row precisions of its
+    row-precision table and the random-effect prior filled in.
     """
     theta = model.theta.validate(theta)
-    dz = _design(model)
-    layout = model.layout
+    cond, precisions, beta_at, beta_sign = _design(model)
+    named = model.theta.named(theta)
 
-    named = dict(model.theta.fixed)
-    named.update(zip(model.theta.names, theta.tolist()))
-    tau_u, tau_x, tau_eps, tau_gamma, beta_x = (
-        named.get(name) for name in ("tau_u", "tau_x", "tau_eps", "tau_gamma", "beta_x"))
-
-    vals = dz["vals"]
-    if dz["beta_sign"].size:
+    vals = cond.vals
+    if beta_sign.size:
         vals = vals.copy()
-        vals[dz["beta_at"]] = dz["beta_sign"] * beta_x
+        vals[beta_at] = beta_sign * named["beta_x"]
 
-    gauss_hess = np.zeros(dz["obs"].size)
-    if dz["n_exp"]:
-        gauss_hess[dz["exp_slice"]] = tau_x
-    if dz["n_prox"]:
-        gauss_hess[dz["prox_slice"]] = tau_u * model.proxy_weights
-    if dz["n_copy"]:
-        gauss_hess[dz["copy_slice"]] = model.copy_precision
-    if model.family == "gaussian":
-        gauss_hess[dz["reg_slice"]] = tau_eps
-    gauss_rows = dz["gauss_rows"]
-    gauss_const = 0.5 * float((np.log(gauss_hess[gauss_rows]) - LOG_2PI).sum())
+    gauss_hess = np.empty(cond.obs.size)
+    for rows, name, factor in precisions:
+        gauss_hess[rows] = factor if name is None else named[name] * factor
+    gauss_const = 0.5 * float((np.log(gauss_hess[cond.gauss_rows]) - LOG_2PI).sum())
 
     # latent prior; only the random-effect precision depends on theta
-    prior_prec = dz["prior_prec"]
-    prior_c0 = dz["prior_const"]
-    s = dz["gamma_slice"]
+    prior_prec = cond.prior_prec
+    prior_c0 = cond.prior_c0
+    s = model.layout.slice("gamma")
     if s is not None:
+        tau_gamma = named["tau_gamma"]
         prior_prec = prior_prec.copy()
         prior_prec[s] = tau_gamma
         prior_c0 += 0.5 * (s.stop - s.start) * (math.log(tau_gamma) - LOG_2PI)
 
-    return Conditional(
-        dim=layout.dim,
-        A=dz["A"],
-        cols=dz["cols"],
-        vals=vals,
-        obs=dz["obs"],
-        offset=dz["offset"],
-        gauss_hess=gauss_hess,
-        gauss_rows=gauss_rows,
-        gauss_const=gauss_const,
-        reg_slice=dz["reg_slice"],
-        exp_slice=dz["exp_slice"],
-        prox_slice=dz["prox_slice"],
-        family=model.family,
-        trials_ng=dz["trials_ng"],
-        ng_c0=dz["ng_c0"],
-        prior_prec=prior_prec,
-        bp=dz["bp"],
-        prior_c0=prior_c0,
-        blocks=dz["blocks"],
-    )
+    return replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_const=gauss_const,
+                   prior_prec=prior_prec, prior_c0=prior_c0)
 
 
 def joint_log_density(model: JointModel, v, theta) -> float:
@@ -982,20 +962,14 @@ def joint_log_density(model: JointModel, v, theta) -> float:
 
 def block_log_densities(model: JointModel, v, theta) -> tuple:
     """(regression, exposure, proxy) block log likelihoods at (v, theta)."""
-    v = np.asarray(v, dtype=float)
     cond = assemble_conditional(model, theta)
-    eta = cond.eta(v)
+    eta = cond.eta(np.asarray(v, dtype=float))
     out = []
     for sl in (cond.reg_slice, cond.exp_slice, cond.prox_slice):
-        if sl.stop == sl.start:
-            out.append(0.0)
-            continue
-        if sl is cond.reg_slice and model.family != "gaussian":
+        if sl is cond.reg_slice and cond.trials_ng is not None:
             terms = families.loglik(cond.family, cond.obs[sl], cond.trials_ng, eta[sl])
-            ll = float(np.sum(terms)) + cond.ng_c0
+            out.append(float(np.sum(terms)) + cond.ng_c0)
         else:
-            tau = cond.gauss_hess[sl]
-            res = cond.obs[sl] - eta[sl]
-            ll = float(np.sum(-0.5 * tau * res * res + 0.5 * (np.log(tau) - LOG_2PI)))
-        out.append(ll)
+            tau, res = cond.gauss_hess[sl], cond.obs[sl] - eta[sl]
+            out.append(float(np.sum(-0.5 * tau * res * res + 0.5 * (np.log(tau) - LOG_2PI))))
     return tuple(out)

@@ -9,7 +9,7 @@ from scipy import stats
 
 from meglm.data import Dataset, parse_model_config
 from meglm.errors import DataError, SpecError
-from meglm.mcmc import _prepare
+from meglm.mcmc import _initial_state, _prepare, _x_prior_precision_mean
 from meglm.model import (
     DEFAULT_COPY_PRECISION,
     ErrorModel,
@@ -24,6 +24,7 @@ from meglm.model import (
     naive_spec,
 )
 from meglm.priors import FixedValue, GammaPrior, GaussianPrior
+from meglm.studies import make_recipe, simulate_study
 
 
 def small_classical_spec(center=False, fixed_alpha0=False):
@@ -117,6 +118,16 @@ class TestLayout:
         assert model.theta.names == ("tau_x", "tau_eps")
         assert model.theta.value("tau_u", np.array([1.0, 1.0])) == 2.0
         assert model.theta.value("beta_x", np.array([1.0, 1.0])) == -1.0
+
+    def test_named_lists_fixed_then_free_hypers(self):
+        spec = small_classical_spec()
+        spec = replace(spec, error=replace(spec.error, tau_u=FixedValue(2.0)))
+        model = build_joint_model(spec, small_classical_data())
+        theta = np.array([-0.5, 3.0, 4.0])
+        assert model.theta.named(theta) == {"tau_u": 2.0, "beta_x": -0.5, "tau_x": 3.0, "tau_eps": 4.0}
+        assert model.theta.value("tau_x", theta) == 3.0
+        with pytest.raises(SpecError, match="no hyperparameter named 'tau_gamma'"):
+            model.theta.value("tau_gamma", theta)
 
     def test_berkson_grouped_counts(self):
         data = Dataset.from_arrays(
@@ -409,6 +420,97 @@ class TestBerksonWeights:
         assert prox == pytest.approx(expected, abs=1.0e-12)
         unweighted = build_joint_model(berkson_poisson_spec(), self.data([2.0, 2.0, 0.5, 0.5]))
         assert block_log_densities(unweighted, v, theta)[0] == pytest.approx(reg, abs=1.0e-12)
+
+
+def weighted_seedling(seed=3):
+    """seedling_like with known proxy weights 0.5 and 2.0 on alternate houses."""
+    sim = simulate_study(make_recipe("seedling", seed=seed))
+    house = sim.dataset.column("house")
+    data = Dataset.from_arrays(**sim.dataset.columns, d=np.where(house % 2 == 0, 2.0, 0.5))
+    spec = replace(parse_model_config(sim.model_config), weights="d")
+    return build_joint_model(spec, data), data
+
+
+def per_house(data, column):
+    """A column's value in each house, in house order."""
+    _, first = np.unique(data.column("house"), return_index=True)
+    return data.column(column)[first]
+
+
+class TestObservationBlockForms:
+    """One stored form per block: proxy rows w with mean x, and row
+    precisions read off the hyperparameters."""
+
+    @staticmethod
+    def row_precisions(model, theta):
+        cond = assemble_conditional(model, theta)
+        h = cond.gauss_hess
+        return h[cond.reg_slice], h[cond.exp_slice], h[cond.prox_slice], h[cond.prox_slice.stop:]
+
+    def test_berkson_proxy_rows_hold_the_centered_group_proxy(self):
+        model, data = weighted_seedling()
+        w = per_house(data, "w")
+        assert np.array_equal(model.proxy_obs, w - float(np.mean(w)))
+        assert np.array_equal(model.proxy_weights, per_house(data, "d"))
+        assert np.array_equal(model.proxy_x_index, np.arange(model.n_x))
+
+    def test_weighted_ibex(self):
+        sim = simulate_study(make_recipe("ibex", n=26, seed=1))
+        model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
+        beta_x, tau_u, tau_x, tau_eps = theta = np.array([0.4, 3.0, 0.7, 5.0])
+        assert model.theta.names == ("beta_x", "tau_u", "tau_x", "tau_eps")
+        reg, exp_, prox, copy = self.row_precisions(model, theta)
+        w, d = sim.dataset.column("w"), sim.dataset.column("error.prec")
+        assert np.array_equal(reg, np.full(26, tau_eps))
+        assert np.array_equal(exp_, np.full(26, tau_x))
+        assert np.array_equal(prox, tau_u * d[np.isfinite(w)])
+        assert copy.size == 0
+
+    def test_seedling_with_per_house_weights(self):
+        model, data = weighted_seedling()
+        beta_x, tau_u, tau_gamma = theta = np.array([0.4, 3.0, 6.0])
+        assert model.theta.names == ("beta_x", "tau_u", "tau_gamma")
+        reg, exp_, prox, copy = self.row_precisions(model, theta)
+        assert not reg.any()  # Poisson rows carry no Gaussian precision
+        assert exp_.size == 0 and copy.size == 0
+        assert np.array_equal(prox, tau_u * per_house(data, "d"))
+
+    def test_classical_with_fixed_tau_x(self):
+        spec = small_classical_spec()
+        spec = replace(spec, exposure=replace(spec.exposure, tau_x=FixedValue(2.5)))
+        model = build_joint_model(spec, small_classical_data())
+        beta_x, tau_u, tau_eps = theta = np.array([0.4, 3.0, 5.0])
+        assert model.theta.names == ("beta_x", "tau_u", "tau_eps")
+        reg, exp_, prox, copy = self.row_precisions(model, theta)
+        assert np.array_equal(reg, np.full(3, tau_eps))
+        assert np.array_equal(exp_, np.full(3, 2.5))
+        # both replicates of every unit are observed, replicate by replicate
+        assert np.array_equal(prox, tau_u * np.array([1.0, 2.0, 0.5, 1.0, 2.0, 0.5]))
+        assert copy.size == 0
+
+    def test_copy_augmented(self):
+        model = copy_augment(build_joint_model(small_classical_spec(), small_classical_data()))
+        beta_x, tau_u, tau_x, tau_eps = theta = np.array([0.4, 3.0, 0.7, 5.0])
+        reg, exp_, prox, copy = self.row_precisions(model, theta)
+        assert np.array_equal(reg, np.full(3, tau_eps))
+        assert np.array_equal(exp_, np.full(3, tau_x))
+        assert np.array_equal(prox, tau_u * np.array([1.0, 2.0, 0.5, 1.0, 2.0, 0.5]))
+        assert np.array_equal(copy, np.full(3, DEFAULT_COPY_PRECISION))
+
+    def test_weighted_seedling_sampler_x_prior(self):
+        model, data = weighted_seedling()
+        sampler = _prepare(model)
+        state = _initial_state(sampler)
+        # no exposure law under Berkson error: no alpha columns and tau_x = 0
+        assert sampler.exp_design.shape == (model.n_x, 0)
+        assert state.tau_x == 0.0
+        state.tau_u = 3.7
+        d = per_house(data, "d")
+        w = per_house(data, "w")
+        w = w - float(np.mean(w))
+        prec, numer = _x_prior_precision_mean(state, sampler)
+        assert np.array_equal(prec, 3.7 * d)
+        np.testing.assert_allclose(numer, 3.7 * d * w, rtol=1e-15, atol=0.0)
 
 
 class TestCoefficientTable:
