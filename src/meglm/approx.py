@@ -6,11 +6,18 @@ Newton steps on finite-difference derivatives, the posterior is explored on
 a standardized lattice around that mode, and latent and hyperparameter
 marginals are assembled as finite mixtures over the retained grid points;
 the latent mixtures reuse the moments of the walk's own solves.
+
+Given the mode, the Laplace evaluations are independent of each other, so
+each finite-difference stencil and each breadth-first shell of the lattice
+is solved as one batch (`gaussian.latent_gaussian_batches`), every point
+warm-started from the latent mode at the stencil's centre or at the
+hyperparameter mode. Only the mode search's backtracking line search
+solves one point at a time. A point's value does not depend on the batch
+it is solved in, so neither does any result.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -18,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import NumericError, SpecError
-from .gaussian import latent_gaussian_approx
+from .gaussian import latent_gaussian_approx, latent_gaussian_batches
 # joint_log_density is not called here; the binding stays because
 # perfbench/run.py traces log-density calls through approx.joint_log_density
 from .model import JointModel, joint_log_density  # noqa: F401
@@ -80,7 +87,10 @@ class IntegrationGrid:
     to sum to one. axes maps standardized steps to internal offsets
     (lambda = mode + axes @ z), which hyper_marginal uses for bin widths.
     truncated flags a walk stopped by the point cap; skipped counts lattice
-    points dropped because their latent solve raised NumericError.
+    points dropped because their latent solve raised NumericError. solves
+    and newton_iters count the latent solves of the mode search and the
+    walk, one per hyperparameter point, and the Newton iterations of those
+    that succeeded.
     latent_mean and latent_sd (K x d, one row per thetas row) hold the
     latent mode and every component's marginal standard deviation from
     the solve at each point; a hand-built grid without them has no latent
@@ -98,6 +108,8 @@ class IntegrationGrid:
     diff_logdens: float
     truncated: bool = False
     skipped: int = 0
+    solves: int = 0
+    newton_iters: int = 0
     latent_mean: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     latent_sd: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
@@ -124,95 +136,142 @@ def log_hyperposterior(
     return lp
 
 
-def _lp_and_approx(model, theta, internal=False, init=None):
-    layout = model.theta
-    theta = np.asarray(theta, dtype=float)
-    if internal:
-        lam = theta
-        theta_nat = layout.to_natural(lam)
-    else:
-        theta_nat = layout.validate(theta)
-    approx = latent_gaussian_approx(model, theta_nat, init=init)
+def _laplace_lp(layout, theta, theta_nat, internal, log_density_at_mode, log_det, dim) -> float:
+    """log p(theta | y) up to a constant, from one latent solve's results."""
     # log_density_at_mode is the solve's own conditional evaluated at its
     # mode, so adding the prior gives joint_log_density without assembling
     # the conditional a second time
     lp = (
-        approx.log_density_at_mode
+        log_density_at_mode
         + layout.log_prior(theta_nat)
-        - 0.5 * approx.log_det_precision
-        + 0.5 * approx.dim * LOG_2PI
+        - 0.5 * log_det
+        + 0.5 * dim * LOG_2PI
     )
     if internal:
-        lp += layout.internal_log_jacobian(lam)
-    return float(lp), approx
+        lp += layout.internal_log_jacobian(theta)
+    return float(lp)
+
+
+def _lp_and_approx(model, theta, internal=False, init=None):
+    layout = model.theta
+    theta = np.asarray(theta, dtype=float)
+    theta_nat = layout.to_natural(theta) if internal else layout.validate(theta)
+    approx = latent_gaussian_approx(model, theta_nat, init=init)
+    lp = _laplace_lp(layout, theta, theta_nat, internal, approx.log_density_at_mode,
+                     approx.log_det_precision, approx.dim)
+    return lp, approx
+
+
+@dataclass
+class _Tally:
+    """Latent solves (one per hyperparameter point) and the Newton
+    iterations of those that succeeded."""
+
+    solves: int = 0
+    newton_iters: int = 0
+
+
+def _lp_batches(model: JointModel, lams: np.ndarray, init, tally: _Tally):
+    """Laplace log posteriors at the internal-scale rows of lams, in batches.
+
+    Yields (rows, lp, batch) per batched solve: lp[i] belongs to row
+    rows[i] of lams and is -inf where its solve failed; rows that are not
+    finite are not solved. Every solve starts from init.
+    """
+    layout = model.theta
+    finite = np.flatnonzero(np.isfinite(lams).all(axis=1))
+    naturals = [layout.to_natural(lam) for lam in lams[finite]]
+    start = 0
+    for batch in latent_gaussian_batches(model, np.array(naturals).reshape(-1, layout.dim), init):
+        rows = finite[start:start + batch.size]
+        lp = np.full(batch.size, -np.inf)
+        for i, err in enumerate(batch.error):
+            if err is None:
+                lp[i] = _laplace_lp(layout, lams[rows[i]], naturals[start + i], True,
+                                    batch.log_density_at_mode[i], batch.log_det_precision[i],
+                                    batch.dim)
+                tally.newton_iters += int(batch.converged_in[i])
+        tally.solves += batch.size
+        yield rows, lp, batch
+        start += batch.size
+
+
+def _lp_values(model: JointModel, lams: np.ndarray, init, tally: _Tally) -> np.ndarray:
+    """Laplace log posteriors at the internal-scale rows of lams (-inf where unavailable)."""
+    out = np.full(lams.shape[0], -np.inf)
+    for rows, lp, _ in _lp_batches(model, lams, init, tally):
+        out[rows] = lp
+    return out
 
 
 def _fd_derivatives(fn: Callable, lam: np.ndarray, f0: float, h: float):
-    """Central finite-difference gradient and symmetrized Hessian of fn at lam.
+    """Central finite-difference gradient and symmetrized Hessian at lam.
 
-    f0 = fn(lam) comes from the caller and the gradient reuses the Hessian's
-    on-axis points, so one stencil costs 2 m^2 evaluations of fn.
+    fn maps a K x m array of points to their K values, and is called once
+    on the whole stencil. f0 = fn(lam) comes from the caller and the
+    gradient reuses the Hessian's on-axis points, so one stencil costs
+    2 m^2 evaluations. In the mode search fn warm-starts every stencil
+    point from the latent mode at the centre, so the derivatives do not
+    depend on the order or the batching of the stencil's solves.
     """
     m = lam.size
-    g = np.empty(m)
-    H = np.empty((m, m))
     step = h * np.eye(m)
-    for i in range(m):
-        ei = step[i]
-        fp = fn(lam + ei)
-        fm = fn(lam - ei)
-        g[i] = (fp - fm) / (2.0 * h)
-        H[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
-        for j in range(i + 1, m):
-            ej = step[j]
-            fpp = fn(lam + ei + ej)
-            fpm = fn(lam + ei - ej)
-            fmp = fn(lam - ei + ej)
-            fmm = fn(lam - ei - ej)
-            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    points = [lam + s * step[i] for i in range(m) for s in (1.0, -1.0)]
+    for i, j in pairs:
+        points += [lam + step[i] + step[j], lam + step[i] - step[j],
+                   lam - step[i] + step[j], lam - step[i] - step[j]]
+    vals = fn(np.array(points).reshape(-1, m))
+    fp, fm = vals[0:2 * m:2], vals[1:2 * m:2]
+    g = (fp - fm) / (2.0 * h)
+    H = np.empty((m, m))
+    H[np.diag_indices(m)] = (fp - 2.0 * f0 + fm) / (h * h)
+    for k, (i, j) in enumerate(pairs):
+        fpp, fpm, fmp, fmm = vals[2 * m + 4 * k:2 * m + 4 * k + 4]
+        H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     return g, H
 
 
-def _find_hyper_mode(model: JointModel):
+def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
     """Damped Newton ascent on finite-difference derivatives, in internal scale.
 
     Starts from the prior-based initial point and backtracks each step
     until the log posterior rises. Once the squared Newton decrement falls
     below MODE_STEP_TOL (AUGMENTED_MODE_STEP_TOL for a copy-augmented
     model) it takes that last short step without a further stencil and
-    stops. Returns (mode, curvature, lp_at_mode, latent_init), where
-    curvature is the negative finite-difference Hessian of the
-    internal-scale log posterior at the mode (from the last iteration's
-    stencil) and latent_init is the latent mode found there.
+    stops. Every solve of a stencil or of the line search starts from the
+    latent mode at the current point, so each stencil is one batch. Returns
+    (mode, curvature, lp_at_mode, latent_init), where curvature is the
+    negative finite-difference Hessian of the internal-scale log posterior
+    at the mode (from the last iteration's stencil) and latent_init is the
+    latent mode found there. tally, when given, counts the solves.
     """
     layout = model.theta
     m = layout.dim
     step_tol = AUGMENTED_MODE_STEP_TOL if model.is_augmented else MODE_STEP_TOL
+    tally = _Tally() if tally is None else tally
 
-    warm = {"v": None}
-
-    def lp(lam):
+    def lp_one(lam, init):
+        """(lp, latent mode) at lam, or (-inf, None) where it cannot be evaluated."""
         if not np.all(np.isfinite(lam)):
-            return -np.inf
+            return -np.inf, None
+        tally.solves += 1
         try:
-            val, approx = _lp_and_approx(model, lam, internal=True, init=warm["v"])
+            val, approx = _lp_and_approx(model, lam, internal=True, init=init)
         except NumericError:
-            # a failed inner solve must not leave a poisoned warm start for
-            # every later evaluation, so fall back to cold starts
-            warm["v"] = None
-            return -np.inf
-        warm["v"] = approx.mode
-        return val
+            return -np.inf, None
+        tally.newton_iters += approx.converged_in
+        return val, approx.mode
 
     lam = np.asarray(layout.to_internal(layout.init_natural()), dtype=float)
-    f_here = lp(lam)
+    f_here, latent_init = lp_one(lam, None)
     if not np.isfinite(f_here):
         raise NumericError("hyperparameter mode search did not converge")
-    latent_init = warm["v"]
     # every iteration takes its derivatives at lam first, so (g, C) belong
     # to the returned point, or to one a final short step away
     for it in range(MAX_MODE_ITER + 1):
-        g, H = _fd_derivatives(lp, lam, f_here, FD_STEP)
+        g, H = _fd_derivatives(lambda lams: _lp_values(model, lams, latent_init, tally),
+                               lam, f_here, FD_STEP)
         C = -H
         if it == MAX_MODE_ITER or not (np.all(np.isfinite(g)) and np.all(np.isfinite(C))):
             # out of iterations, or a stencil arm fell off the support and
@@ -233,18 +292,18 @@ def _find_hyper_mode(model: JointModel):
             # stencil: take it if it does not lower the log posterior, and
             # keep this stencil's (g, C), taken that close to the mode
             cand = lam + step
-            f_cand = lp(cand)
+            f_cand, v_cand = lp_one(cand, latent_init)
             if np.isfinite(f_cand) and f_cand >= f_here:
-                lam, f_here, latent_init = cand, f_cand, warm["v"]
+                lam, f_here, latent_init = cand, f_cand, v_cand
             break
         if float(np.max(np.abs(step))) > 1.0:
             step = step / float(np.max(np.abs(step)))
         t = 1.0
         for _ in range(20):
             cand = lam + t * step
-            f_cand = lp(cand)
+            f_cand, v_cand = lp_one(cand, latent_init)
             if np.isfinite(f_cand) and f_cand > f_here:
-                lam, f_here, latent_init = cand, f_cand, warm["v"]
+                lam, f_here, latent_init = cand, f_cand, v_cand
                 break
             t *= 0.5
         else:
@@ -274,12 +333,16 @@ def _explore_lattice(
 ):
     """Breadth-first walk on the standardized lattice around the mode.
 
-    lp_fn maps an internal-scale point to its log posterior, or to -inf
-    where it cannot be evaluated. The lattice origin is evaluated first,
-    and a point is retained when its value is within diff_logdens of the
-    origin's. Returns the sorted lattice keys, their points, log
-    posteriors, the standardizing axes matrix, and whether the cap
-    truncated the walk.
+    lp_fn maps a K x m array of internal-scale points to their K log
+    posteriors, -inf where one cannot be evaluated. The walk is level
+    synchronous: the lattice origin is evaluated first, then each
+    breadth-first shell's new neighbours, in first-in-first-out order, in
+    one lp_fn call. The retention rule and the cap are then applied in that
+    same order, so the result is the walk that evaluates one point at a
+    time: a point is retained when its value is within diff_logdens of the
+    origin's, and the walk stops when the cap is reached. Returns the
+    sorted lattice keys, their points, log posteriors, the standardizing
+    axes matrix, and whether the cap truncated the walk.
     """
     m = mode.size
     evals, vecs = np.linalg.eigh(np.asarray(curvature, dtype=float))
@@ -289,34 +352,38 @@ def _explore_lattice(
         )
     axes = vecs @ np.diag(1.0 / np.sqrt(evals))
 
-    def point(key):
-        return mode + axes @ (dz * np.asarray(key, dtype=float))
+    def points(keys):
+        # one key at a time, so a key's point has the same bits in any call
+        return np.array([mode + axes @ (dz * np.asarray(k, dtype=float)) for k in keys]).reshape(-1, m)
 
     origin = (0,) * m
-    lp0 = lp_fn(point(origin))
+    lp0 = float(lp_fn(points([origin]))[0])
     if not np.isfinite(lp0):
         raise NumericError("log posterior is not finite at the hyperparameter mode")
     retained = {origin: lp0}
     visited = {origin}
-    queue = deque([origin])
+    shell = [origin]
     truncated = False
-    while queue and not truncated:
-        base = queue.popleft()
-        for j in range(m):
-            if truncated:
-                break
-            for sign in (1, -1):
-                if len(retained) >= cap:
-                    truncated = True
-                    break
-                key = base[:j] + (base[j] + sign,) + base[j + 1 :]
-                if key in visited:
-                    continue
+    while shell and not truncated:
+        # every (base, axis, sign) slot of the shell in walk order, and the
+        # keys it visits for the first time
+        slots = [base[:j] + (base[j] + sign,) + base[j + 1:]
+                 for base in shell for j in range(m) for sign in (1, -1)]
+        new = []
+        for key in slots:
+            if key not in visited:
                 visited.add(key)
-                val = lp_fn(point(key))
-                if np.isfinite(val) and val >= lp0 - diff_logdens:
-                    retained[key] = val
-                    queue.append(key)
+                new.append(key)
+        vals = dict(zip(new, lp_fn(points(new)))) if new else {}
+        shell = []
+        for key in slots:
+            if len(retained) >= cap:
+                truncated = True
+                break
+            val = vals.pop(key, None)
+            if val is not None and np.isfinite(val) and val >= lp0 - diff_logdens:
+                retained[key] = float(val)
+                shell.append(key)
 
     keys = sorted(retained)
     log_post = np.array([retained[k] for k in keys])
@@ -326,7 +393,7 @@ def _explore_lattice(
     keep = log_post >= top - diff_logdens
     keys = [k for k, ok in zip(keys, keep) if ok]
     log_post = log_post[keep]
-    thetas = np.array([point(k) for k in keys]).reshape(len(keys), m)
+    thetas = points(keys)
     return keys, thetas, log_post, axes, truncated
 
 
@@ -342,10 +409,12 @@ def explore_grid(
     retaining points within diff_logdens of the mode. Weights are the
     normalized posterior densities (equal lattice volumes cancel). The walk
     stops at cap points and flags the grid truncated; points whose latent
-    solve fails are dropped and counted as skipped. Every latent solve
-    starts from the latent mode at the hyperparameter mode, so the grid
-    does not depend on the walk order; each retained point keeps its
-    latent mode and marginal standard deviations for latent_marginals.
+    solve fails are dropped and counted as skipped. Every latent solve of
+    the walk starts from the latent mode at the hyperparameter mode, and a
+    point's solve does not depend on the batch (or the size of the batches)
+    it is solved in, so the grid depends on neither the walk order nor the
+    batching; each retained point keeps its latent mode and marginal
+    standard deviations for latent_marginals.
     """
     if not (math.isfinite(dz) and dz > 0.0):
         raise SpecError("dz must be finite and positive, got %g" % dz)
@@ -364,28 +433,32 @@ def explore_grid(
             axes=np.zeros((0, 0)),
             dz=dz,
             diff_logdens=diff_logdens,
+            solves=1,
+            newton_iters=approx.converged_in,
             latent_mean=approx.mode[None, :],
             latent_sd=approx.marginal_sd()[None, :],
         )
-    lam_star, curvature, _, latent_init = _find_hyper_mode(model)
+    tally = _Tally()
+    lam_star, curvature, _, latent_init = _find_hyper_mode(model, tally)
     skipped = 0
     lp_origin = None
     moments = {}
 
-    def lp(lam):
+    def lp(lams):
         nonlocal skipped, lp_origin
-        try:
-            val, approx = _lp_and_approx(model, lam, internal=True, init=latent_init)
-        except NumericError:
-            skipped += 1
-            return -np.inf
-        if lp_origin is None:
-            lp_origin = val
-        # the walk's own retention rule, so only retained points pay for
-        # the marginal standard deviations
-        if val >= lp_origin - diff_logdens:
-            moments[lam.tobytes()] = (approx.mode, approx.marginal_sd())
-        return val
+        out = np.full(lams.shape[0], -np.inf)
+        for rows, vals, batch in _lp_batches(model, lams, latent_init, tally):
+            out[rows] = vals
+            skipped += sum(err is not None for err in batch.error)
+            if lp_origin is None:
+                lp_origin = vals[0]
+            # the walk's own retention rule, so only retained points pay for
+            # the marginal standard deviations
+            kept = np.flatnonzero(vals >= lp_origin - diff_logdens)
+            if kept.size:
+                for i, sd in zip(kept, batch.marginal_sd(kept)):
+                    moments[lams[rows[i]].tobytes()] = (batch.mode[i], sd)
+        return out
 
     _, thetas, log_post, axes, truncated = _explore_lattice(
         lp, lam_star, curvature, dz, diff_logdens, cap=cap
@@ -404,6 +477,8 @@ def explore_grid(
         diff_logdens=diff_logdens,
         truncated=truncated,
         skipped=skipped,
+        solves=tally.solves,
+        newton_iters=tally.newton_iters,
         latent_mean=np.array([mean for mean, _ in latent]),
         latent_sd=np.array([sd for _, sd in latent]),
     )

@@ -8,14 +8,23 @@ the Schur complement of the global block; log determinants add over the
 blocks, and marginal variances come from selected inversion, so no d x d
 or N x d matrix is ever formed. Models whose likelihood blocks are all
 Gaussian have a closed-form posterior, where the Newton result is exact
-after a single step. Only numpy's linear algebra is used, so a single
-OpenBLAS thread pool serves every solve.
+after a single step.
+
+Every solve runs on a batch: the conditionals at K hyperparameter points
+(`assemble_conditional` with a K x m theta) are iterated together, and a
+point leaves the batch when it converges or fails; a failure is that
+point's result alone. Each operation acts on one point's own rows
+(elementwise arithmetic, sums along the row axis, scatter-adds into the
+point's own bins, and LAPACK calls per stacked matrix), so a point's
+result does not depend on the batch it was solved in.
+`latent_gaussian_approx` is the batch of one. Only numpy's linear algebra
+is used, so a single OpenBLAS thread pool serves every solve.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -27,9 +36,12 @@ from .priors import LOG_2PI
 __all__ = [
     "ArrowheadFactor",
     "GaussianApprox",
+    "LatentBatch",
     "gaussian_logpdf",
     "latent_gaussian_approx",
+    "latent_gaussian_batches",
     "exact_linear_gaussian_posterior",
+    "BATCH_ELEMENTS",
     "NEWTON_TOL",
     "MAX_NEWTON_ITER",
 ]
@@ -38,6 +50,9 @@ NEWTON_TOL = 1.0e-8
 MAX_NEWTON_ITER = 100
 RIDGE = 1.0e-8
 MAX_HALVINGS = 60
+# points x stacked rows per batched solve; the batch's working arrays are
+# a few hundred bytes per element, so this bounds them near 2 MB
+BATCH_ELEMENTS = 1 << 13
 _EPS = float(np.finfo(float).eps)
 
 
@@ -61,33 +76,50 @@ def gaussian_logpdf(x, mean, precision_chol) -> float:
 
 
 def _apply(M: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Stacked (count, s, s) matrices, or their transposes, times the count*s rows of x."""
-    count, s, _ = M.shape
-    seg = x.reshape(count, s, -1)
+    """Stacked (K, count, s, s) matrices, or their transposes, times the
+    count*s rows that follow the batch axis of x."""
+    K, count, s, _ = M.shape
+    seg = x.reshape(K, count, s, -1)
     if s == 1:
         res = M * seg
     else:
-        res = (np.swapaxes(M, 1, 2) if transpose else M) @ seg
+        res = (np.swapaxes(M, 2, 3) if transpose else M) @ seg
     return res.reshape(x.shape)
 
 
 def _blockwise(blocks: LatentBlocks, mats: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Apply the local factors of every block-size group to the local rows of x."""
-    out = np.empty_like(x)
+    """Apply the local factors of every block-size group to the local rows of x (K x m ...)."""
+    # a C-ordered result, so each point's vector has the same layout in a
+    # batch of any size, and so the same products downstream
+    out = np.empty(x.shape)
     for (s, count, k0, _), M in zip(blocks.groups, mats):
-        out[k0:k0 + count * s] = _apply(M, x[k0:k0 + count * s], transpose)
+        out[:, k0:k0 + count * s] = _apply(M, x[:, k0:k0 + count * s], transpose)
     return out
+
+
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked matrices times stacked vectors: (K, a, b) by (K, b) gives (K, a).
+
+    numpy multiplies point by point; the vectors are made C-ordered first,
+    since the product's rounding can depend on a vector's stride.
+    """
+    return (M @ np.ascontiguousarray(x)[..., None])[..., 0]
+
+
+def _t(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
 
 
 @dataclass(eq=False)
 class ArrowheadFactor:
-    """Cholesky factor H = L L' of a block-arrowhead precision.
+    """Cholesky factors H = L L' of K block-arrowhead precisions.
 
     With the local components ordered first, L = [[L_ll, 0], [B', L_S]]:
-    chol and inv hold L_ll and its inverse as one stacked (count, s, s)
-    array per block size, border is B = L_ll^{-1} H_lg (m x p), and chol_s
-    and inv_s are the factor of the Schur complement S = H_gg - B'B and its
-    inverse. Vectors are in work order (global components, then slots).
+    chol and inv hold L_ll and its inverse as one stacked (K, count, s, s)
+    array per block size, border is B = L_ll^{-1} H_lg (K x m x p), and
+    chol_s and inv_s are the factor of the Schur complement S = H_gg - B'B
+    and its inverse (K x p x p). Vectors are K x d, in work order (global
+    components, then slots).
     """
 
     blocks: LatentBlocks
@@ -96,65 +128,124 @@ class ArrowheadFactor:
     border: np.ndarray
     chol_s: np.ndarray
     inv_s: np.ndarray
-    log_det: float
+    log_det: np.ndarray
+
+    def _arrays(self) -> list:
+        return [self.border, self.chol_s, self.inv_s, self.log_det] + self.chol + self.inv
+
+    def subset(self, points) -> "ArrowheadFactor":
+        """The factors of the points indexed (or masked) by points."""
+        return ArrowheadFactor(
+            blocks=self.blocks,
+            chol=[M[points] for M in self.chol],
+            inv=[M[points] for M in self.inv],
+            border=self.border[points],
+            chol_s=self.chol_s[points],
+            inv_s=self.inv_s[points],
+            log_det=self.log_det[points],
+        )
+
+    def put(self, points, other: "ArrowheadFactor") -> None:
+        """Overwrite the factors of the points indexed by points with other's."""
+        for mine, theirs in zip(self._arrays(), other._arrays()):
+            mine[points] = theirs
+
+    def empty(self, K: int) -> "ArrowheadFactor":
+        """Zero factors of the same shapes for K points, to be filled by put."""
+        def zeros(a):
+            return np.zeros((K,) + a.shape[1:])
+
+        return ArrowheadFactor(
+            blocks=self.blocks,
+            chol=[zeros(M) for M in self.chol],
+            inv=[zeros(M) for M in self.inv],
+            border=zeros(self.border),
+            chol_s=zeros(self.chol_s),
+            inv_s=zeros(self.inv_s),
+            log_det=zeros(self.log_det),
+        )
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """H^{-1} r by block elimination of the local components."""
         p = self.blocks.p
-        y = _blockwise(self.blocks, self.inv, r[p:])
-        x_g = self.inv_s.T @ (self.inv_s @ (r[:p] - self.border.T @ y))
-        x_l = _blockwise(self.blocks, self.inv, y - self.border @ x_g, transpose=True)
-        return np.concatenate((x_g, x_l))
+        y = _blockwise(self.blocks, self.inv, r[:, p:])
+        x_g = _mv(_t(self.inv_s), _mv(self.inv_s, r[:, :p] - _mv(_t(self.border), y)))
+        x_l = _blockwise(self.blocks, self.inv, y - _mv(self.border, x_g), transpose=True)
+        return np.concatenate((x_g, x_l), axis=1)
 
-    def quadratic(self, u: np.ndarray) -> float:
-        """u' H u as ||L' u||^2."""
+    def quadratic(self, u: np.ndarray) -> np.ndarray:
+        """u' H u as ||L' u||^2, per point."""
         p = self.blocks.p
-        t_l = _blockwise(self.blocks, self.chol, u[p:], transpose=True) + self.border @ u[:p]
-        t_g = self.chol_s.T @ u[:p]
-        return float(t_l @ t_l) + float(t_g @ t_g)
+        t_l = _blockwise(self.blocks, self.chol, u[:, p:], transpose=True) + _mv(self.border, u[:, :p])
+        t_g = _mv(_t(self.chol_s), u[:, :p])
+        return (t_l * t_l).sum(axis=1) + (t_g * t_g).sum(axis=1)
 
     def backsolve(self, z: np.ndarray) -> np.ndarray:
-        """L'^{-1} z, which maps standard normal draws to draws with precision H."""
+        """L'^{-1} z for z of shape (K, d, S): standard normal draws to draws with precision H."""
         p = self.blocks.p
-        x_g = self.inv_s.T @ z[:p]
-        x_l = _blockwise(self.blocks, self.inv, z[p:] - self.border @ x_g, transpose=True)
-        return np.concatenate((x_g, x_l))
+        x_g = _t(self.inv_s) @ z[:, :p]
+        x_l = _blockwise(self.blocks, self.inv, z[:, p:] - self.border @ x_g, transpose=True)
+        return np.concatenate((x_g, x_l), axis=1)
 
     def variances(self) -> np.ndarray:
-        """diag(H^{-1}) by selected inversion.
+        """diag(H^{-1}) by selected inversion, K x d.
 
         The global block's covariance is S^{-1}. A local block k adds to
         its own inverse H_kk^{-1} the term C C' with C = L_kk^{-T} B_k L_S^{-T},
         so only the diagonals of block-sized products are formed.
         """
-        own = [(M * M).sum(axis=1).ravel() for M in self.inv]
-        C = _blockwise(self.blocks, self.inv, self.border @ self.inv_s.T, transpose=True)
-        local = np.concatenate(own) + (C * C).sum(axis=1) if own else np.zeros(0)
-        return np.concatenate(((self.inv_s * self.inv_s).sum(axis=0), local))
+        K = self.log_det.shape[0]
+        own = [(M * M).sum(axis=2).reshape(K, M.shape[1] * M.shape[2]) for M in self.inv]
+        C = _blockwise(self.blocks, self.inv, self.border @ _t(self.inv_s), transpose=True)
+        local = np.concatenate(own, axis=1) + (C * C).sum(axis=2) if own else np.zeros((K, 0))
+        return np.concatenate(((self.inv_s * self.inv_s).sum(axis=1), local), axis=1)
 
 
-def _arrowhead_factor(blocks: LatentBlocks, gg, lg, ll) -> ArrowheadFactor:
+def _cholesky(M: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Stacked Cholesky factors of the K matrices (or matrix stacks) in M.
+
+    A point whose matrix is not positive definite is flagged in ok and
+    gets identity factors, so the batch's arithmetic stays finite.
+    """
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(M)
+    for k in range(M.shape[0]):
+        try:
+            out[k] = np.linalg.cholesky(M[k])
+        except np.linalg.LinAlgError:
+            ok[k] = False
+            out[k] = np.eye(M.shape[-1])
+    return out
+
+
+def _arrowhead_factor(blocks: LatentBlocks, gg, lg, ll) -> tuple:
+    """(factor, ok): the factors of K precisions, and which were positive definite."""
+    K = gg.shape[0]
+    ok = np.ones(K, dtype=bool)
     chol, inv = [], []
     border = np.empty_like(lg)
-    log_det = 0.0
+    log_det = np.zeros(K)
     for s, count, k0, f0 in blocks.groups:
-        H = ll[f0:f0 + count * s * s].reshape(count, s, s)
+        H = ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
         if s == 1:
-            if not (H > 0.0).all():
-                raise np.linalg.LinAlgError("local block is not positive definite")
-            L = np.sqrt(H)
+            pd = (H > 0.0).reshape(K, -1).all(axis=1)
+            ok &= pd
+            L = np.sqrt(H if pd.all() else np.where(pd[:, None, None, None], H, 1.0))
             Linv = 1.0 / L
-            log_det += 2.0 * float(np.log(L).sum())
+            log_det += 2.0 * np.log(L).reshape(K, -1).sum(axis=1)
         else:
-            L = np.linalg.cholesky(H)
+            L = _cholesky(H, ok)
             Linv = np.linalg.inv(L)
-            log_det += 2.0 * float(np.log(np.diagonal(L, axis1=1, axis2=2)).sum())
+            log_det += 2.0 * np.log(np.diagonal(L, axis1=2, axis2=3)).reshape(K, -1).sum(axis=1)
         chol.append(L)
         inv.append(Linv)
-        border[k0:k0 + count * s] = _apply(Linv, lg[k0:k0 + count * s])
-    chol_s = np.linalg.cholesky(gg - border.T @ border)
-    log_det += 2.0 * float(np.log(chol_s.diagonal()).sum())
-    return ArrowheadFactor(
+        border[:, k0:k0 + count * s] = _apply(Linv, lg[:, k0:k0 + count * s])
+    chol_s = _cholesky(gg - _t(border) @ border, ok)
+    log_det += 2.0 * np.log(np.diagonal(chol_s, axis1=1, axis2=2)).sum(axis=1)
+    factor = ArrowheadFactor(
         blocks=blocks,
         chol=chol,
         inv=inv,
@@ -163,29 +254,33 @@ def _arrowhead_factor(blocks: LatentBlocks, gg, lg, ll) -> ArrowheadFactor:
         inv_s=np.linalg.inv(chol_s),
         log_det=log_det,
     )
+    return factor, ok
 
 
-def _factor(blocks: LatentBlocks, H: tuple) -> ArrowheadFactor:
-    """Factor H = (H_gg, H_lg, flat H_ll); on failure retry once with RIDGE on the diagonal."""
-    try:
-        return _arrowhead_factor(blocks, *H)
-    except np.linalg.LinAlgError:
-        pass
-    gg, lg, ll = H
-    ll = ll.copy()
-    ll[blocks.diag] += RIDGE
-    try:
-        return _arrowhead_factor(blocks, gg + RIDGE * np.eye(blocks.p), lg, ll)
-    except np.linalg.LinAlgError:
-        raise NumericError("conditional precision is not positive definite")
+def _factor(blocks: LatentBlocks, H: tuple) -> tuple:
+    """(factor, ok) of H = (H_gg, H_lg, flat H_ll), each with a leading axis of K points.
+
+    A point that is not positive definite is retried once with RIDGE on
+    its diagonal; ok is False where that fails too.
+    """
+    F, ok = _arrowhead_factor(blocks, *H)
+    if ok.all():
+        return F, ok
+    bad = np.flatnonzero(~ok)
+    gg, lg, ll = (a[bad] for a in H)
+    ll[:, blocks.diag] += RIDGE
+    F_ridged, ok_ridged = _arrowhead_factor(blocks, gg + RIDGE * np.eye(blocks.p), lg, ll)
+    F.put(bad, F_ridged)
+    ok[bad] = ok_ridged
+    return F, ok
 
 
 @dataclass(eq=False)
 class GaussianApprox:
     """Gaussian approximation (or exact posterior) of the latent field.
 
-    The precision at the mode is kept as its block-arrowhead factor; the
-    mode and every result are in latent order.
+    The precision at the mode is kept as its block-arrowhead factor (a
+    batch of one); the mode and every result are in latent order.
     """
 
     mode: np.ndarray
@@ -199,11 +294,11 @@ class GaussianApprox:
 
     @property
     def log_det_precision(self) -> float:
-        return self.factor.log_det
+        return float(self.factor.log_det[0])
 
     def marginal_sd(self, indices=None) -> np.ndarray:
         """Marginal posterior standard deviations by selected inversion."""
-        sd = self.factor.blocks.to_latent(np.sqrt(self.factor.variances()))
+        sd = self.factor.blocks.to_latent(np.sqrt(self.factor.variances()))[0]
         if indices is None:
             return sd
         return sd[np.atleast_1d(np.asarray(indices, dtype=int))]
@@ -213,83 +308,179 @@ class GaussianApprox:
         if x.shape != self.mode.shape:
             raise SpecError("dimension mismatch: x has %d entries, mode %d" % (x.size, self.dim))
         u = (x - self.mode)[self.factor.blocks.perm]
-        quad = self.factor.quadratic(u)
+        quad = float(self.factor.quadratic(u[None])[0])
         return -0.5 * self.dim * LOG_2PI + 0.5 * self.log_det_precision - 0.5 * quad
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         d = self.dim
         z = rng.standard_normal(size=(d,) if size is None else (d, size))
-        shift = self.factor.blocks.to_latent(self.factor.backsolve(z))
+        work = self.factor.backsolve(z.reshape(1, d, -1))[0]
+        shift = self.factor.blocks.to_latent(work.T).T
         if size is None:
-            return self.mode + shift
+            return self.mode + shift[:, 0]
         return self.mode[:, None] + shift
 
 
-def _hessian(cond: Conditional, w: np.ndarray) -> tuple:
-    """(H_gg, H_lg, flat H_ll) of the rows with curvature weights w plus the prior."""
+@dataclass(eq=False)
+class LatentBatch:
+    """Gaussian approximations of the latent field at K hyperparameter points.
+
+    Row k of mode, log_density_at_mode, log_det_precision and converged_in
+    belongs to point k, and error[k] is None or the NumericError that ended
+    its solve (its rows then hold no result). factor holds the K factors.
+    """
+
+    mode: np.ndarray
+    log_density_at_mode: np.ndarray
+    converged_in: np.ndarray
+    error: list
+    factor: ArrowheadFactor
+
+    @property
+    def size(self) -> int:
+        return len(self.error)
+
+    @property
+    def dim(self) -> int:
+        return int(self.mode.shape[1])
+
+    @property
+    def log_det_precision(self) -> np.ndarray:
+        return self.factor.log_det
+
+    def marginal_sd(self, points) -> np.ndarray:
+        """Marginal standard deviations at the indexed points, one row each."""
+        factor = self.factor.subset(points)
+        return factor.blocks.to_latent(np.sqrt(factor.variances()))
+
+    def approx(self, k: int) -> GaussianApprox:
+        """Point k's approximation; raises its NumericError if its solve failed."""
+        if self.error[k] is not None:
+            raise self.error[k]
+        return GaussianApprox(self.mode[k].copy(), self.factor.subset([k]),
+                              int(self.converged_in[k]), float(self.log_density_at_mode[k]))
+
+
+def _hessian(cond: Conditional, w: np.ndarray, vals_t: np.ndarray) -> tuple:
+    """(H_gg, H_lg, flat H_ll) of the rows with curvature weights w plus the prior.
+
+    w is K x N and vals_t holds the local values K x q x N; the results
+    carry the same leading axis.
+    """
     blocks = cond.blocks
+    K = w.shape[0]
     p, m = blocks.p, blocks.m
     k = blocks.n_global_rows
     Ag = cond.A[:k]
-    wg = w[:k]
-    prior = cond.prior_prec[blocks.perm]
-    gg = (Ag.T * wg) @ Ag
-    gg.flat[::p + 1] += prior[:p]
+    prior = cond.prior_prec[:, blocks.perm]
+    # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product per
+    # point against the rows' outer products
+    gg = (w[:, None, :k] @ cond.row_gram.T).reshape(K, p, p)
+    gg.reshape(K, p * p)[:, ::p + 1] += prior[:, :p]
     if not m:
-        return gg, np.zeros((0, p)), np.zeros(0)
+        return gg, np.zeros((K, 0, p)), np.zeros((K, 0))
+    wv = w[:, None, :] * vals_t
     # with no global components (p = 0) bincount sees no entries and
     # returns integers, hence the cast
     lg = np.bincount(
-        blocks.border_index,
-        weights=((wg[:, None] * cond.vals[:k])[:, :, None] * Ag[:, None, :]).ravel(),
-        minlength=m * p,
-    ).reshape(m, p).astype(float, copy=False)
-    wv = w[:, None] * cond.vals
-    ll = np.bincount(blocks.pair_index, weights=(wv[:, :, None] * cond.vals[:, None, :]).ravel(),
-                     minlength=blocks.n_flat)
-    ll[blocks.diag] += prior[p:]
+        blocks.scatter_index("border_index", K),
+        weights=(wv[:, :, None, :k] * Ag.T).ravel(),
+        minlength=K * m * p,
+    ).reshape(K, m, p).astype(float, copy=False)
+    ll = np.bincount(
+        blocks.scatter_index("pair_index", K),
+        weights=(wv[:, :, None, :] * vals_t[:, None, :, :]).ravel(),
+        minlength=K * blocks.n_flat,
+    ).reshape(K, blocks.n_flat)
+    ll[:, blocks.diag] += prior[:, p:]
     return gg, lg, ll
 
 
 def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True):
-    """Gradient (in work order) of the log density at v, and its negative Hessian blocks."""
+    """Gradients (K x d, in work order) of the batch's log densities at the
+    rows of v, and their negative Hessian blocks."""
     # Gaussian-row gradient in residual form: forming tau * (obs - eta) row
     # by row keeps the stiff copy rows accurate near the mode, where the
     # expanded normal-equation form loses all signal to cancellation.
     blocks = cond.blocks
-    p = blocks.p
+    K = v.shape[0]
+    p, k = blocks.p, blocks.n_global_rows
     eta = cond.eta(v)
     score = cond.gauss_hess * (cond.obs - eta)
     w = cond.gauss_hess
     if cond.trials_ng is not None:
         rows = cond.reg_slice
-        s, W = families.score_weight(cond.family, cond.obs[rows], cond.trials_ng, eta[rows])
-        score[rows] += s
+        s, W = families.score_weight(cond.family, cond.obs[rows], cond.trials_ng, eta[:, rows])
+        score[:, rows] += s
         w = w.copy()
-        w[rows] = W
-    g = (cond.bp - cond.prior_prec * v)[blocks.perm]
-    g[:p] += cond.A.T @ score
-    g[p:] += np.bincount(blocks.slots.ravel(), weights=(cond.vals * score[:, None]).ravel(),
-                         minlength=blocks.m)
-    return g, (_hessian(cond, w) if hess else None)
+        w[:, rows] = W
+    vals_t = np.ascontiguousarray(np.swapaxes(cond.vals, 1, 2))
+    g = (cond.bp - cond.prior_prec * v)[:, blocks.perm]
+    g[:, :p] += (score[:, None, :k] @ cond.A[:k])[:, 0, :]
+    g[:, p:] += np.bincount(blocks.scatter_index("slots", K),
+                            weights=(vals_t * score[:, None, :]).ravel(),
+                            minlength=K * blocks.m).reshape(K, blocks.m)
+    return g, (_hessian(cond, w, vals_t) if hess else None)
 
 
-def _newton(cond: Conditional, init: Optional[np.ndarray]) -> GaussianApprox:
+class _Results:
+    """Per-point outcomes of a batched Newton solve, filled as points leave it."""
+
+    def __init__(self, K: int, d: int):
+        self.mode = np.zeros((K, d))
+        self.log_density = np.full(K, -math.inf)
+        self.steps = np.zeros(K, dtype=int)
+        self.error = [None] * K
+        self.factor = None
+
+    def finish(self, points, v, F: ArrowheadFactor, steps, f) -> None:
+        if self.factor is None:
+            self.factor = F.empty(len(self.error))
+        self.mode[points] = v
+        self.factor.put(points, F)
+        self.steps[points] = steps
+        self.log_density[points] = f
+
+    def fail(self, points, message: str) -> None:
+        for k in points:
+            self.error[k] = NumericError(message)
+
+    def batch(self) -> LatentBatch:
+        return LatentBatch(self.mode, self.log_density, self.steps, self.error, self.factor)
+
+
+def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
+    """Newton with step halving on every point of a batched conditional.
+
+    Every point starts from init (one latent vector), or from zero where
+    init is None or its log density is not finite there. All points still
+    iterating take the same iteration together: each either converges,
+    finishes with a step below the round-off floor, or takes a
+    line-searched step; a point that cannot be factored or whose line
+    search fails leaves with its NumericError.
+    """
     d = cond.dim
     blocks = cond.blocks
-    v = np.zeros(d) if init is None else np.array(init, dtype=float)
-    if v.shape != (d,):
-        raise SpecError("initial latent vector has shape %r, expected (%d,)" % (v.shape, d))
+    K = cond.gauss_hess.shape[0]
+    v = np.zeros((K, d))
+    if init is not None:
+        v0 = np.array(init, dtype=float)
+        if v0.shape != (d,):
+            raise SpecError("initial latent vector has shape %r, expected (%d,)" % (v0.shape, d))
+        v[:] = v0
     f = cond.log_density(v)
-    if not math.isfinite(f):
-        v = np.zeros(d)
-        f = cond.log_density(v)
+    cold = ~np.isfinite(f)
+    if cold.any():
+        v[cold] = 0.0
+        f[cold] = cond.subset(cold).log_density(v[cold])
+    out = _Results(K, d)
+    points = np.arange(K)
     # with every row Gaussian the Hessian does not depend on v, so it is
     # assembled and factored once per solve
     constant = cond.trials_ng is None
     H = F = None
-    steps = 0
-    for _ in range(MAX_NEWTON_ITER):
+
+    for steps in range(MAX_NEWTON_ITER):
         g, H_v = _grad_hess(cond, v, hess=H is None or not constant)
         if H_v is not None:
             H, F = H_v, None
@@ -297,48 +488,85 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> GaussianApprox:
         # to about eps * h * |v| in floating point, so stiff coordinates
         # (e.g. the 1e9 copy coupling) get a curvature-scaled floor; mode
         # displacement along them at that floor is O(eps * |v|).
-        diag = np.concatenate((H[0].diagonal(), H[2][blocks.diag]))
-        floor = 16.0 * _EPS * (1.0 + float(np.abs(v).max(initial=0.0)))
-        converged = (np.abs(g) <= np.maximum(NEWTON_TOL, floor * diag)).all()
+        diag = np.concatenate((np.diagonal(H[0], axis1=1, axis2=2), H[2][:, blocks.diag]), axis=1)
+        floor = 16.0 * _EPS * (1.0 + np.abs(v).max(axis=1, initial=0.0))
+        converged = (np.abs(g) <= np.maximum(NEWTON_TOL, floor[:, None] * diag)).all(axis=1)
+        ok = np.ones(points.size, dtype=bool)
         if F is None:
-            F = _factor(blocks, H)
-        if converged:
-            return GaussianApprox(v, F, steps, f)
+            F, ok = _factor(blocks, H)
+        out.fail(points[~ok], "conditional precision is not positive definite")
+        done = converged & ok
+        if done.any():
+            out.finish(points[done], v[done], F.subset(done), steps, f[done])
+        stay = ok & ~converged
+        if not stay.any():
+            return out.batch()
+
         step_w = F.solve(g)
-        decrement_sq = float(g @ step_w)
+        decrement_sq = (g * step_w).sum(axis=1)
         step = blocks.to_latent(step_w)
-        if decrement_sq <= 64.0 * _EPS * (1.0 + abs(f)):
-            # the predicted gain from this step is below the roundoff floor
-            # of the objective, so no line search can certify progress (this
-            # happens when a warm start lands inside the resolution basin of
-            # the mode); the full step still sharpens the mode estimate, so
-            # take it when it keeps f flat and finish
-            v_new = v + step
-            f_new = cond.log_density(v_new)
-            if math.isfinite(f_new) and f_new >= f - 1.0e-10 * (1.0 + abs(f)):
-                v, f = v_new, f_new
-                steps += 1
-                if not constant:
-                    F = _factor(blocks, _grad_hess(cond, v)[1])
-            return GaussianApprox(v, F, steps, f)
+        # the predicted gain from this step is below the roundoff floor of
+        # the objective, so no line search can certify progress (this
+        # happens when a warm start lands inside the resolution basin of the
+        # mode); the full step still sharpens the mode estimate, so take it
+        # when it keeps f flat and finish
+        tiny = stay & (decrement_sq <= 64.0 * _EPS * (1.0 + np.abs(f)))
+        if tiny.any():
+            v_new = v[tiny] + step[tiny]
+            f_new = cond.subset(tiny).log_density(v_new)
+            f_old = f[tiny]
+            take = np.isfinite(f_new) & (f_new >= f_old - 1.0e-10 * (1.0 + np.abs(f_old)))
+            v_fin = np.where(take[:, None], v_new, v[tiny])
+            F_fin = F.subset(tiny)
+            ok_fin = np.ones(take.size, dtype=bool)
+            if not constant and take.any():
+                H_new = _grad_hess(cond.subset(tiny).subset(take), v_fin[take])[1]
+                F_new, ok_fin[take] = _factor(blocks, H_new)
+                F_fin.put(np.flatnonzero(take), F_new)
+            finished = points[tiny]
+            out.fail(finished[~ok_fin], "conditional precision is not positive definite")
+            out.finish(finished[ok_fin], v_fin[ok_fin], F_fin.subset(ok_fin),
+                       steps + take[ok_fin], np.where(take, f_new, f_old)[ok_fin])
+            stay &= ~tiny
+
         # accept steps that keep f flat to within roundoff, not only strict
         # ascents: near the mode the objective is quadratic in a step below
         # sqrt(eps), so demanding f_new >= f exactly would damp the step to
         # nothing and strand the gradient just above its tolerance
-        slack = 4.0 * _EPS * (1.0 + abs(f))
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            v_new = v + t * step
-            f_new = cond.log_density(v_new)
-            if math.isfinite(f_new) and f_new >= f - slack:
+        pending = np.flatnonzero(stay)
+        slack = 4.0 * _EPS * (1.0 + np.abs(f))
+        t = np.ones(f.size)
+        v_new, f_new = v.copy(), f.copy()
+        for _ in range(MAX_HALVINGS if pending.size else 0):
+            v_try = v[pending] + t[pending, None] * step[pending]
+            f_try = (cond if pending.size == f.size else cond.subset(pending)).log_density(v_try)
+            v_new[pending], f_new[pending] = v_try, f_try
+            pending = pending[~(np.isfinite(f_try) & (f_try >= f[pending] - slack[pending]))]
+            if not pending.size:
                 break
-            t *= 0.5
+            t[pending] *= 0.5
         else:
-            if not (math.isfinite(f_new) and f_new >= f - 1.0e-10 * (1.0 + abs(f))):
-                raise NumericError("Newton line search failed to improve the objective")
+            f_p = f[pending]
+            stuck = ~(np.isfinite(f_new[pending]) & (f_new[pending] >= f_p - 1.0e-10 * (1.0 + np.abs(f_p))))
+            out.fail(points[pending[stuck]], "Newton line search failed to improve the objective")
+            stay[pending[stuck]] = False
+
+        if not stay.any():
+            return out.batch()
         v, f = v_new, f_new
-        steps += 1
-    raise NumericError("Newton did not converge within %d iterations" % MAX_NEWTON_ITER)
+        if not stay.all():
+            points, v, f = points[stay], v[stay], f[stay]
+            cond = cond.subset(stay)
+            if constant:
+                H = tuple(a[stay] for a in H)
+                F = F.subset(stay)
+    out.fail(points, "Newton did not converge within %d iterations" % MAX_NEWTON_ITER)
+    return out.batch()
+
+
+def _solve_one(cond: Conditional, init: Optional[np.ndarray]) -> GaussianApprox:
+    """The Newton solve of one (unbatched) conditional, as a batch of one."""
+    return _newton(cond.as_batch(), init).approx(0)
 
 
 def latent_gaussian_approx(model: JointModel, theta, init: Optional[np.ndarray] = None) -> GaussianApprox:
@@ -347,8 +575,22 @@ def latent_gaussian_approx(model: JointModel, theta, init: Optional[np.ndarray] 
     For models whose likelihood blocks are all Gaussian the objective is an
     exact quadratic and the first Newton step lands on the mode.
     """
-    cond = assemble_conditional(model, theta)
-    return _newton(cond, init)
+    return _solve_one(assemble_conditional(model, theta), init)
+
+
+def latent_gaussian_batches(model: JointModel, thetas, init: Optional[np.ndarray] = None) -> Iterator[LatentBatch]:
+    """Gaussian approximations at every row of thetas (K x m, natural scale).
+
+    The rows are solved in order, in batches of at most BATCH_ELEMENTS
+    points x stacked rows (at least one point each), and one LatentBatch
+    is yielded per batch, so memory stays bounded however many rows there
+    are. Every point starts from init and its result does not depend on
+    the batch it falls in.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, model.theta.dim)
+    per_batch = max(1, BATCH_ELEMENTS // max(model.n_rows, 1))
+    for start in range(0, thetas.shape[0], per_batch):
+        yield _newton(assemble_conditional(model, thetas[start:start + per_batch]), init)
 
 
 def exact_linear_gaussian_posterior(model: JointModel, theta) -> GaussianApprox:
@@ -359,8 +601,10 @@ def exact_linear_gaussian_posterior(model: JointModel, theta) -> GaussianApprox:
     """
     if model.family != "gaussian":
         raise SpecError("exact posterior requires a gaussian outcome family, got %r" % model.family)
-    cond = assemble_conditional(model, theta)
-    g, H = _grad_hess(cond, np.zeros(cond.dim))
-    F = _factor(cond.blocks, H)
+    cond = assemble_conditional(model, theta).as_batch()
+    g, H = _grad_hess(cond, np.zeros((1, cond.dim)))
+    F, ok = _factor(cond.blocks, H)
+    if not ok[0]:
+        raise NumericError("conditional precision is not positive definite")
     mean = cond.blocks.to_latent(F.solve(g))
-    return GaussianApprox(mean, F, 0, cond.log_density(mean))
+    return GaussianApprox(mean[0], F, 0, float(cond.log_density(mean)[0]))

@@ -240,6 +240,9 @@ class _Coefficients:
     precision and keeps its value. free and fixed hold the positions of
     the free and the fixed coefficients; prior_diag and prior_shift are the
     prior precision matrix and precision-weighted mean of the free ones.
+    A block whose design never changes (static) keeps its free columns and
+    their Gram matrix in free_design and gram; the regression block's x
+    column changes every sweep, so it forms them in each draw.
     """
 
     label: str
@@ -251,16 +254,23 @@ class _Coefficients:
     fixed: np.ndarray
     prior_diag: np.ndarray
     prior_shift: np.ndarray
+    free_design: Optional[np.ndarray] = None
+    gram: Optional[np.ndarray] = None
 
     @classmethod
-    def of(cls, label: str, coefficients: list, rows: int) -> "_Coefficients":
+    def of(cls, label: str, coefficients: list, rows: int, static: bool = False) -> "_Coefficients":
         columns = [c.column for c in coefficients]
         design = np.column_stack(columns) if columns else np.zeros((rows, 0))
         mean = np.array([c.prior.mean if c.free else c.prior.value for c in coefficients])
         prec = np.array([c.prior.precision if c.free else math.inf for c in coefficients])
         free = np.flatnonzero(np.isfinite(prec))
-        return cls(label, tuple(c.name for c in coefficients), design, mean, prec, free,
-                   np.flatnonzero(np.isinf(prec)), np.diag(prec[free]), prec[free] * mean[free])
+        block = cls(label, tuple(c.name for c in coefficients), design, mean, prec, free,
+                    np.flatnonzero(np.isinf(prec)), np.diag(prec[free]), prec[free] * mean[free])
+        if static:
+            # fancy indexing, as in draw, so the products keep their bits
+            block.free_design = design[:, free]
+            block.gram = block.free_design.T @ block.free_design
+        return block
 
     def fixed_part(self, values: np.ndarray) -> np.ndarray:
         """The fixed coefficients' share of each row's linear predictor."""
@@ -272,8 +282,12 @@ class _Coefficients:
         The rows have precision tau and residuals resid once every term of
         their mean except the free coefficients' is taken off.
         """
-        design = self.design[:, self.free]
-        precision = tau * (design.T @ design) + self.prior_diag
+        if self.gram is None:
+            design = self.design[:, self.free]
+            gram = design.T @ design
+        else:
+            design, gram = self.free_design, self.gram
+        precision = tau * gram + self.prior_diag
         rhs = tau * (design.T @ resid) + self.prior_shift
         mean, upper = _gaussian_block(precision, rhs, self.label)
         out = values.copy()
@@ -361,7 +375,7 @@ def _prepare(model: JointModel) -> _Sampler:
         y=model.y[reg_rows],
         trials=model.trials[reg_rows],
         beta=_Coefficients.of(_BETA_BLOCK, betas, reg_rows.size),
-        alpha=_Coefficients.of(_ALPHA_BLOCK, alphas, model.n_x),
+        alpha=_Coefficients.of(_ALPHA_BLOCK, alphas, model.n_x, static=True),
         n_x=model.n_x,
         x_index=x_index,
         x_counts=np.bincount(x_index, minlength=model.n_x),

@@ -356,6 +356,12 @@ class JointModel:
         n_prox = 0 if self.proxy_obs is None else int(self.proxy_obs.size)
         return (n_reg, n_exp, n_prox)
 
+    @property
+    def n_rows(self) -> int:
+        """Stacked rows of the conditional: the three blocks, plus the copy
+        links of an augmented model."""
+        return sum(self.block_sizes) + (self.n_x if self.is_augmented else 0)
+
     def latent_names(self) -> tuple:
         names = [c.name for c in self.coefficients if c.free]
         for blk in ("x", "x_star", "gamma"):
@@ -617,12 +623,13 @@ class LatentBlocks:
     s x s matrices fill entries flat0 .. flat0 + count*s*s of one flat
     array of length n_flat, where `diag` indexes each slot's diagonal.
 
-    Design rows scatter into this structure through fixed indices: row r
-    has its local entries in slots[r] (N x q) and its q x q local pairs in
-    the flat array at pair_index (raveled N x q x q). Only the first
-    n_global_rows rows (regression and exposure) have global coefficients;
-    their local-global products land in the row-major m x p border at
-    border_index (raveled n_global_rows x q x p).
+    Design rows scatter into this structure through fixed indices, laid
+    out with the row axis last: entry j of row r sits in slot slots[j, r]
+    (q x N) and its pair with entry k at pair_index[j, k, r] (q x q x N) of
+    the flat array. Only the first n_global_rows rows (regression and
+    exposure) have global coefficients; the product of entry j with global
+    column c lands in the row-major m x p border at border_index[j, c, r]
+    (q x p x n_global_rows).
     """
 
     p: int
@@ -635,11 +642,27 @@ class LatentBlocks:
     pair_index: np.ndarray
     n_global_rows: int
     border_index: np.ndarray
+    _batched: dict = field(default_factory=dict, repr=False)
+
+    def scatter_index(self, name: str, K: int) -> np.ndarray:
+        """Raveled index array `name` (slots, pair_index or border_index) for
+        K points, point k's bins offset by k times one point's bin count.
+
+        The index for K points is a prefix of the index for more, so the
+        largest one built is kept and sliced.
+        """
+        base = getattr(self, name)
+        index = self._batched.get(name)
+        if index is None or index.size < K * base.size:
+            bins = {"slots": self.m, "pair_index": self.n_flat, "border_index": self.m * self.p}[name]
+            index = (base.reshape(1, -1) + bins * np.arange(K)[:, None]).ravel()
+            self._batched[name] = index
+        return index[:K * base.size]
 
     def to_latent(self, w: np.ndarray) -> np.ndarray:
-        """Reorder a work vector (or the rows of a work matrix) to latent order."""
+        """Reorder work vectors (the last axis of w) to latent order."""
         out = np.empty_like(w)
-        out[self.perm] = w
+        out[..., self.perm] = w
         return out
 
 
@@ -686,7 +709,7 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         slot0 += count * s
         flat0 += count * s * s
 
-    slots = slot[cols - p]
+    slots = np.ascontiguousarray(slot[cols - p].T)
     return LatentBlocks(
         p=p,
         m=m,
@@ -695,9 +718,9 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         n_flat=flat0,
         diag=row_start + col_in_block,
         slots=slots,
-        pair_index=(row_start[slots][:, :, None] + col_in_block[slots][:, None, :]).ravel(),
+        pair_index=row_start[slots][:, None, :] + col_in_block[slots][None, :, :],
         n_global_rows=n_global_rows,
-        border_index=(slots[:n_global_rows, :, None] * p + np.arange(p)).ravel(),
+        border_index=slots[:, None, :n_global_rows] * p + np.arange(p)[None, :, None],
     )
 
 
@@ -722,12 +745,18 @@ class Conditional:
     trials_ng holds their trials and ng_c0 their summed normalizing
     constant. The latent prior is independent, with precisions prior_prec
     and precision-weighted means bp. blocks is the model's block-arrowhead
-    structure.
+    structure. row_gram holds the outer products A[r, a] * A[r, b] of the
+    global rows, one row per pair (a, b) in row-major order (p*p x
+    n_global_rows), from which the global block of the Hessian is summed.
 
     `_design` builds one theta-free Conditional per model, and
     `assemble_conditional` copies it with the theta-dependent values filled
     in: the beta_x entries of vals, gauss_hess and gauss_const, and the
-    random-effect part of prior_prec and prior_c0.
+    random-effect part of prior_prec and prior_c0. A batched Conditional,
+    assembled at K hyperparameter points at once, gives exactly these five
+    fields a leading axis of length K (vals K x N x q, gauss_hess K x N,
+    prior_prec K x d, gauss_const and prior_c0 of length K); every other
+    field is shared by the K points.
     """
 
     dim: int
@@ -749,24 +778,54 @@ class Conditional:
     bp: np.ndarray
     prior_c0: float
     blocks: LatentBlocks
+    row_gram: np.ndarray
+
+    def as_batch(self) -> "Conditional":
+        """This conditional as a batch of one point (a batched one unchanged)."""
+        if self.gauss_hess.ndim == 2:
+            return self
+        return replace(self, vals=self.vals[None], gauss_hess=self.gauss_hess[None],
+                       gauss_const=np.array([self.gauss_const]), prior_prec=self.prior_prec[None],
+                       prior_c0=np.array([self.prior_c0]))
+
+    def subset(self, points) -> "Conditional":
+        """The batched conditional at the points indexed (or masked) by points."""
+        return replace(self, vals=self.vals[points], gauss_hess=self.gauss_hess[points],
+                       gauss_const=self.gauss_const[points], prior_prec=self.prior_prec[points],
+                       prior_c0=self.prior_c0[points])
 
     def eta(self, v: np.ndarray) -> np.ndarray:
-        """Linear predictor of every stacked row at latent vector v."""
-        local = (self.vals * v[self.cols]).sum(axis=1)
-        return self.A @ v[:self.A.shape[1]] + local + self.offset
+        """Linear predictor of every stacked row at latent vector v.
 
-    def log_density(self, v: np.ndarray) -> float:
-        """log p(y | v, theta) + log p(v | theta), constants included."""
+        On a batched conditional v is K x d and the result K x N. The
+        global part is one matrix product per point, so a point's value
+        does not depend on the batch it is in.
+        """
+        k = self.blocks.n_global_rows
+        eta = np.empty(v.shape[:-1] + self.offset.shape)
+        eta[...] = self.offset
+        for j in range(self.cols.shape[1]):
+            eta += self.vals[..., j] * v[..., self.cols[:, j]]
+        eta[..., :k] += (v[..., None, :self.A.shape[1]] @ self.A[:k].T)[..., 0, :]
+        return eta
+
+    def log_density(self, v: np.ndarray):
+        """log p(y | v, theta) + log p(v | theta), constants included.
+
+        A float at latent vector v, or one value per point at the K x d
+        rows of v on a batched conditional.
+        """
         eta = self.eta(v)
         rows = self.gauss_rows
-        res = self.obs[rows] - eta[rows]
-        val = self.gauss_const - 0.5 * float((self.gauss_hess[rows] * res * res).sum())
+        res = self.obs[rows] - eta[..., rows]
+        val = self.gauss_const - 0.5 * (self.gauss_hess[..., rows] * res * res).sum(axis=-1)
         if self.trials_ng is not None:
             rows = self.reg_slice
-            val += float(families.loglik(self.family, self.obs[rows], self.trials_ng, eta[rows]).sum())
-            val += self.ng_c0
-        val += self.prior_c0 + float(self.bp @ v) - 0.5 * float((self.prior_prec * v) @ v)
-        return val
+            terms = families.loglik(self.family, self.obs[rows], self.trials_ng, eta[..., rows])
+            val = val + terms.sum(axis=-1) + self.ng_c0
+        val = (val + self.prior_c0 + (self.bp * v).sum(axis=-1)
+               - 0.5 * (self.prior_prec * v * v).sum(axis=-1))
+        return float(val) if np.ndim(val) == 0 else val
 
 
 def _design(model: JointModel) -> tuple:
@@ -787,11 +846,13 @@ def _design(model: JointModel) -> tuple:
     d = layout.dim
     rr = model.reg_rows
     n_reg, n_exp, n_prox = model.block_sizes
-    n_copy = model.n_x if model.is_augmented else 0
-    N = n_reg + n_exp + n_prox + n_copy
+    N = model.n_rows
+    n_copy = N - n_reg - n_exp - n_prox
     p = sum(c.free for c in model.coefficients)
 
-    A = np.zeros((N, p))
+    # A is the transpose of a p x N array, so the matrix products of the
+    # engine read each global column contiguously
+    A = np.zeros((p, N)).T
     obs = np.zeros(N)
     offset = np.zeros(N)
     reg_slice = slice(0, n_reg)
@@ -906,6 +967,7 @@ def _design(model: JointModel) -> tuple:
         bp=bp,
         prior_c0=const,
         blocks=_latent_blocks(layout, p, model.x_index, cols, n_reg + n_exp),
+        row_gram=(A[:n_reg + n_exp].T[:, None, :] * A[:n_reg + n_exp].T[None, :, :]).reshape(p * p, n_reg + n_exp),
     )
     cache["design"] = (template, precisions, beta_at, beta_sign[beta_at])
     return cache["design"]
@@ -916,34 +978,46 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
 
     Copies the model's theta-free Conditional (`_design`) with the beta_x
     coefficients of the local entries, the row precisions of its
-    row-precision table and the random-effect prior filled in.
+    row-precision table and the random-effect prior filled in. A K x m
+    theta gives the batched Conditional of its K rows; a point's values are
+    the same in any batch.
     """
-    theta = model.theta.validate(theta)
+    thetas = np.asarray(theta, dtype=float)
+    batched = thetas.ndim == 2
+    if batched:
+        points = [model.theta.named(model.theta.validate(t)) for t in thetas]
+    else:
+        points = [model.theta.named(model.theta.validate(thetas))]
+    K = len(points)
     cond, precisions, beta_at, beta_sign = _design(model)
-    named = model.theta.named(theta)
 
-    vals = cond.vals
+    def column(name):
+        return np.array([named[name] for named in points])[:, None]
+
+    vals = np.repeat(cond.vals[None], K, axis=0)
     if beta_sign.size:
-        vals = vals.copy()
-        vals[beta_at] = beta_sign * named["beta_x"]
+        vals[(slice(None),) + beta_at] = beta_sign * column("beta_x")
 
-    gauss_hess = np.empty(cond.obs.size)
+    gauss_hess = np.empty((K, cond.obs.size))
     for rows, name, factor in precisions:
-        gauss_hess[rows] = factor if name is None else named[name] * factor
-    gauss_const = 0.5 * float((np.log(gauss_hess[cond.gauss_rows]) - LOG_2PI).sum())
+        gauss_hess[:, rows] = factor if name is None else column(name) * factor
+    gauss_const = 0.5 * (np.log(gauss_hess[:, cond.gauss_rows]) - LOG_2PI).sum(axis=-1)
 
     # latent prior; only the random-effect precision depends on theta
-    prior_prec = cond.prior_prec
-    prior_c0 = cond.prior_c0
+    prior_prec = np.repeat(cond.prior_prec[None], K, axis=0)
+    prior_c0 = np.full(K, cond.prior_c0)
     s = model.layout.slice("gamma")
     if s is not None:
-        tau_gamma = named["tau_gamma"]
-        prior_prec = prior_prec.copy()
-        prior_prec[s] = tau_gamma
-        prior_c0 += 0.5 * (s.stop - s.start) * (math.log(tau_gamma) - LOG_2PI)
+        tau_gamma = column("tau_gamma")
+        prior_prec[:, s] = tau_gamma
+        prior_c0 += 0.5 * (s.stop - s.start) * (np.log(tau_gamma[:, 0]) - LOG_2PI)
 
-    return replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_const=gauss_const,
-                   prior_prec=prior_prec, prior_c0=prior_c0)
+    out = replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_const=gauss_const,
+                  prior_prec=prior_prec, prior_c0=prior_c0)
+    if batched:
+        return out
+    return replace(out, vals=vals[0], gauss_hess=gauss_hess[0], gauss_const=float(gauss_const[0]),
+                   prior_prec=prior_prec[0], prior_c0=float(prior_c0[0]))
 
 
 def joint_log_density(model: JointModel, v, theta) -> float:

@@ -254,8 +254,12 @@ def _reported(chain: ChainOutput) -> list:
 
 
 def _grid_diagnostics(method: str, grid: IntegrationGrid) -> list:
-    """Stdout warnings for a grid cut short by its point cap or by failed solves."""
-    lines = []
+    """Stdout lines: the grid's size and latent solve counts, and warnings
+    for a grid cut short by its point cap or by failed solves."""
+    lines = [
+        "%s: grid %d points, %d latent solves, %d Newton iterations"
+        % (method, grid.size, grid.solves, grid.newton_iters)
+    ]
     if grid.truncated:
         lines.append("warning: %s grid hit its point cap at %d points" % (method, grid.size))
     if grid.skipped:

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import meglm.approx
 import meglm.gaussian
 import meglm.model
 from meglm.approx import (
+    GRID_POINT_CAP,
     IntegrationGrid,
     _explore_lattice,
     explore_grid,
@@ -22,8 +24,8 @@ from meglm.approx import (
     log_hyperposterior,
     mixture_marginal,
 )
-from meglm.data import Dataset
-from meglm.errors import NumericError, SpecError
+from meglm.data import Dataset, parse_model_config
+from meglm.errors import SpecError
 from meglm.gaussian import exact_linear_gaussian_posterior, latent_gaussian_approx
 from meglm.model import (
     ErrorModel,
@@ -37,6 +39,7 @@ from meglm.model import (
     joint_log_density,
 )
 from meglm.priors import LOG_2PI, FixedValue, GammaPrior, GaussianPrior
+from meglm.studies import make_recipe, simulate_study
 
 
 def linear_two_free_model():
@@ -272,8 +275,8 @@ class TestExploreGrid:
     def test_quadratic_cutoff_span(self):
         center, scale = 1.3, 0.7
 
-        def lp(lam):
-            return -0.5 * ((lam[0] - center) / scale) ** 2
+        def lp(lams):
+            return -0.5 * ((lams[:, 0] - center) / scale) ** 2
 
         curvature = np.array([[1.0 / scale ** 2]])
         _, thetas, log_post, _, truncated = _explore_lattice(
@@ -306,16 +309,19 @@ class TestExploreGrid:
         model = bernoulli_toy_model()
         full = explore_grid(model, dz=0.5, diff_logdens=6.0)
         mode = meglm.approx._find_hyper_mode(model)
-        real_solve = meglm.approx.latent_gaussian_approx
+        real_assemble = meglm.gaussian.assemble_conditional
 
-        def solve_below_mode(model, theta, init=None):
-            if model.theta.to_internal(theta)[0] > mode[0][0]:
-                raise NumericError("synthetic inner-solve failure")
-            return real_solve(model, theta, init=init)
+        def fail_above_mode(model, thetas):
+            # negative row precisions make every point above the mode's
+            # local block non-positive-definite, so its solve fails
+            cond = real_assemble(model, thetas)
+            lams = np.array([model.theta.to_internal(t) for t in np.atleast_2d(thetas)])
+            cond.gauss_hess[lams[:, 0] > mode[0][0]] *= -1.0
+            return cond
 
         # the walk sees the same mode, then every point above it fails
-        monkeypatch.setattr(meglm.approx, "_find_hyper_mode", lambda m: mode)
-        monkeypatch.setattr(meglm.approx, "latent_gaussian_approx", solve_below_mode)
+        monkeypatch.setattr(meglm.approx, "_find_hyper_mode", lambda m, tally=None: mode)
+        monkeypatch.setattr(meglm.gaussian, "assemble_conditional", fail_above_mode)
         grid = explore_grid(model, dz=0.5, diff_logdens=6.0)
         assert full.skipped == 0
         assert grid.skipped == 1
@@ -353,12 +359,19 @@ class TestExploreGrid:
     def test_mode_search_solve_count(self, monkeypatch):
         calls = []
         real_solve = meglm.approx.latent_gaussian_approx
+        real_batches = meglm.approx.latent_gaussian_batches
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real_solve(*args, **kwargs)
 
+        def counting_batches(model, thetas, init=None):
+            # one entry per hyperparameter point of the batch
+            calls.extend(np.atleast_2d(thetas))
+            return real_batches(model, thetas, init)
+
         monkeypatch.setattr(meglm.approx, "latent_gaussian_approx", counting)
+        monkeypatch.setattr(meglm.approx, "latent_gaussian_batches", counting_batches)
         mode, curvature, _, _ = meglm.approx._find_hyper_mode(bernoulli_toy_model())
         # one solve at the prior point, then three two-point stencils with an
         # accepted step between them
@@ -384,6 +397,119 @@ class TestExploreGrid:
     def test_non_finite_settings_are_rejected(self, setting, value):
         with pytest.raises(SpecError, match="%s must be finite and positive" % setting):
             explore_grid(bernoulli_toy_model(), **{setting: value})
+
+
+def fifo_walk(lp, mode, axes, dz, diff_logdens, cap):
+    """The one-point-at-a-time breadth-first walk the batched walk must equal.
+
+    Returns the retained keys in retention order, the keys in evaluation
+    order, and the truncation flag.
+    """
+    m = mode.size
+    origin = (0,) * m
+    lp0 = lp(mode + axes @ (dz * np.zeros(m)))
+    retained, visited, queue = {origin: lp0}, {origin}, deque([origin])
+    evaluated = [origin]
+    truncated = False
+    while queue and not truncated:
+        base = queue.popleft()
+        for j in range(m):
+            if truncated:
+                break
+            for sign in (1, -1):
+                if len(retained) >= cap:
+                    truncated = True
+                    break
+                key = base[:j] + (base[j] + sign,) + base[j + 1:]
+                if key in visited:
+                    continue
+                visited.add(key)
+                evaluated.append(key)
+                val = lp(mode + axes @ (dz * np.asarray(key, dtype=float)))
+                if np.isfinite(val) and val >= lp0 - diff_logdens:
+                    retained[key] = val
+                    queue.append(key)
+    return list(retained), evaluated, truncated
+
+
+class TestBatchedWalk:
+    """The level-synchronous walk and the batched solves behind it."""
+
+    @staticmethod
+    def surface(lam):
+        # an anisotropic, skewed log posterior with a hole where it cannot
+        # be evaluated
+        if lam[0] > 1.6 and lam[1] < -0.2:
+            return -np.inf
+        return (-0.5 * (lam[0] ** 2 + 2.0 * lam[1] ** 2 + 0.8 * lam[0] * lam[1])
+                + 0.3 * lam[0] ** 3 - 0.2 * lam[0] ** 4)
+
+    @pytest.mark.parametrize("cap", [GRID_POINT_CAP, 122, 40, 41, 7])
+    def test_shells_retain_what_the_fifo_walk_retains(self, cap):
+        mode = np.zeros(2)
+        curvature = np.array([[1.0, 0.4], [0.4, 2.0]])
+        calls = []
+
+        def lp(lams):
+            calls.append(np.array(lams))
+            return np.array([self.surface(lam) for lam in lams])
+
+        keys, thetas, log_post, axes, truncated = _explore_lattice(
+            lp, mode, curvature, dz=0.4, diff_logdens=5.0, cap=cap
+        )
+        order, evaluated, fifo_truncated = fifo_walk(self.surface, mode, axes, 0.4, 5.0, cap)
+        assert truncated == fifo_truncated == (cap < GRID_POINT_CAP)
+        assert keys == sorted(order)
+        assert log_post.tolist() == [self.surface(t) for t in thetas]
+        # the shells evaluate the FIFO walk's points in its order; a capped
+        # walk may also evaluate the rest of its last shell
+        solved = np.concatenate(calls)
+        points = np.array([mode + axes @ (0.4 * np.asarray(k, dtype=float)) for k in evaluated])
+        assert np.array_equal(solved[:len(points)], points)
+        assert len(solved) == len(points) or truncated
+        assert len(calls) < len(points)
+
+    @pytest.mark.parametrize("make", [linear_two_free_model, bernoulli_toy_model])
+    def test_one_point_batches_give_the_same_grid(self, make, monkeypatch):
+        model = make()
+        grid = explore_grid(model, dz=0.5, diff_logdens=6.0)
+        monkeypatch.setattr(meglm.gaussian, "BATCH_ELEMENTS", 1)
+        single = explore_grid(model, dz=0.5, diff_logdens=6.0)
+        for name in ("thetas", "log_post", "weights", "mode", "axes", "latent_mean", "latent_sd"):
+            assert np.array_equal(getattr(grid, name), getattr(single, name)), name
+        assert (grid.solves, grid.newton_iters, grid.skipped) == (
+            single.solves, single.newton_iters, single.skipped)
+
+    def test_study_grid_does_not_depend_on_batch_size(self, monkeypatch):
+        sim = simulate_study(make_recipe("framingham_like", n=60, beta_0=-1.4, seed=42))
+        model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
+        grid = explore_grid(model, dz=1.0, diff_logdens=3.0)
+        monkeypatch.setattr(meglm.gaussian, "BATCH_ELEMENTS", 3 * model.n_rows)
+        small = explore_grid(model, dz=1.0, diff_logdens=3.0)
+        assert grid.size > 10
+        for name in ("thetas", "log_post", "latent_mean", "latent_sd"):
+            assert np.array_equal(getattr(grid, name), getattr(small, name)), name
+
+    def test_solve_counts_cover_mode_search_and_walk(self, monkeypatch):
+        calls = []
+        real_solve = meglm.approx.latent_gaussian_approx
+        real_batches = meglm.approx.latent_gaussian_batches
+
+        def counting(*args, **kwargs):
+            approx = real_solve(*args, **kwargs)
+            calls.append(approx.converged_in)
+            return approx
+
+        def counting_batches(model, thetas, init=None):
+            for batch in real_batches(model, thetas, init):
+                calls.extend(batch.converged_in)
+                yield batch
+
+        monkeypatch.setattr(meglm.approx, "latent_gaussian_approx", counting)
+        monkeypatch.setattr(meglm.approx, "latent_gaussian_batches", counting_batches)
+        grid = explore_grid(linear_two_free_model(), dz=0.5, diff_logdens=6.0)
+        assert grid.solves == len(calls) > grid.size
+        assert grid.newton_iters == sum(calls) > 0
 
 
 class TestLatentMarginal:

@@ -8,9 +8,11 @@ import pytest
 
 import meglm.cli as cli
 import meglm.report as report
+from meglm.approx import explore_grid
 from meglm.data import Dataset, read_model_config
 from meglm.errors import NumericError
 from meglm.mcmc import ChainConfig, effective_sample_size
+from meglm.model import build_joint_model
 from meglm.report import ESS_WARNING_FLOOR, mcmc_marginals
 from meglm.studies import IbexRecipe, simulate_study, write_study
 
@@ -127,7 +129,8 @@ class TestFit:
     def test_malformed_csv_names_offending_row(self, study_dir, tmp_path, capsys):
         _, files = study_dir
         bad = tmp_path / "bad.csv"
-        lines = open(files["data"]).read().splitlines()
+        with open(files["data"]) as fh:
+            lines = fh.read().splitlines()
         lines[3] = lines[3].replace(lines[3].split(",")[0], "not-a-number", 1)
         bad.write_text("\n".join(lines) + "\n")
         code = run_cli(
@@ -245,6 +248,22 @@ class TestFit:
         for path in written:
             twin = tmp_path / "flagged" / path.relative_to(tmp_path / "clean")
             assert twin.read_bytes() == path.read_bytes()
+
+    def test_grid_fit_prints_its_solve_counts(self, study_dir, tmp_path, capsys):
+        _, files = study_dir
+        code = run_cli(
+            "fit", "--config", files["config"], "--data", files["data"],
+            "--method", "laplace", "--outdir", str(tmp_path / "out"),
+            "--dz", "1.0", "--diff-logdens", "4",
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        model = build_joint_model(read_model_config(files["config"]), Dataset.from_csv(files["data"]))
+        grid = explore_grid(model, dz=1.0, diff_logdens=4.0)
+        assert grid.solves >= grid.size > 1 and grid.newton_iters > 0
+        line = "laplace: grid %d points, %d latent solves, %d Newton iterations" % (
+            grid.size, grid.solves, grid.newton_iters)
+        assert line in out
 
     def test_compare_rejects_duplicates_and_junk(self, study_dir, tmp_path, capsys):
         junk = tmp_path / "junk.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import linalg, optimize, stats
 
+import meglm.gaussian
 from meglm import families
 from meglm.data import Dataset, parse_model_config
 from meglm.errors import NumericError, SpecError
@@ -16,9 +17,11 @@ from meglm.gaussian import (
     _factor,
     _grad_hess,
     _newton,
+    _solve_one,
     exact_linear_gaussian_posterior,
     gaussian_logpdf,
     latent_gaussian_approx,
+    latent_gaussian_batches,
 )
 from meglm.model import (
     ErrorModel,
@@ -359,8 +362,8 @@ class TestArrowheadAgainstDense:
         approx = latent_gaussian_approx(model, theta)
 
         # the blocks hold exactly the dense Hessian of the compact rows
-        _, blocks_H = _grad_hess(cond, approx.mode)
-        dense_H = dense_from_blocks(cond.blocks, blocks_H)
+        _, blocks_H = _grad_hess(cond.as_batch(), approx.mode[None])
+        dense_H = dense_from_blocks(cond.blocks, tuple(a[0] for a in blocks_H))
         _, ref_H = dense_gradient_and_hessian(cond, approx.mode)
         assert rel_gap(dense_H, ref_H) < 1.0e-12
 
@@ -399,14 +402,15 @@ class TestRidgeAndFailure:
 
     def test_ridge_rescues_a_singular_block(self):
         cond = assemble_conditional(linear_gaussian_model(), self.theta)
-        _, (gg, lg, ll) = _grad_hess(cond, np.zeros(cond.dim))
+        _, (gg, lg, ll) = _grad_hess(cond.as_batch(), np.zeros((1, cond.dim)))
         blocks = cond.blocks
         lg, ll = lg.copy(), ll.copy()
-        lg[0] = 0.0
-        ll[blocks.diag[0]] = 0.0
-        F = _factor(blocks, (gg, lg, ll))
-        ridged = dense_from_blocks(blocks, (gg, lg, ll)) + RIDGE * np.eye(cond.dim)
-        assert F.log_det == pytest.approx(np.linalg.slogdet(ridged)[1], rel=1.0e-12)
+        lg[0, 0] = 0.0
+        ll[0, blocks.diag[0]] = 0.0
+        F, ok = _factor(blocks, (gg, lg, ll))
+        assert ok[0]
+        ridged = dense_from_blocks(blocks, (gg[0], lg[0], ll[0])) + RIDGE * np.eye(cond.dim)
+        assert F.log_det[0] == pytest.approx(np.linalg.slogdet(ridged)[1], rel=1.0e-12)
 
     @pytest.mark.parametrize("augmented", [False, True])
     def test_non_pd_local_blocks_raise(self, augmented):
@@ -416,14 +420,14 @@ class TestRidgeAndFailure:
         cond = assemble_conditional(model, self.theta)
         cond.gauss_hess = -cond.gauss_hess
         with pytest.raises(NumericError, match="not positive definite"):
-            _newton(cond, None)
+            _solve_one(cond, None)
 
     def test_non_pd_schur_complement_raises(self):
         cond = assemble_conditional(linear_gaussian_model(), self.theta)
         cond.prior_prec = cond.prior_prec.copy()
         cond.prior_prec[:cond.blocks.p] = -1.0e6
         with pytest.raises(NumericError, match="not positive definite"):
-            _newton(cond, None)
+            _solve_one(cond, None)
 
 
 class TestMemory:
@@ -441,4 +445,85 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def assert_same_solve(a, b):
+    """Two solves of one point agree to the last bit."""
+    assert np.array_equal(a.mode, b.mode)
+    assert a.log_det_precision == b.log_det_precision
+    assert a.log_density_at_mode == b.log_density_at_mode
+    assert np.array_equal(a.marginal_sd(), b.marginal_sd())
+    assert a.converged_in == b.converged_in
+
+
+def spread_thetas(model, count, seed):
+    """count hyperparameter points scattered around the prior-initial point."""
+    lam0 = model.theta.to_internal(model.theta.init_natural())
+    rng = np.random.default_rng(seed)
+    lams = lam0 + 0.5 * rng.standard_normal((count, lam0.size))
+    return np.array([model.theta.to_natural(lam) for lam in lams])
+
+
+class TestBatch:
+    """Solves of many hyperparameter points at once."""
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    @pytest.mark.parametrize("study", ["ibex", "framingham", "seedling"])
+    def test_point_in_a_batch_of_fifty_equals_its_solo_solve(self, study, augmented):
+        model = study_model(study, augmented)
+        thetas = spread_thetas(model, 50, seed=4)
+        init = latent_gaussian_approx(model, model.theta.init_natural()).mode
+        batch = _newton(assemble_conditional(model, thetas), init)
+        assert all(err is None for err in batch.error)
+        for k in (0, 17, 49):
+            solo = latent_gaussian_approx(model, thetas[k], init=init)
+            assert_same_solve(batch.approx(k), solo)
+            assert np.array_equal(batch.marginal_sd([k])[0], solo.marginal_sd())
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_one_non_pd_point_fails_alone(self, augmented):
+        model = study_model("seedling", augmented)
+        thetas = spread_thetas(model, 6, seed=2)
+        cond = assemble_conditional(model, thetas)
+        cond.gauss_hess[3] = -cond.gauss_hess[3]
+        batch = _newton(cond, None)
+        assert isinstance(batch.error[3], NumericError)
+        assert "not positive definite" in str(batch.error[3])
+        with pytest.raises(NumericError, match="not positive definite"):
+            batch.approx(3)
+        for k in (0, 1, 2, 4, 5):
+            assert batch.error[k] is None
+            assert_same_solve(batch.approx(k), latent_gaussian_approx(model, thetas[k]))
+
+    def test_batches_cover_every_point_in_order(self, monkeypatch):
+        model = study_model("framingham", False)
+        thetas = spread_thetas(model, 7, seed=3)
+        monkeypatch.setattr(meglm.gaussian, "BATCH_ELEMENTS", 3 * model.n_rows)
+        batches = list(latent_gaussian_batches(model, thetas))
+        assert [b.size for b in batches] == [3, 3, 1]
+        modes = np.concatenate([b.mode for b in batches])
+        for k in range(7):
+            assert np.array_equal(modes[k], latent_gaussian_approx(model, thetas[k]).mode)
+
+
+class TestBatchMemory:
+    def test_two_hundred_point_batch_stays_bounded(self):
+        # one unchunked batch of 200 points at N = 8000 stacked rows would
+        # hold hundreds of MB of working arrays; the chunks hold a few MB
+        sim = simulate_study(make_recipe("framingham", n=2000, beta_0=-1.4, seed=42))
+        model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
+        thetas = spread_thetas(model, 200, seed=6)
+        init = latent_gaussian_approx(model, model.theta.init_natural()).mode
+        tracemalloc.start()
+        try:
+            solved = 0
+            for batch in latent_gaussian_batches(model, thetas, init):
+                assert all(err is None for err in batch.error)
+                batch.marginal_sd(np.arange(batch.size))
+                solved += batch.size
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solved == 200
         assert peak < 16 * 2**20

@@ -56,7 +56,8 @@ class TestDeterminism:
         assert spec.observation.family == "poisson"
         import json
 
-        truth = json.loads(open(paths["truth"]).read())
+        with open(paths["truth"]) as fh:
+            truth = json.load(fh)
         assert truth["study"] == SEEDLING_LIKE
         assert len(truth["x"]) == 15
 
