@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericError, SpecError
 from .gaussian import latent_gaussian_approx, latent_gaussian_batches
@@ -618,6 +617,10 @@ def hyper_marginal(grid: IntegrationGrid, j: int) -> PosteriorMarginal:
     else:
         lam_grid = values
         jac = np.ones_like(values)
+    # imported here, not by `import meglm`: scipy.interpolate alone takes
+    # most of a second to load
+    from scipy.interpolate import CubicSpline
+
     # through three centers the not-a-knot spline is their interpolating parabola
     log_density = CubicSpline(centers, log_f, bc_type="not-a-knot")(lam_grid)
     density = np.exp(np.asarray(log_density, dtype=float)) * jac

@@ -17,15 +17,14 @@ Implemented operations
 The Gamma quantile fit finds the shape from the quantile ratio (which is
 free of the rate), then scales the rate to the lower target. The
 regularized incomplete gamma function, its inverse and the normal quantile
-come from scipy.special (gammainc, gammaincinv, ndtri).
+come from scipy.special (gammainc, gammaincinv, ndtri), and the root from
+scipy.optimize; each function imports what it uses, so `import meglm` does
+not load them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincinv, ndtri
 
 from .errors import NumericError, SpecError
 
@@ -72,6 +71,8 @@ def regularized_gamma_p(a: float, x: float) -> float:
         raise SpecError("shape must be > 0")
     if not x >= 0.0:
         raise SpecError("argument must be >= 0")
+    from scipy.special import gammainc
+
     return float(gammainc(a, x))
 
 
@@ -91,6 +92,8 @@ def _gamma_log_quantile(p: float, shape: float) -> float:
     approx = (math.log(p) + math.lgamma(shape + 1.0)) / shape
     if approx < -650.0:
         return approx
+    from scipy.special import gammaincinv
+
     return math.log(float(gammaincinv(shape, p)))
 
 
@@ -108,6 +111,9 @@ def gamma_from_quantiles(
     NumericError if the fitted CDF misses either target probability by more
     than 1e-8.
     """
+    from scipy.optimize import brentq
+    from scipy.special import gammaincinv
+
     _check_targets(q_lo, q_hi, p_lo, p_hi)
     log_target = math.log(q_hi) - math.log(q_lo)
 
@@ -151,6 +157,8 @@ def lognormal_from_quantiles(
     symmetric probabilities this reduces to mu = (ln q_lo + ln q_hi) / 2 and
     sigma = (ln q_hi - ln q_lo) / (2 z).
     """
+    from scipy.special import ndtri
+
     _check_targets(q_lo, q_hi, p_lo, p_hi)
     z_lo = float(ndtri(p_lo))
     z_hi = float(ndtri(p_hi))

@@ -9,8 +9,9 @@ the binomial trials (ignored by the Poisson) row by row with eta.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import expit, gammaln, xlogy
 
 from .errors import DataError, SpecError
 
@@ -24,6 +25,18 @@ __all__ = [
 ]
 
 FAMILIES = ("gaussian", "binomial", "poisson")
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on the first call rather than by `import meglm`.
+
+    Cached, so the Newton loops calling `score_weight` run no import
+    statement after the first.
+    """
+    import scipy.special
+
+    return scipy.special
 
 
 def _unknown(family: str) -> SpecError:
@@ -65,6 +78,7 @@ def loglik(family: str, y: np.ndarray, trials: np.ndarray, eta: np.ndarray) -> n
 
 def log_normalizer(family: str, y: np.ndarray, trials: np.ndarray) -> float:
     """Summed eta-free constant: log C(trials, y) (binomial) or -log y! (Poisson)."""
+    gammaln = _special().gammaln
     if family == "binomial":
         return float(np.sum(gammaln(trials + 1.0) - gammaln(y + 1.0) - gammaln(trials - y + 1.0)))
     if family == "poisson":
@@ -75,7 +89,7 @@ def log_normalizer(family: str, y: np.ndarray, trials: np.ndarray) -> float:
 def score_weight(family: str, y: np.ndarray, trials: np.ndarray, eta: np.ndarray):
     """Score s = d loglik / d eta and curvature weight W = -d2 loglik / d eta2."""
     if family == "binomial":
-        p = expit(eta)
+        p = _special().expit(eta)
         mu = trials * p
         return y - mu, mu * (1.0 - p)
     if family == "poisson":
@@ -86,8 +100,9 @@ def score_weight(family: str, y: np.ndarray, trials: np.ndarray, eta: np.ndarray
 
 def deviance(family: str, y: np.ndarray, trials: np.ndarray, eta: np.ndarray) -> float:
     """Twice the log-likelihood of the saturated model minus that at eta."""
+    xlogy = _special().xlogy
     if family == "binomial":
-        mu = trials * expit(eta)
+        mu = trials * _special().expit(eta)
         return 2.0 * float(
             np.sum(xlogy(y, y) - xlogy(y, mu) + xlogy(trials - y, trials - y)
                    - xlogy(trials - y, trials - mu))

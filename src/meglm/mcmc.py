@@ -21,12 +21,12 @@ generator (Philox) seeded explicitly, so chains are reproducible bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from . import families
 from .errors import NumericError, SpecError
@@ -202,6 +202,17 @@ def _gaussian_block(precision: np.ndarray, rhs: np.ndarray, block: str) -> tuple
     return _solve_upper(upper, half, trans=0), upper
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported on the first triangular solve.
+
+    Cached, so a chain sweep's solves run no import statement.
+    """
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _solve_upper(upper: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
     """Solve U z = rhs (trans=0) or U.T z = rhs (trans=1) for upper triangular U.
 
@@ -209,7 +220,7 @@ def _solve_upper(upper: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
     passes for a Cholesky factor, so results are bit for bit the same,
     without scipy's per-call validation; callers check finiteness.
     """
-    out, info = dtrtrs(upper, rhs, lower=0, trans=trans)
+    out, info = _lapack().dtrtrs(upper, rhs, lower=0, trans=trans)
     if info != 0:
         raise NumericError("triangular solve failed (LAPACK trtrs info %d)" % info)
     return out
@@ -240,9 +251,15 @@ class _Coefficients:
     precision and keeps its value. free and fixed hold the positions of
     the free and the fixed coefficients; prior_diag and prior_shift are the
     prior precision matrix and precision-weighted mean of the free ones.
-    A block whose design never changes (static) keeps its free columns and
-    their Gram matrix in free_design and gram; the regression block's x
-    column changes every sweep, so it forms them in each draw.
+
+    The regression block's x column is rewritten every sweep; every other
+    column is fixed for the chain. free_design is a persistent column-major
+    copy of the free columns, the layout of design[:, free], which the
+    draws' bits were fixed with; when x is free, `free_columns` refreshes
+    its copy, at x_slot, in place. What does not involve x is computed once
+    per chain: gram, the free columns' Gram matrix, when x is fixed, and
+    offset, the fixed coefficients' share of the linear predictor, when x
+    is free.
     """
 
     label: str
@@ -254,27 +271,41 @@ class _Coefficients:
     fixed: np.ndarray
     prior_diag: np.ndarray
     prior_shift: np.ndarray
-    free_design: Optional[np.ndarray] = None
-    gram: Optional[np.ndarray] = None
+    free_design: np.ndarray
+    x_slot: Optional[int]
+    gram: Optional[np.ndarray]
+    offset: Optional[np.ndarray]
 
     @classmethod
-    def of(cls, label: str, coefficients: list, rows: int, static: bool = False) -> "_Coefficients":
+    def of(cls, label: str, coefficients: list, rows: int,
+           x_column: Optional[int] = None) -> "_Coefficients":
         columns = [c.column for c in coefficients]
         design = np.column_stack(columns) if columns else np.zeros((rows, 0))
         mean = np.array([c.prior.mean if c.free else c.prior.value for c in coefficients])
         prec = np.array([c.prior.precision if c.free else math.inf for c in coefficients])
         free = np.flatnonzero(np.isfinite(prec))
-        block = cls(label, tuple(c.name for c in coefficients), design, mean, prec, free,
-                    np.flatnonzero(np.isinf(prec)), np.diag(prec[free]), prec[free] * mean[free])
-        if static:
-            # fancy indexing, as in draw, so the products keep their bits
-            block.free_design = design[:, free]
-            block.gram = block.free_design.T @ block.free_design
-        return block
+        fixed = np.flatnonzero(np.isinf(prec))
+        free_design = np.array(design[:, free], order="F")
+        x_slot = free.tolist().index(x_column) if x_column in free else None
+        # a fixed coefficient keeps its value, so the chain's values of the
+        # fixed ones are their means
+        return cls(label, tuple(c.name for c in coefficients), design, mean, prec, free, fixed,
+                   np.diag(prec[free]), prec[free] * mean[free], free_design=free_design,
+                   x_slot=x_slot,
+                   gram=free_design.T @ free_design if x_slot is None else None,
+                   offset=None if x_column in fixed else design[:, fixed] @ mean[fixed])
 
     def fixed_part(self, values: np.ndarray) -> np.ndarray:
         """The fixed coefficients' share of each row's linear predictor."""
+        if self.offset is not None:
+            return self.offset
         return self.design[:, self.fixed] @ values[self.fixed]
+
+    def free_columns(self) -> np.ndarray:
+        """free_design, with the x column copied in from design when x is free."""
+        if self.x_slot is not None:
+            self.free_design[:, self.x_slot] = self.design[:, self.free[self.x_slot]]
+        return self.free_design
 
     def draw(self, rng, values: np.ndarray, tau: float, resid: np.ndarray) -> np.ndarray:
         """Conjugate draw of the free coefficients given Gaussian rows.
@@ -282,11 +313,8 @@ class _Coefficients:
         The rows have precision tau and residuals resid once every term of
         their mean except the free coefficients' is taken off.
         """
-        if self.gram is None:
-            design = self.design[:, self.free]
-            gram = design.T @ design
-        else:
-            design, gram = self.free_design, self.gram
+        design = self.free_columns()
+        gram = design.T @ design if self.gram is None else self.gram
         precision = tau * gram + self.prior_diag
         rhs = tau * (design.T @ resid) + self.prior_shift
         mean, upper = _gaussian_block(precision, rhs, self.label)
@@ -374,8 +402,8 @@ def _prepare(model: JointModel) -> _Sampler:
         family=model.family,
         y=model.y[reg_rows],
         trials=model.trials[reg_rows],
-        beta=_Coefficients.of(_BETA_BLOCK, betas, reg_rows.size),
-        alpha=_Coefficients.of(_ALPHA_BLOCK, alphas, model.n_x, static=True),
+        beta=_Coefficients.of(_BETA_BLOCK, betas, reg_rows.size, x_column=_BETA_X),
+        alpha=_Coefficients.of(_ALPHA_BLOCK, alphas, model.n_x),
         n_x=model.n_x,
         x_index=x_index,
         x_counts=np.bincount(x_index, minlength=model.n_x),
@@ -513,7 +541,8 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
     beta = state.beta.copy()
     if not free.size:
         return beta, 1.0
-    X = sampler.regression_design(state.x)
+    # writes x into the design, where fixed_part and free_columns read it
+    sampler.regression_design(state.x)
     offset = coef.fixed_part(beta)
     if sampler.has_gamma:
         offset = offset + state.gamma
@@ -523,7 +552,7 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
 
     if scale == 0.0:
         return beta, 1.0
-    Xf = X[:, free]
+    Xf = coef.free_columns()
     bf = beta[free]
     bf_new = bf + scale * rng.standard_normal(bf.size)
     eta = Xf @ bf + offset

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .approx import (
     MARGINAL_GRID_SIZE,
@@ -227,6 +226,9 @@ def _chain_marginal(draws: np.ndarray) -> PosteriorMarginal:
     sd = float(np.std(draws, ddof=1))
     if not np.isfinite(sd) or sd <= 0.0:
         raise NumericError("chain draws are degenerate, cannot form a density")
+    # imported on first use: scipy.stats is the slowest scipy module to load
+    from scipy.stats import gaussian_kde
+
     kde = gaussian_kde(draws)
     bandwidth = float(kde.factor) * sd
     lo = float(np.min(draws)) - 3.0 * bandwidth

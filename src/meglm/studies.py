@@ -13,11 +13,11 @@ values. Generation is deterministic given the recipe seed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .errors import SpecError
@@ -55,6 +55,12 @@ def _require_positive(name: str, value: float) -> None:
         raise SpecError("%s must be a positive finite number, got %r" % (name, value))
 
 
+def _require_seed(seed) -> None:
+    # numpy's generators take any nonnegative integer; say so before they do
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise SpecError("recipe seed must be a nonnegative integer, got %r" % (seed,))
+
+
 @dataclass(frozen=True)
 class IbexRecipe:
     """Gaussian response, classical proxy with per-unit error precisions.
@@ -77,6 +83,7 @@ class IbexRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        _require_seed(self.seed)
         if self.n < 3:
             raise SpecError("ibex-like design needs n >= 3, got %d" % self.n)
         for name in ("tau_x", "tau_u", "tau_eps", "weight_c0"):
@@ -108,6 +115,7 @@ class FraminghamRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        _require_seed(self.seed)
         if self.n < 3:
             raise SpecError("framingham-like design needs n >= 3, got %d" % self.n)
         if self.replicates < 1:
@@ -143,6 +151,7 @@ class SeedlingRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        _require_seed(self.seed)
         for name in ("light_conditions", "shadehouses", "defoliation_levels"):
             if getattr(self, name) < 1:
                 raise SpecError("%s must be >= 1, got %d" % (name, getattr(self, name)))
@@ -338,6 +347,8 @@ def _simulate_ibex(recipe: IbexRecipe) -> SimulatedStudy:
 
 
 def _simulate_framingham(recipe: FraminghamRecipe) -> SimulatedStudy:
+    from scipy.special import expit
+
     rng = np.random.default_rng(recipe.seed)
     n = recipe.n
     z = (rng.uniform(size=n) < recipe.smoking_rate).astype(float)
@@ -432,8 +443,6 @@ def simulate_study(recipe) -> SimulatedStudy:
 
 def write_study(sim: SimulatedStudy, directory, stem: Optional[str] = None) -> dict:
     """Write dataset CSV, truth JSON and model INI; returns the paths."""
-    import os
-
     stem = stem or sim.truth.study
     os.makedirs(directory, exist_ok=True)
     paths = {

@@ -83,6 +83,12 @@ class TestSimulate:
         assert run_cli("simulate", "--study", "ibex") == 1
         assert "--seed is required" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one_naming_it(self, tmp_path, capsys):
+        assert run_cli("simulate", "--study", "ibex", "--seed", "-1", "--outdir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("meglm: error: recipe seed") and "-1" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def study_dir(tmp_path_factory):

@@ -1,0 +1,77 @@
+"""Cold start: `import meglm` loads numpy and no scipy submodule.
+
+scipy.interpolate, scipy.stats and the other submodules take over a second
+to load, so each is imported where it is first used. These tests run fresh
+interpreters: one checks what the import loads, the others run the
+commands whose first call reaches each deferred import, so a missing one
+fails here rather than as a NameError in a user's run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import meglm
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(meglm.__file__)))
+
+
+def fresh_python(*args, cwd=None):
+    """Run a new interpreter that imports this checkout's meglm."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=cwd,
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+    )
+
+
+def run_meglm(*argv, cwd=None):
+    proc = fresh_python("-m", "meglm", *argv, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+def test_import_loads_no_scipy_submodule():
+    proc = fresh_python(
+        "-c",
+        "import json, sys, meglm, meglm.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_elicit_commands_in_fresh_interpreters():
+    gamma = json.loads(run_meglm("elicit", "gamma", "--q", "0.5", "2.0"))
+    assert gamma["distribution"] == "gamma" and gamma["shape"] > 0.0
+    lognormal = json.loads(run_meglm("elicit", "lognormal", "--q", "40", "130"))
+    assert lognormal["sigma_sq"] > 0.0
+
+
+def test_framingham_simulation_and_binomial_fit(tmp_path):
+    run_meglm("simulate", "--study", "framingham", "--n", "40", "--seed", "1",
+              "--outdir", "sim", cwd=tmp_path)
+    run_meglm("fit", "--config", "sim/framingham_like_model.ini",
+              "--data", "sim/framingham_like.csv", "--method", "naive",
+              "--outdir", "out", cwd=tmp_path)
+    assert (tmp_path / "out" / "naive_summary.json").is_file()
+
+
+def test_fit_all_on_a_tiny_ibex_design(tmp_path):
+    run_meglm("simulate", "--study", "ibex", "--seed", "1", "--outdir", "sim", cwd=tmp_path)
+    out = run_meglm("fit", "--config", "sim/ibex_like_model.ini", "--data", "sim/ibex_like.csv",
+                    "--method", "all", "--outdir", "out", "--dz", "1.0", "--diff-logdens", "3",
+                    "--iterations", "400", "--burn-in", "100", "--thin", "1", "--seed", "3",
+                    cwd=tmp_path)
+    assert "comparison table" in out
+    marginals = tmp_path / "out" / "marginals"
+    # a spline-interpolated hyperparameter density and a kernel density
+    for name in ("laplace_tau_x.csv", "mcmc_beta_x.csv"):
+        rows = (marginals / name).read_text().splitlines()
+        assert rows[0] == "value,density" and len(rows) > 3

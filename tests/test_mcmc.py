@@ -245,6 +245,28 @@ class TestConjugateBlocks:
         run_chain(model, ChainConfig(iterations=50, burn_in=10, thin=1, seed=3))
         assert len(calls) == 2 * 50
 
+    @pytest.mark.parametrize("beta_x", ["gaussian\nmean = 0\nprecision = 0.0001",
+                                        "fixed\nvalue = -1.2"], ids=["free", "fixed"])
+    def test_per_chain_caches_match_per_sweep_products(self, beta_x):
+        # what is computed once per chain must equal, bit for bit, what a
+        # sweep would compute from the current design and values
+        sim = simulate_study(IbexRecipe(seed=1))
+        config = sim.model_config.replace(
+            "[prior.beta_x]\nkind = gaussian\nmean = 0\nprecision = 0.0001",
+            "[prior.beta_x]\nkind = " + beta_x)
+        sampler = _prepare(build(config, sim.dataset))
+        state = _initial_state(sampler)
+        alpha, beta = sampler.alpha, sampler.beta
+        assert np.array_equal(alpha.fixed_part(state.alpha),
+                              alpha.design[:, alpha.fixed] @ state.alpha[alpha.fixed])
+        state.x = np.random.default_rng(5).normal(size=sampler.n_x)
+        X = sampler.regression_design(state.x)
+        free = beta.free_columns()
+        assert free.flags.f_contiguous and np.array_equal(free, X[:, beta.free])
+        assert np.array_equal(beta.fixed_part(state.beta), X[:, beta.fixed] @ state.beta[beta.fixed])
+        if beta.gram is not None:
+            assert np.array_equal(beta.gram, free.T @ free)
+
     def test_non_finite_exposure_block_raises(self):
         _, sampler, state = ibex_sampler_state()
         state.tau_x = math.nan

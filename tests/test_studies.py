@@ -245,6 +245,12 @@ class TestMakeRecipe:
         with pytest.raises(SpecError):
             simulate_study(object())
 
+    @pytest.mark.parametrize("study", [IBEX_LIKE, FRAMINGHAM_LIKE, SEEDLING_LIKE])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_a_nonnegative_integer(self, study, seed):
+        with pytest.raises(SpecError, match="recipe seed"):
+            make_recipe(study, seed=seed)
+
 
 def _proxy_center(spec, centering):
     joint = "+".join(spec.proxies)
