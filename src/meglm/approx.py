@@ -179,9 +179,9 @@ def _lp_batches(model: JointModel, lams: np.ndarray, init, tally: _Tally):
     """
     layout = model.theta
     finite = np.flatnonzero(np.isfinite(lams).all(axis=1))
-    naturals = [layout.to_natural(lam) for lam in lams[finite]]
+    naturals = np.array([layout.to_natural(lam) for lam in lams[finite]]).reshape(finite.size, layout.dim)
     start = 0
-    for batch in latent_gaussian_batches(model, np.array(naturals).reshape(-1, layout.dim), init):
+    for batch in latent_gaussian_batches(model, naturals, init):
         rows = finite[start:start + batch.size]
         lp = np.full(batch.size, -np.inf)
         for i, err in enumerate(batch.error):
@@ -332,8 +332,9 @@ def _explore_lattice(
 ):
     """Breadth-first walk on the standardized lattice around the mode.
 
-    lp_fn maps a K x m array of internal-scale points to their K log
-    posteriors, -inf where one cannot be evaluated. The walk is level
+    lp_fn(keys, points) maps K lattice keys and their K x m internal-scale
+    points to the K log posteriors, -inf where one cannot be evaluated.
+    With m = 0 the lattice is its origin alone. The walk is level
     synchronous: the lattice origin is evaluated first, then each
     breadth-first shell's new neighbours, in first-in-first-out order, in
     one lp_fn call. The retention rule and the cap are then applied in that
@@ -345,7 +346,7 @@ def _explore_lattice(
     """
     m = mode.size
     evals, vecs = np.linalg.eigh(np.asarray(curvature, dtype=float))
-    if evals[0] <= 0.0:
+    if np.any(evals <= 0.0):
         raise NumericError(
             "curvature at the hyperparameter mode is not positive definite"
         )
@@ -353,10 +354,10 @@ def _explore_lattice(
 
     def points(keys):
         # one key at a time, so a key's point has the same bits in any call
-        return np.array([mode + axes @ (dz * np.asarray(k, dtype=float)) for k in keys]).reshape(-1, m)
+        return np.array([mode + axes @ (dz * np.asarray(k, dtype=float)) for k in keys]).reshape(len(keys), m)
 
     origin = (0,) * m
-    lp0 = float(lp_fn(points([origin]))[0])
+    lp0 = float(lp_fn([origin], points([origin]))[0])
     if not np.isfinite(lp0):
         raise NumericError("log posterior is not finite at the hyperparameter mode")
     retained = {origin: lp0}
@@ -373,7 +374,7 @@ def _explore_lattice(
             if key not in visited:
                 visited.add(key)
                 new.append(key)
-        vals = dict(zip(new, lp_fn(points(new)))) if new else {}
+        vals = dict(zip(new, lp_fn(new, points(new)))) if new else {}
         shell = []
         for key in slots:
             if len(retained) >= cap:
@@ -420,49 +421,40 @@ def explore_grid(
     if not (math.isfinite(diff_logdens) and diff_logdens > 0.0):
         raise SpecError("diff_logdens must be finite and positive, got %g" % diff_logdens)
     layout = model.theta
-    if layout.dim == 0:
-        approx = latent_gaussian_approx(model, layout.to_natural(np.zeros(0)))
-        return IntegrationGrid(
-            thetas=np.zeros((1, 0)),
-            log_post=np.zeros(1),
-            weights=np.ones(1),
-            mode=np.zeros(0),
-            scales=(),
-            names=(),
-            axes=np.zeros((0, 0)),
-            dz=dz,
-            diff_logdens=diff_logdens,
-            solves=1,
-            newton_iters=approx.converged_in,
-            latent_mean=approx.mode[None, :],
-            latent_sd=approx.marginal_sd()[None, :],
-        )
     tally = _Tally()
-    lam_star, curvature, _, latent_init = _find_hyper_mode(model, tally)
+    if layout.dim:
+        lam_star, curvature, _, latent_init = _find_hyper_mode(model, tally)
+    else:
+        # nothing to search: the lattice is the single point of the fixed
+        # hyperparameters, solved from zero
+        lam_star, curvature, latent_init = np.zeros(0), np.zeros((0, 0)), None
     skipped = 0
     lp_origin = None
     moments = {}
 
-    def lp(lams):
+    def lp(keys, lams):
         nonlocal skipped, lp_origin
         out = np.full(lams.shape[0], -np.inf)
         for rows, vals, batch in _lp_batches(model, lams, latent_init, tally):
             out[rows] = vals
             skipped += sum(err is not None for err in batch.error)
             if lp_origin is None:
+                if batch.error[0] is not None:
+                    # the walk cannot start; report why the origin failed
+                    raise batch.error[0]
                 lp_origin = vals[0]
             # the walk's own retention rule, so only retained points pay for
             # the marginal standard deviations
             kept = np.flatnonzero(vals >= lp_origin - diff_logdens)
             if kept.size:
                 for i, sd in zip(kept, batch.marginal_sd(kept)):
-                    moments[lams[rows[i]].tobytes()] = (batch.mode[i], sd)
+                    moments[keys[rows[i]]] = (batch.mode[i], sd)
         return out
 
-    _, thetas, log_post, axes, truncated = _explore_lattice(
+    keys, thetas, log_post, axes, truncated = _explore_lattice(
         lp, lam_star, curvature, dz, diff_logdens, cap=cap
     )
-    latent = [moments[t.tobytes()] for t in thetas]
+    latent = [moments[k] for k in keys]
     w = np.exp(log_post - np.max(log_post))
     return IntegrationGrid(
         thetas=thetas,

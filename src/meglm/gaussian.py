@@ -328,13 +328,28 @@ class LatentBatch:
     Row k of mode, log_density_at_mode, log_det_precision and converged_in
     belongs to point k, and error[k] is None or the NumericError that ended
     its solve (its rows then hold no result). factor holds the K factors.
+    A batch starts empty and is filled in as its points finish or fail.
     """
 
     mode: np.ndarray
     log_density_at_mode: np.ndarray
     converged_in: np.ndarray
     error: list
-    factor: ArrowheadFactor
+    factor: Optional[ArrowheadFactor] = None
+
+    def finish(self, points, v, F: ArrowheadFactor, steps, f) -> None:
+        """Record the results of the indexed points: modes v, factors F,
+        Newton iterations steps and log densities f."""
+        if self.factor is None:
+            self.factor = F.empty(self.size)
+        self.mode[points] = v
+        self.factor.put(points, F)
+        self.converged_in[points] = steps
+        self.log_density_at_mode[points] = f
+
+    def fail(self, points, message: str) -> None:
+        for k in points:
+            self.error[k] = NumericError(message)
 
     @property
     def size(self) -> int:
@@ -423,32 +438,6 @@ def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True):
     return g, (_hessian(cond, w, vals_t) if hess else None)
 
 
-class _Results:
-    """Per-point outcomes of a batched Newton solve, filled as points leave it."""
-
-    def __init__(self, K: int, d: int):
-        self.mode = np.zeros((K, d))
-        self.log_density = np.full(K, -math.inf)
-        self.steps = np.zeros(K, dtype=int)
-        self.error = [None] * K
-        self.factor = None
-
-    def finish(self, points, v, F: ArrowheadFactor, steps, f) -> None:
-        if self.factor is None:
-            self.factor = F.empty(len(self.error))
-        self.mode[points] = v
-        self.factor.put(points, F)
-        self.steps[points] = steps
-        self.log_density[points] = f
-
-    def fail(self, points, message: str) -> None:
-        for k in points:
-            self.error[k] = NumericError(message)
-
-    def batch(self) -> LatentBatch:
-        return LatentBatch(self.mode, self.log_density, self.steps, self.error, self.factor)
-
-
 def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
     """Newton with step halving on every point of a batched conditional.
 
@@ -473,7 +462,7 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
     if cold.any():
         v[cold] = 0.0
         f[cold] = cond.subset(cold).log_density(v[cold])
-    out = _Results(K, d)
+    out = LatentBatch(np.zeros((K, d)), np.full(K, -math.inf), np.zeros(K, dtype=int), [None] * K)
     points = np.arange(K)
     # with every row Gaussian the Hessian does not depend on v, so it is
     # assembled and factored once per solve
@@ -500,7 +489,7 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
             out.finish(points[done], v[done], F.subset(done), steps, f[done])
         stay = ok & ~converged
         if not stay.any():
-            return out.batch()
+            return out
 
         step_w = F.solve(g)
         decrement_sq = (g * step_w).sum(axis=1)
@@ -552,7 +541,7 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
             stay[pending[stuck]] = False
 
         if not stay.any():
-            return out.batch()
+            return out
         v, f = v_new, f_new
         if not stay.all():
             points, v, f = points[stay], v[stay], f[stay]
@@ -561,12 +550,7 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
                 H = tuple(a[stay] for a in H)
                 F = F.subset(stay)
     out.fail(points, "Newton did not converge within %d iterations" % MAX_NEWTON_ITER)
-    return out.batch()
-
-
-def _solve_one(cond: Conditional, init: Optional[np.ndarray]) -> GaussianApprox:
-    """The Newton solve of one (unbatched) conditional, as a batch of one."""
-    return _newton(cond.as_batch(), init).approx(0)
+    return out
 
 
 def latent_gaussian_approx(model: JointModel, theta, init: Optional[np.ndarray] = None) -> GaussianApprox:
@@ -575,7 +559,7 @@ def latent_gaussian_approx(model: JointModel, theta, init: Optional[np.ndarray] 
     For models whose likelihood blocks are all Gaussian the objective is an
     exact quadratic and the first Newton step lands on the mode.
     """
-    return _solve_one(assemble_conditional(model, theta), init)
+    return _newton(assemble_conditional(model, theta), init).approx(0)
 
 
 def latent_gaussian_batches(model: JointModel, thetas, init: Optional[np.ndarray] = None) -> Iterator[LatentBatch]:
@@ -587,7 +571,7 @@ def latent_gaussian_batches(model: JointModel, thetas, init: Optional[np.ndarray
     are. Every point starts from init and its result does not depend on
     the batch it falls in.
     """
-    thetas = np.asarray(thetas, dtype=float).reshape(-1, model.theta.dim)
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     per_batch = max(1, BATCH_ELEMENTS // max(model.n_rows, 1))
     for start in range(0, thetas.shape[0], per_batch):
         yield _newton(assemble_conditional(model, thetas[start:start + per_batch]), init)
@@ -601,7 +585,7 @@ def exact_linear_gaussian_posterior(model: JointModel, theta) -> GaussianApprox:
     """
     if model.family != "gaussian":
         raise SpecError("exact posterior requires a gaussian outcome family, got %r" % model.family)
-    cond = assemble_conditional(model, theta).as_batch()
+    cond = assemble_conditional(model, theta)
     g, H = _grad_hess(cond, np.zeros((1, cond.dim)))
     F, ok = _factor(cond.blocks, H)
     if not ok[0]:

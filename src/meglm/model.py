@@ -29,8 +29,10 @@ copy and the random effects of the rows sharing x_k), so the latent
 precision is block-arrowhead (`LatentBlocks`) and the design is stored
 row by row, never as a dense N x d matrix.
 
-Continuous covariates and proxies are centered at build time; the applied
-constants are recorded on the model for report back-transformation.
+Continuous covariates and proxies are centered at build time, and the
+applied constants are recorded on the model (`JointModel.centering`). The
+intercepts beta_0 and alpha_0 are therefore on the centered scale; slopes
+and precisions are unaffected.
 """
 from __future__ import annotations
 
@@ -404,7 +406,8 @@ def build_joint_model(spec: ModelSpec, data) -> JointModel:
 
     Validates column presence, absent-value placement, Berkson grouping and
     response integrity; centers proxies and continuous covariates (recording
-    the constants) when spec.center is set.
+    the constants in `centering`, which puts beta_0 and alpha_0 on the
+    centered scale) when spec.center is set.
     """
     spec.validate()
     n = data.n_rows
@@ -749,14 +752,12 @@ class Conditional:
     global rows, one row per pair (a, b) in row-major order (p*p x
     n_global_rows), from which the global block of the Hessian is summed.
 
-    `_design` builds one theta-free Conditional per model, and
-    `assemble_conditional` copies it with the theta-dependent values filled
-    in: the beta_x entries of vals, gauss_hess and gauss_const, and the
-    random-effect part of prior_prec and prior_c0. A batched Conditional,
-    assembled at K hyperparameter points at once, gives exactly these five
-    fields a leading axis of length K (vals K x N x q, gauss_hess K x N,
-    prior_prec K x d, gauss_const and prior_c0 of length K); every other
-    field is shared by the K points.
+    A Conditional holds K hyperparameter points at once. `_design` builds
+    one theta-free template per model, and `assemble_conditional` copies it
+    with the theta-dependent values of K points filled in: the beta_x
+    entries of vals (K x N x q), gauss_hess (K x N), gauss_const (K),
+    prior_prec (K x d) and prior_c0 (K). Every other field is shared by the
+    K points.
     """
 
     dim: int
@@ -780,52 +781,40 @@ class Conditional:
     blocks: LatentBlocks
     row_gram: np.ndarray
 
-    def as_batch(self) -> "Conditional":
-        """This conditional as a batch of one point (a batched one unchanged)."""
-        if self.gauss_hess.ndim == 2:
-            return self
-        return replace(self, vals=self.vals[None], gauss_hess=self.gauss_hess[None],
-                       gauss_const=np.array([self.gauss_const]), prior_prec=self.prior_prec[None],
-                       prior_c0=np.array([self.prior_c0]))
-
     def subset(self, points) -> "Conditional":
-        """The batched conditional at the points indexed (or masked) by points."""
+        """The conditional at the points indexed (or masked) by points."""
         return replace(self, vals=self.vals[points], gauss_hess=self.gauss_hess[points],
                        gauss_const=self.gauss_const[points], prior_prec=self.prior_prec[points],
                        prior_c0=self.prior_c0[points])
 
     def eta(self, v: np.ndarray) -> np.ndarray:
-        """Linear predictor of every stacked row at latent vector v.
+        """Linear predictor of every stacked row (K x N) at the latent
+        vectors v (K x d), one per point.
 
-        On a batched conditional v is K x d and the result K x N. The
-        global part is one matrix product per point, so a point's value
+        The global part is one matrix product per point, so a point's value
         does not depend on the batch it is in.
         """
         k = self.blocks.n_global_rows
-        eta = np.empty(v.shape[:-1] + self.offset.shape)
+        eta = np.empty((v.shape[0],) + self.offset.shape)
         eta[...] = self.offset
         for j in range(self.cols.shape[1]):
-            eta += self.vals[..., j] * v[..., self.cols[:, j]]
-        eta[..., :k] += (v[..., None, :self.A.shape[1]] @ self.A[:k].T)[..., 0, :]
+            eta += self.vals[:, :, j] * v[:, self.cols[:, j]]
+        eta[:, :k] += (v[:, None, :self.A.shape[1]] @ self.A[:k].T)[:, 0, :]
         return eta
 
-    def log_density(self, v: np.ndarray):
-        """log p(y | v, theta) + log p(v | theta), constants included.
-
-        A float at latent vector v, or one value per point at the K x d
-        rows of v on a batched conditional.
-        """
+    def log_density(self, v: np.ndarray) -> np.ndarray:
+        """log p(y | v, theta) + log p(v | theta), constants included, of
+        each point at its row of v (K x d)."""
         eta = self.eta(v)
         rows = self.gauss_rows
-        res = self.obs[rows] - eta[..., rows]
-        val = self.gauss_const - 0.5 * (self.gauss_hess[..., rows] * res * res).sum(axis=-1)
+        res = self.obs[rows] - eta[:, rows]
+        val = self.gauss_const - 0.5 * (self.gauss_hess[:, rows] * res * res).sum(axis=-1)
         if self.trials_ng is not None:
             rows = self.reg_slice
-            terms = families.loglik(self.family, self.obs[rows], self.trials_ng, eta[..., rows])
+            terms = families.loglik(self.family, self.obs[rows], self.trials_ng, eta[:, rows])
             val = val + terms.sum(axis=-1) + self.ng_c0
-        val = (val + self.prior_c0 + (self.bp * v).sum(axis=-1)
-               - 0.5 * (self.prior_prec * v * v).sum(axis=-1))
-        return float(val) if np.ndim(val) == 0 else val
+        return (val + self.prior_c0 + (self.bp * v).sum(axis=-1)
+                - 0.5 * (self.prior_prec * v * v).sum(axis=-1))
 
 
 def _design(model: JointModel) -> tuple:
@@ -974,20 +963,16 @@ def _design(model: JointModel) -> tuple:
 
 
 def assemble_conditional(model: JointModel, theta) -> Conditional:
-    """The conditional p(v | y, theta) of the stacked model.
+    """The conditional p(v | y, theta) of the stacked model at the K rows
+    of theta (K x m; a single point of m values is a batch of one).
 
     Copies the model's theta-free Conditional (`_design`) with the beta_x
     coefficients of the local entries, the row precisions of its
-    row-precision table and the random-effect prior filled in. A K x m
-    theta gives the batched Conditional of its K rows; a point's values are
-    the same in any batch.
+    row-precision table and the random-effect prior filled in; a point's
+    values are the same in any batch.
     """
-    thetas = np.asarray(theta, dtype=float)
-    batched = thetas.ndim == 2
-    if batched:
-        points = [model.theta.named(model.theta.validate(t)) for t in thetas]
-    else:
-        points = [model.theta.named(model.theta.validate(thetas))]
+    thetas = np.atleast_2d(np.asarray(theta, dtype=float))
+    points = [model.theta.named(model.theta.validate(t)) for t in thetas]
     K = len(points)
     cond, precisions, beta_at, beta_sign = _design(model)
 
@@ -1012,12 +997,8 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
         prior_prec[:, s] = tau_gamma
         prior_c0 += 0.5 * (s.stop - s.start) * (np.log(tau_gamma[:, 0]) - LOG_2PI)
 
-    out = replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_const=gauss_const,
-                  prior_prec=prior_prec, prior_c0=prior_c0)
-    if batched:
-        return out
-    return replace(out, vals=vals[0], gauss_hess=gauss_hess[0], gauss_const=float(gauss_const[0]),
-                   prior_prec=prior_prec[0], prior_c0=float(prior_c0[0]))
+    return replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_const=gauss_const,
+                   prior_prec=prior_prec, prior_c0=prior_c0)
 
 
 def joint_log_density(model: JointModel, v, theta) -> float:
@@ -1031,19 +1012,19 @@ def joint_log_density(model: JointModel, v, theta) -> float:
         raise SpecError("latent vector has shape %r, expected (%d,)" % (v.shape, model.layout.dim))
     cond = assemble_conditional(model, theta)
     theta = model.theta.validate(theta)
-    return cond.log_density(v) + model.theta.log_prior(theta)
+    return float(cond.log_density(v[None])[0]) + model.theta.log_prior(theta)
 
 
 def block_log_densities(model: JointModel, v, theta) -> tuple:
     """(regression, exposure, proxy) block log likelihoods at (v, theta)."""
     cond = assemble_conditional(model, theta)
-    eta = cond.eta(np.asarray(v, dtype=float))
+    eta = cond.eta(np.asarray(v, dtype=float)[None])[0]
     out = []
     for sl in (cond.reg_slice, cond.exp_slice, cond.prox_slice):
         if sl is cond.reg_slice and cond.trials_ng is not None:
             terms = families.loglik(cond.family, cond.obs[sl], cond.trials_ng, eta[sl])
             out.append(float(np.sum(terms)) + cond.ng_c0)
         else:
-            tau, res = cond.gauss_hess[sl], cond.obs[sl] - eta[sl]
+            tau, res = cond.gauss_hess[0, sl], cond.obs[sl] - eta[sl]
             out.append(float(np.sum(-0.5 * tau * res * res + 0.5 * (np.log(tau) - LOG_2PI))))
     return tuple(out)

@@ -347,8 +347,6 @@ def _simulate_ibex(recipe: IbexRecipe) -> SimulatedStudy:
 
 
 def _simulate_framingham(recipe: FraminghamRecipe) -> SimulatedStudy:
-    from scipy.special import expit
-
     rng = np.random.default_rng(recipe.seed)
     n = recipe.n
     z = (rng.uniform(size=n) < recipe.smoking_rate).astype(float)
@@ -356,7 +354,8 @@ def _simulate_framingham(recipe: FraminghamRecipe) -> SimulatedStudy:
     proxies = [
         x + rng.standard_normal(n) / np.sqrt(recipe.tau_u) for _ in range(recipe.replicates)
     ]
-    prob = expit(recipe.beta_0 + recipe.beta_x * x + recipe.beta_z * z)
+    # a numpy logistic, so simulating loads no scipy submodule
+    prob = 1.0 / (1.0 + np.exp(-(recipe.beta_0 + recipe.beta_x * x + recipe.beta_z * z)))
     y = (rng.uniform(size=n) < prob).astype(float)
 
     columns = {"y": y}

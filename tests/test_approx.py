@@ -25,7 +25,7 @@ from meglm.approx import (
     mixture_marginal,
 )
 from meglm.data import Dataset, parse_model_config
-from meglm.errors import SpecError
+from meglm.errors import NumericError, SpecError
 from meglm.gaussian import exact_linear_gaussian_posterior, latent_gaussian_approx
 from meglm.model import (
     ErrorModel,
@@ -275,7 +275,7 @@ class TestExploreGrid:
     def test_quadratic_cutoff_span(self):
         center, scale = 1.3, 0.7
 
-        def lp(lams):
+        def lp(keys, lams):
             return -0.5 * ((lams[:, 0] - center) / scale) ** 2
 
         curvature = np.array([[1.0 / scale ** 2]])
@@ -336,6 +336,22 @@ class TestExploreGrid:
         assert grid.size == 1
         assert not grid.truncated
         assert grid.weights[0] == 1.0
+        assert (grid.solves, grid.newton_iters, grid.skipped) == (1, 1, 0)
+        solo = latent_gaussian_approx(model, np.zeros(0))
+        np.testing.assert_array_equal(grid.latent_mean, solo.mode[None])
+        np.testing.assert_array_equal(grid.latent_sd, solo.marginal_sd()[None])
+
+    def test_fixed_hyperparameters_failed_solve_raises_its_error(self, monkeypatch):
+        real_assemble = meglm.gaussian.assemble_conditional
+
+        def not_pd(model, thetas):
+            cond = real_assemble(model, thetas)
+            cond.gauss_hess *= -1.0
+            return cond
+
+        monkeypatch.setattr(meglm.gaussian, "assemble_conditional", not_pd)
+        with pytest.raises(NumericError, match="conditional precision is not positive definite"):
+            explore_grid(conjugate_fixed_model())
 
     def test_prior_rescaling_leaves_weights_unchanged(self):
         model = bernoulli_toy_model()
@@ -450,7 +466,7 @@ class TestBatchedWalk:
         curvature = np.array([[1.0, 0.4], [0.4, 2.0]])
         calls = []
 
-        def lp(lams):
+        def lp(keys, lams):
             calls.append(np.array(lams))
             return np.array([self.surface(lam) for lam in lams])
 

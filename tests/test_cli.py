@@ -132,6 +132,33 @@ class TestFit:
         err = capsys.readouterr().err
         assert "meglm: error: %s must be finite and positive" % setting in err
 
+    @pytest.mark.parametrize("chain, message", [
+        (("100", "100", "1"),
+         "burn_in must satisfy 0 <= burn_in < iterations, got 100/100"),
+        (("10", "5", "10"),
+         "the chain keeps too few draws: (iterations 10 - burn-in 5) // thin 10 = 0; "
+         "at least 2 are needed"),
+        (("10", "8", "2"),
+         "the chain keeps too few draws: (iterations 10 - burn-in 8) // thin 2 = 1; "
+         "at least 2 are needed"),
+    ])
+    def test_bad_chain_settings_exit_one_before_any_fit(
+        self, study_dir, tmp_path, capsys, chain, message
+    ):
+        _, files = study_dir
+        outdir = tmp_path / "out"
+        iterations, burn_in, thin = chain
+        code = run_cli(
+            "fit", "--config", files["config"], "--data", files["data"],
+            "--method", "all", "--outdir", str(outdir),
+            "--iterations", iterations, "--burn-in", burn_in, "--thin", thin, "--seed", "1",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "meglm: error: %s\n" % message
+        assert captured.out == ""
+        assert not outdir.exists()
+
     def test_malformed_csv_names_offending_row(self, study_dir, tmp_path, capsys):
         _, files = study_dir
         bad = tmp_path / "bad.csv"

@@ -47,6 +47,18 @@ def test_import_loads_no_scipy_submodule():
     assert json.loads(proc.stdout) == []
 
 
+def test_framingham_simulation_loads_no_scipy_submodule():
+    proc = fresh_python(
+        "-c",
+        "import json, sys\n"
+        "from meglm.studies import make_recipe, simulate_study\n"
+        "simulate_study(make_recipe('framingham', n=50, seed=1))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_elicit_commands_in_fresh_interpreters():
     gamma = json.loads(run_meglm("elicit", "gamma", "--q", "0.5", "2.0"))
     assert gamma["distribution"] == "gamma" and gamma["shape"] > 0.0

@@ -444,7 +444,7 @@ class TestObservationBlockForms:
     @staticmethod
     def row_precisions(model, theta):
         cond = assemble_conditional(model, theta)
-        h = cond.gauss_hess
+        h = cond.gauss_hess[0]
         return h[cond.reg_slice], h[cond.exp_slice], h[cond.prox_slice], h[cond.prox_slice.stop:]
 
     def test_berkson_proxy_rows_hold_the_centered_group_proxy(self):
@@ -558,7 +558,7 @@ class TestCoefficientTable:
         assert np.allclose(cond.offset[reg], 0.7 - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
         assert np.allclose(cond.offset[exp_], 0.3 * z1, rtol=0.0, atol=1e-15)
         assert not cond.offset[prox].any()
-        assert np.array_equal(cond.prior_prec, [2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(cond.prior_prec[0], [2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
         assert np.array_equal(cond.bp, [2.0, 0.5, -0.1, 0.0, 0.0, 0.0, 0.0])
 
         sampler = _prepare(model)
@@ -585,7 +585,7 @@ class TestCoefficientTable:
         assert cond.A.shape == (3, 2)
         assert np.array_equal(cond.A, np.column_stack([np.ones(3), z2[rr]]))
         assert np.allclose(cond.offset, 0.8 * w[rr] - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
-        assert np.array_equal(cond.prior_prec, [1.0e-4, 2.0])
+        assert np.array_equal(cond.prior_prec[0], [1.0e-4, 2.0])
         assert np.array_equal(cond.bp, [0.0, 2.0])
 
         # under error the same fixed slope is a fixed hyperparameter of the

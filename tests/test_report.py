@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from meglm.data import Dataset, DataError, parse_model_config
 from meglm.errors import SpecError
 from meglm.mcmc import ChainConfig
-from meglm.model import build_joint_model, copy_augment
+from meglm.model import build_joint_model, copy_augment, naive_spec
 from meglm.report import (
     ParameterSummary,
     PosteriorReport,
@@ -60,6 +61,12 @@ class TestRunConfig:
             RunConfig("c", "d", "all", "o")
         with pytest.raises(SpecError):
             RunConfig("c", "d", "laplace", "o", dz=0.0)
+        with pytest.raises(SpecError, match="burn_in"):
+            RunConfig("c", "d", "all", "o", iterations=100, burn_in=100, seed=3)
+        with pytest.raises(SpecError, match="keeps too few draws"):
+            RunConfig("c", "d", "mcmc", "o", iterations=10, burn_in=5, thin=10, seed=3)
+        # grid methods do not run the chain, so its settings are not checked
+        RunConfig("c", "d", "laplace", "o", iterations=10, burn_in=5, thin=10)
         cfg = RunConfig("c", "d", "mcmc", "o", seed=3)
         assert cfg.chain_config() == ChainConfig(
             iterations=100_000, burn_in=10_000, thin=10, seed=3
@@ -234,6 +241,50 @@ class TestMarginalSources:
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(DataError):
             read_marginal_csv(bad)
+
+
+class TestCentering:
+    """Reported intercepts are on the centered scale; nothing else moves.
+
+    Centering subtracts a constant from the proxies (m_w) and from each
+    continuous covariate (m_zj). Slopes and precisions are unaffected, and
+    the intercepts shift: the uncentered fit's beta_0 is
+    beta_0 - beta_x m_w - sum_j beta_zj m_zj, and its alpha_0 is
+    alpha_0 + m_w - sum_j alpha_zj m_zj, both in the centered fit's terms.
+    """
+
+    @staticmethod
+    def uncentered_intercepts(means, spec, centering):
+        # a covariate absent from a block has no coefficient there
+        m_w = centering["+".join(spec.proxies)]
+        out = {}
+        if "beta_0" in means:
+            out["beta_0"] = means["beta_0"] - means["beta_x"] * m_w - sum(
+                means.get("beta_%s" % c, 0.0) * centering.get(c, 0.0) for c in spec.covariates)
+        if "alpha_0" in means:
+            out["alpha_0"] = means["alpha_0"] + m_w - sum(
+                means.get("alpha_%s" % c, 0.0) * centering.get(c, 0.0) for c in spec.covariates)
+        return out
+
+    @pytest.mark.parametrize("method", ["laplace", "naive"])
+    @pytest.mark.parametrize("study", ["ibex", "framingham"])
+    def test_only_the_intercepts_move(self, study, method):
+        sim = simulate_study(make_recipe(study, seed=1))
+        spec = parse_model_config(sim.model_config)
+        fit, model_spec = {"laplace": (laplace_marginals, spec),
+                           "naive": (naive_marginals, naive_spec(spec))}[method]
+        centered, _ = fit(spec, sim.dataset, dz=1.0, diff_logdens=6.0)
+        plain, _ = fit(replace(spec, center=False), sim.dataset, dz=1.0, diff_logdens=6.0)
+        centering = build_joint_model(model_spec, sim.dataset).centering
+        assert list(centered) == list(plain)
+        means = {name: m.mean for name, m in centered.items()}
+        shifted = self.uncentered_intercepts(means, spec, centering)
+        for name, m in centered.items():
+            want = shifted.get(name, m.mean)
+            assert abs(want - plain[name].mean) < 0.05 * m.sd, name
+        if study == "ibex":
+            # the written beta_0 is not the uncentered one
+            assert abs(centered["beta_0"].mean - plain["beta_0"].mean) > 1.0 * centered["beta_0"].sd
 
 
 def _mini_report(method, beta_x_mean):
