@@ -572,14 +572,63 @@ def _moments_only(values: np.ndarray, weights: np.ndarray) -> PosteriorMarginal:
     )
 
 
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through (x, y), at least three points
+    with increasing x, evaluated at `at` (extrapolated past the ends).
+
+    The same spline as scipy.interpolate.CubicSpline(x, y,
+    bc_type="not-a-knot"), built from the same slope equations; with
+    numpy alone, a fit does not load scipy.interpolate, which with the
+    modules it imports holds about 25 MB. Through three points the spline
+    is their interpolating parabola.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # one equation per knot for the slopes s: continuous second derivatives
+    # inside, and a continuous third derivative at the second and the
+    # second-to-last knot
+    A = np.zeros((n, n))
+    b = np.empty(n)
+    if n == 3:
+        A[0, :2] = 1.0
+        A[1] = dx[1], 2.0 * (dx[0] + dx[1]), dx[0]
+        A[2, 1:] = 1.0
+        b[:] = 2.0 * slope[0], 3.0 * (dx[0] * slope[1] + dx[1] * slope[0]), 2.0 * slope[1]
+    else:
+        inner = np.arange(1, n - 1)
+        A[inner, inner - 1] = dx[1:]
+        A[inner, inner] = 2.0 * (dx[:-1] + dx[1:])
+        A[inner, inner + 1] = dx[:-1]
+        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        A[0, :2] = dx[1], d
+        b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        A[-1, -2:] = d, dx[-2]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = np.linalg.solve(A, b)
+    # each interval's cubic in powers of the offset from its left knot
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    coef = (y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx)
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, n - 2)
+    h = at - x[i]
+    out = np.zeros(at.shape)
+    power = np.ones(at.shape)
+    for c in coef:
+        out += c[i] * power
+        power = power * h
+    return out
+
+
 def hyper_marginal(grid: IntegrationGrid, j: int) -> PosteriorMarginal:
     """Posterior marginal of hyperparameter j in natural scale.
 
     Aggregates grid weights into bins along internal coordinate j,
-    interpolates the log density through the nonempty bin centers, then
-    evaluates on a fine natural-scale grid with the change-of-variables
-    Jacobian and renormalizes. Fewer than three occupied bins yield a
-    flagged moments-only result.
+    interpolates the log density through the nonempty bin centers with a
+    not-a-knot cubic spline, then evaluates on a fine natural-scale grid
+    with the change-of-variables Jacobian and renormalizes. Fewer than
+    three occupied bins yield a flagged moments-only result.
     """
     if grid.size == 0:
         raise SpecError("integration grid is empty")
@@ -609,12 +658,6 @@ def hyper_marginal(grid: IntegrationGrid, j: int) -> PosteriorMarginal:
     else:
         lam_grid = values
         jac = np.ones_like(values)
-    # imported here, not by `import meglm`: scipy.interpolate alone takes
-    # most of a second to load
-    from scipy.interpolate import CubicSpline
-
-    # through three centers the not-a-knot spline is their interpolating parabola
-    log_density = CubicSpline(centers, log_f, bc_type="not-a-knot")(lam_grid)
-    density = np.exp(np.asarray(log_density, dtype=float)) * jac
+    density = np.exp(_not_a_knot_spline(centers, log_f, lam_grid)) * jac
     mass = float(np.trapezoid(density, values))
     return marginal_from_grid(values, density / mass)

@@ -10,13 +10,19 @@ or N x d matrix is ever formed. Models whose likelihood blocks are all
 Gaussian have a closed-form posterior, where the Newton result is exact
 after a single step.
 
+The Gaussian rows reach the engine already summed into a quadratic in
+block form (`model.Conditional`), so the gradient, the Hessian and the
+log density of a Newton iteration pass row by row only over the binomial
+or Poisson outcome rows and the copy links; everything else costs O(d)
+per point. A Gaussian response without copy links has no such rows.
+
 Every solve runs on a batch: the conditionals at K hyperparameter points
 (`assemble_conditional` with a K x m theta) are iterated together, and a
 point leaves the batch when it converges or fails; a failure is that
 point's result alone. Each operation acts on one point's own rows
 (elementwise arithmetic, sums along the row axis, scatter-adds into the
-point's own bins, and LAPACK calls per stacked matrix), so a point's
-result does not depend on the batch it was solved in.
+point's own bins, and LAPACK and matrix products per stacked matrix), so
+a point's result does not depend on the batch it was solved in.
 `latent_gaussian_approx` is the batch of one. Only numpy's linear algebra
 is used, so a single OpenBLAS thread pool serves every solve.
 """
@@ -50,9 +56,12 @@ NEWTON_TOL = 1.0e-8
 MAX_NEWTON_ITER = 100
 RIDGE = 1.0e-8
 MAX_HALVINGS = 60
-# points x stacked rows per batched solve; the batch's working arrays are
-# a few hundred bytes per element, so this bounds them near 2 MB
-BATCH_ELEMENTS = 1 << 13
+# points x stacked rows per batched solve. A full batch and its marginal
+# SDs peaked at 90 bytes per element on framingham_like (n = 140 and
+# 2000), 170 on ibex_like and 520 on seedling_like, whose 5 x 5 local
+# blocks outweigh its 75 rows: 6, 11 and 34 MB. At n = 140 every shell of
+# the framingham_like walk fits in one batch.
+BATCH_ELEMENTS = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -376,66 +385,93 @@ class LatentBatch:
                               int(self.converged_in[k]), float(self.log_density_at_mode[k]))
 
 
-def _hessian(cond: Conditional, w: np.ndarray, vals_t: np.ndarray) -> tuple:
-    """(H_gg, H_lg, flat H_ll) of the rows with curvature weights w plus the prior.
-
-    w is K x N and vals_t holds the local values K x q x N; the results
-    carry the same leading axis.
+def _hessian(cond: Conditional, w: np.ndarray) -> tuple:
+    """(H_gg, H_lg, flat H_ll): the Gaussian rows' block form, plus the
+    one-by-one rows with curvature weights w (K x n), plus the prior; the
+    results carry the same leading axis of K points.
     """
     blocks = cond.blocks
     K = w.shape[0]
     p, m = blocks.p, blocks.m
     k = blocks.n_global_rows
-    Ag = cond.A[:k]
+    gauss = blocks.split(cond.gauss_hess)
+    if not w.shape[1]:
+        gg, lg, ll = (a.copy() for a in gauss)
+    else:
+        # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product
+        # per point against the rows' outer products
+        gg = (w[:, None, :k] @ cond.row_gram.T).reshape(K, p, p)
+        vals = cond.vals
+        wv = w[:, None, :] * vals
+        # with no global or no local components bincount sees no entries
+        # and returns integers, hence the casts
+        lg = np.bincount(
+            blocks.scatter_index("border_index", K),
+            weights=(wv[:, :, None, :k] * cond.A.T).ravel(),
+            minlength=K * m * p,
+        ).reshape(K, m, p).astype(float, copy=False)
+        ll = np.bincount(
+            blocks.scatter_index("pair_index", K),
+            weights=(wv[:, :, None, :] * vals[:, None, :, :]).ravel(),
+            minlength=K * blocks.n_flat,
+        ).reshape(K, blocks.n_flat).astype(float, copy=False)
+        for a, b in zip((gg, lg, ll), gauss):
+            a += b
     prior = cond.prior_prec[:, blocks.perm]
-    # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product per
-    # point against the rows' outer products
-    gg = (w[:, None, :k] @ cond.row_gram.T).reshape(K, p, p)
     gg.reshape(K, p * p)[:, ::p + 1] += prior[:, :p]
-    if not m:
-        return gg, np.zeros((K, 0, p)), np.zeros((K, 0))
-    wv = w[:, None, :] * vals_t
-    # with no global components (p = 0) bincount sees no entries and
-    # returns integers, hence the cast
-    lg = np.bincount(
-        blocks.scatter_index("border_index", K),
-        weights=(wv[:, :, None, :k] * Ag.T).ravel(),
-        minlength=K * m * p,
-    ).reshape(K, m, p).astype(float, copy=False)
-    ll = np.bincount(
-        blocks.scatter_index("pair_index", K),
-        weights=(wv[:, :, None, :] * vals_t[:, None, :, :]).ravel(),
-        minlength=K * blocks.n_flat,
-    ).reshape(K, blocks.n_flat)
     ll[:, blocks.diag] += prior[:, p:]
     return gg, lg, ll
 
 
-def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True):
+def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True, maps: Optional[tuple] = None):
     """Gradients (K x d, in work order) of the batch's log densities at the
-    rows of v, and their negative Hessian blocks."""
-    # Gaussian-row gradient in residual form: forming tau * (obs - eta) row
-    # by row keeps the stiff copy rows accurate near the mode, where the
-    # expanded normal-equation form loses all signal to cancellation.
+    rows of v, and their negative Hessian blocks; maps is
+    `cond.linear_maps(v)` when known."""
+    # the Gaussian rows' gradient is gauss_lin - Q u; the copy links keep
+    # the residual form tau * (0 - eta) row by row, which stays accurate
+    # near the mode, where their expanded form loses all signal to
+    # cancellation
     blocks = cond.blocks
     K = v.shape[0]
     p, k = blocks.p, blocks.n_global_rows
-    eta = cond.eta(v)
-    score = cond.gauss_hess * (cond.obs - eta)
-    w = cond.gauss_hess
+    eta, Qu = cond.linear_maps(v) if maps is None else maps
+    g = cond.gauss_lin - Qu + (cond.bp - cond.prior_prec * v)[:, blocks.perm]
+    score = np.empty(eta.shape)
+    w = np.empty(eta.shape)
+    rows = cond.copy_rows
+    score[:, rows] = -cond.copy_precision * eta[:, rows]
+    w[:, rows] = cond.copy_precision
     if cond.trials_ng is not None:
-        rows = cond.reg_slice
-        s, W = families.score_weight(cond.family, cond.obs[rows], cond.trials_ng, eta[:, rows])
-        score[:, rows] += s
-        w = w.copy()
-        w[:, rows] = W
-    vals_t = np.ascontiguousarray(np.swapaxes(cond.vals, 1, 2))
-    g = (cond.bp - cond.prior_prec * v)[:, blocks.perm]
-    g[:, :p] += (score[:, None, :k] @ cond.A[:k])[:, 0, :]
-    g[:, p:] += np.bincount(blocks.scatter_index("slots", K),
-                            weights=(vals_t * score[:, None, :]).ravel(),
-                            minlength=K * blocks.m).reshape(K, blocks.m)
-    return g, (_hessian(cond, w, vals_t) if hess else None)
+        rows = cond.family_rows
+        score[:, rows], w[:, rows] = families.score_weight(cond.family, cond.obs[rows], cond.trials_ng,
+                                                           eta[:, rows])
+    if eta.shape[1]:
+        g[:, :p] += (score[:, None, :k] @ cond.A)[:, 0, :]
+        g[:, p:] += np.bincount(blocks.scatter_index("slots", K),
+                                weights=(cond.vals * score[:, None, :]).ravel(),
+                                minlength=K * blocks.m).reshape(K, blocks.m)
+    return g, (_hessian(cond, w) if hess else None)
+
+
+def _finish_flat(out: LatentBatch, cond: Conditional, points, v, step, f, F: ArrowheadFactor,
+                 steps: int, constant: bool) -> None:
+    """Finish the points whose Newton step cannot certify a gain: each takes
+    its full step if that keeps its log density flat to within 1e-10, and
+    leaves with the curvature at the point it ends on."""
+    v_new = v + step
+    maps_new = cond.linear_maps(v_new)
+    f_new = cond.log_density(v_new, maps_new)
+    take = np.isfinite(f_new) & (f_new >= f - 1.0e-10 * (1.0 + np.abs(f)))
+    ok = np.ones(take.size, dtype=bool)
+    if not constant and take.any():
+        moved, moved_maps = cond, maps_new
+        if not take.all():
+            moved, moved_maps = cond.subset(take), tuple(a[take] for a in maps_new)
+        F_new, ok[take] = _factor(cond.blocks, _grad_hess(moved, v_new[take], maps=moved_maps)[1])
+        F.put(np.flatnonzero(take), F_new)
+    out.fail(points[~ok], "conditional precision is not positive definite")
+    out.finish(points[ok], np.where(take[:, None], v_new, v)[ok], F.subset(ok), steps + take[ok],
+               np.where(take, f_new, f)[ok])
 
 
 def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
@@ -446,7 +482,9 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
     iterating take the same iteration together: each either converges,
     finishes with a step below the round-off floor, or takes a
     line-searched step; a point that cannot be factored or whose line
-    search fails leaves with its NumericError.
+    search fails leaves with its NumericError. The linear maps of the
+    accepted step (`Conditional.linear_maps`) are carried into the next
+    iteration's gradient.
     """
     d = cond.dim
     blocks = cond.blocks
@@ -457,11 +495,16 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
         if v0.shape != (d,):
             raise SpecError("initial latent vector has shape %r, expected (%d,)" % (v0.shape, d))
         v[:] = v0
-    f = cond.log_density(v)
+    maps = cond.linear_maps(v)
+    f = cond.log_density(v, maps)
     cold = ~np.isfinite(f)
     if cold.any():
         v[cold] = 0.0
-        f[cold] = cond.subset(cold).log_density(v[cold])
+        cold_cond = cond.subset(cold)
+        cold_maps = cold_cond.linear_maps(v[cold])
+        f[cold] = cold_cond.log_density(v[cold], cold_maps)
+        for a, b in zip(maps, cold_maps):
+            a[cold] = b
     out = LatentBatch(np.zeros((K, d)), np.full(K, -math.inf), np.zeros(K, dtype=int), [None] * K)
     points = np.arange(K)
     # with every row Gaussian the Hessian does not depend on v, so it is
@@ -469,10 +512,21 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
     constant = cond.trials_ng is None
     H = F = None
 
+    def narrow(keep):
+        """Drop the points not in the mask keep from the iteration."""
+        nonlocal points, v, f, step, maps, cond, H, F
+        points, v, f, step = points[keep], v[keep], f[keep], step[keep]
+        maps = tuple(a[keep] for a in maps)
+        cond = cond.subset(keep)
+        if constant:
+            H = tuple(a[keep] for a in H)
+            F = F.subset(keep)
+
     for steps in range(MAX_NEWTON_ITER):
-        g, H_v = _grad_hess(cond, v, hess=H is None or not constant)
-        if H_v is not None:
-            H, F = H_v, None
+        if H is None:
+            g, H = _grad_hess(cond, v, maps=maps)
+        else:
+            g = _grad_hess(cond, v, hess=False, maps=maps)[0]
         # The gradient of a quadratic with curvature h can only be computed
         # to about eps * h * |v| in floating point, so stiff coordinates
         # (e.g. the 1e9 copy coupling) get a curvature-scaled floor; mode
@@ -500,55 +554,51 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
         # mode); the full step still sharpens the mode estimate, so take it
         # when it keeps f flat and finish
         tiny = stay & (decrement_sq <= 64.0 * _EPS * (1.0 + np.abs(f)))
-        if tiny.any():
-            v_new = v[tiny] + step[tiny]
-            f_new = cond.subset(tiny).log_density(v_new)
-            f_old = f[tiny]
-            take = np.isfinite(f_new) & (f_new >= f_old - 1.0e-10 * (1.0 + np.abs(f_old)))
-            v_fin = np.where(take[:, None], v_new, v[tiny])
-            F_fin = F.subset(tiny)
-            ok_fin = np.ones(take.size, dtype=bool)
-            if not constant and take.any():
-                H_new = _grad_hess(cond.subset(tiny).subset(take), v_fin[take])[1]
-                F_new, ok_fin[take] = _factor(blocks, H_new)
-                F_fin.put(np.flatnonzero(take), F_new)
-            finished = points[tiny]
-            out.fail(finished[~ok_fin], "conditional precision is not positive definite")
-            out.finish(finished[ok_fin], v_fin[ok_fin], F_fin.subset(ok_fin),
-                       steps + take[ok_fin], np.where(take, f_new, f_old)[ok_fin])
+        F_tiny = F.subset(tiny) if tiny.any() else None
+        if not constant:
+            # this iteration's curvature is spent
+            H = F = None
+        if F_tiny is not None:
+            _finish_flat(out, cond.subset(tiny), points[tiny], v[tiny], step[tiny], f[tiny],
+                         F_tiny, steps, constant)
             stay &= ~tiny
+
+        # the line search runs on the points still iterating, and no more
+        if not stay.any():
+            return out
+        if not stay.all():
+            narrow(stay)
 
         # accept steps that keep f flat to within roundoff, not only strict
         # ascents: near the mode the objective is quadratic in a step below
         # sqrt(eps), so demanding f_new >= f exactly would damp the step to
         # nothing and strand the gradient just above its tolerance
-        pending = np.flatnonzero(stay)
+        pending = np.arange(f.size)
         slack = 4.0 * _EPS * (1.0 + np.abs(f))
         t = np.ones(f.size)
-        v_new, f_new = v.copy(), f.copy()
-        for _ in range(MAX_HALVINGS if pending.size else 0):
+        v_new, f_new, maps_new = v.copy(), f.copy(), tuple(a.copy() for a in maps)
+        for _ in range(MAX_HALVINGS):
             v_try = v[pending] + t[pending, None] * step[pending]
-            f_try = (cond if pending.size == f.size else cond.subset(pending)).log_density(v_try)
+            try_cond = cond if pending.size == f.size else cond.subset(pending)
+            maps_try = try_cond.linear_maps(v_try)
+            f_try = try_cond.log_density(v_try, maps_try)
             v_new[pending], f_new[pending] = v_try, f_try
+            for a, b in zip(maps_new, maps_try):
+                a[pending] = b
             pending = pending[~(np.isfinite(f_try) & (f_try >= f[pending] - slack[pending]))]
             if not pending.size:
                 break
             t[pending] *= 0.5
-        else:
-            f_p = f[pending]
-            stuck = ~(np.isfinite(f_new[pending]) & (f_new[pending] >= f_p - 1.0e-10 * (1.0 + np.abs(f_p))))
-            out.fail(points[pending[stuck]], "Newton line search failed to improve the objective")
-            stay[pending[stuck]] = False
-
-        if not stay.any():
-            return out
-        v, f = v_new, f_new
-        if not stay.all():
-            points, v, f = points[stay], v[stay], f[stay]
-            cond = cond.subset(stay)
-            if constant:
-                H = tuple(a[stay] for a in H)
-                F = F.subset(stay)
+        stuck = pending[~(np.isfinite(f_new[pending])
+                          & (f_new[pending] >= f[pending] - 1.0e-10 * (1.0 + np.abs(f[pending]))))]
+        out.fail(points[stuck], "Newton line search failed to improve the objective")
+        v, f, maps = v_new, f_new, maps_new
+        if stuck.size:
+            if stuck.size == f.size:
+                return out
+            keep = np.ones(f.size, dtype=bool)
+            keep[stuck] = False
+            narrow(keep)
     out.fail(points, "Newton did not converge within %d iterations" % MAX_NEWTON_ITER)
     return out
 

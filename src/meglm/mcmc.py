@@ -79,6 +79,11 @@ class ChainConfig:
             )
         if self.thin < 1:
             raise SpecError("thin must be >= 1, got %d" % self.thin)
+        if self.kept < 2:
+            raise SpecError(
+                "the chain keeps too few draws: (iterations %d - burn-in %d) // thin %d = %d; "
+                "at least 2 are needed" % (self.iterations, self.burn_in, self.thin, self.kept)
+            )
         if self.seed is None:
             raise SpecError("a seed is required: chains must be reproducible")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):

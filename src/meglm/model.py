@@ -59,12 +59,14 @@ __all__ = [
     "JointModel",
     "Conditional",
     "LatentBlocks",
+    "StackedRows",
     "build_joint_model",
     "copy_augment",
     "naive_spec",
     "joint_log_density",
     "block_log_densities",
     "assemble_conditional",
+    "stacked_rows",
     "DEFAULT_COPY_PRECISION",
 ]
 
@@ -231,16 +233,27 @@ class ThetaLayout:
 
     def validate(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise SpecError(
-                "theta has shape %r, expected (%d,) for %s" % (theta.shape, self.dim, self.names)
-            )
-        if not np.all(np.isfinite(theta)):
-            raise SpecError("theta contains non-finite entries")
-        for e, v in zip(self.entries, theta):
-            if e.scale == "log" and v <= 0.0:
-                raise SpecError("hyperparameter %s must be > 0, got %g" % (e.name, v))
+        self.columns(theta[None])
         return theta
+
+    def columns(self, thetas: np.ndarray) -> dict:
+        """Every hyperparameter value by name, one per row of thetas (K x m),
+        each row checked as `validate` checks one point."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.dim:
+            raise SpecError(
+                "theta has shape %r, expected (%d,) for %s" % (thetas.shape[1:], self.dim, self.names)
+            )
+        if not np.all(np.isfinite(thetas)):
+            raise SpecError("theta contains non-finite entries")
+        logs = [i for i, e in enumerate(self.entries) if e.scale == "log"]
+        bad = np.argwhere(thetas[:, logs] <= 0.0)
+        if bad.size:
+            row, i = bad[0][0], logs[bad[0][1]]
+            raise SpecError("hyperparameter %s must be > 0, got %g" % (self.entries[i].name, thetas[row, i]))
+        out = {name: np.full(thetas.shape[0], value) for name, value in self.fixed}
+        out.update((name, thetas[:, i]) for i, name in enumerate(self.names))
+        return out
 
     def named(self, theta: np.ndarray) -> dict:
         """Every hyperparameter value by name: the fixed ones, then the free ones."""
@@ -621,18 +634,23 @@ class LatentBlocks:
     lone gamma_i when the model has no x. Work vectors list the global
     components first and then the local ones by slot, sorted by block
     size, block and position in the block; `perm` maps each work position
-    to its latent index. The blocks of size s form one group (s, count,
-    slot0, flat0): they fill slots slot0 .. slot0 + count*s, and their
-    s x s matrices fill entries flat0 .. flat0 + count*s*s of one flat
-    array of length n_flat, where `diag` indexes each slot's diagonal.
+    to its latent index, and local latent component p + i sits in slot
+    local_slot[i]. The blocks of size s form one group (s, count, slot0,
+    flat0): they fill slots slot0 .. slot0 + count*s, and their s x s
+    matrices fill entries flat0 .. flat0 + count*s*s of one flat array of
+    length n_flat. Slot k's block row starts at row_start[k] of that
+    array, where it sits at column col_in_block[k], and `diag` indexes
+    each slot's diagonal. A whole block-arrowhead matrix is stored flat in
+    n_hess = p*p + m*p + n_flat entries: H_gg and the m x p H_lg row-major,
+    then flat H_ll (`split`).
 
-    Design rows scatter into this structure through fixed indices, laid
-    out with the row axis last: entry j of row r sits in slot slots[j, r]
-    (q x N) and its pair with entry k at pair_index[j, k, r] (q x q x N) of
-    the flat array. Only the first n_global_rows rows (regression and
-    exposure) have global coefficients; the product of entry j with global
-    column c lands in the row-major m x p border at border_index[j, c, r]
-    (q x p x n_global_rows).
+    The rows that the engine evaluates one by one (see `Conditional`)
+    scatter into this structure through fixed indices, laid out with the
+    row axis last: entry j of row r sits in slot slots[j, r] (q x n) and
+    its pair with entry k at pair_index[j, k, r] (q x q x n) of the flat
+    array. Only the first n_global_rows of them have global coefficients;
+    the product of entry j with global column c lands in the row-major
+    m x p border at border_index[j, c, r] (q x p x n_global_rows).
     """
 
     p: int
@@ -640,12 +658,24 @@ class LatentBlocks:
     perm: np.ndarray
     groups: tuple
     n_flat: int
+    local_slot: np.ndarray
+    row_start: np.ndarray
+    col_in_block: np.ndarray
     diag: np.ndarray
     slots: np.ndarray
     pair_index: np.ndarray
     n_global_rows: int
     border_index: np.ndarray
     _batched: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def n_hess(self) -> int:
+        return self.p * self.p + self.m * self.p + self.n_flat
+
+    def row_index(self, cols: np.ndarray) -> tuple:
+        """(slots, pair_index) of rows whose local entries sit at the latent
+        columns cols (n x q), laid out as the fields of the same names."""
+        return _row_index(self.local_slot, self.row_start, self.col_in_block, self.p, cols)
 
     def scatter_index(self, name: str, K: int) -> np.ndarray:
         """Raveled index array `name` (slots, pair_index or border_index) for
@@ -662,6 +692,32 @@ class LatentBlocks:
             self._batched[name] = index
         return index[:K * base.size]
 
+    def split(self, H: np.ndarray) -> tuple:
+        """Views (H_gg, H_lg, flat H_ll) of K matrices stored flat (K x n_hess)."""
+        p, m = self.p, self.m
+        K = H.shape[0]
+        return (H[:, :p * p].reshape(K, p, p), H[:, p * p:p * p + m * p].reshape(K, m, p),
+                H[:, p * p + m * p:])
+
+    def matvec(self, H: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """H u for K matrices stored flat (K x n_hess) and K work vectors u.
+
+        Every product is a stacked matrix product, one point at a time, on
+        C-ordered vectors, so a point's result does not depend on the batch.
+        """
+        gg, lg, ll = self.split(H)
+        K, p = u.shape[0], self.p
+        u_g = np.ascontiguousarray(u[:, :p])[..., None]
+        u_l = np.ascontiguousarray(u[:, p:])
+        out = np.empty(u.shape)
+        out[:, :p] = (gg @ u_g)[..., 0] + (np.swapaxes(lg, 1, 2) @ u_l[..., None])[..., 0]
+        out[:, p:] = (lg @ u_g)[..., 0]
+        for s, count, k0, f0 in self.groups:
+            M = ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
+            seg = u_l[:, k0:k0 + count * s].reshape(K, count, s, 1)
+            out[:, p + k0:p + k0 + count * s] += (M * seg if s == 1 else M @ seg).reshape(K, count * s)
+        return out
+
     def to_latent(self, w: np.ndarray) -> np.ndarray:
         """Reorder work vectors (the last axis of w) to latent order."""
         out = np.empty_like(w)
@@ -669,9 +725,16 @@ class LatentBlocks:
         return out
 
 
+def _row_index(local_slot, row_start, col_in_block, p: int, cols: np.ndarray) -> tuple:
+    slots = np.ascontiguousarray(local_slot[cols - p].T)
+    return slots, row_start[slots][:, None, :] + col_in_block[slots][None, :, :]
+
+
 def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
-                   n_global_rows: int) -> LatentBlocks:
-    """Local blocks from the latent layout, and the scatter indices of the rows."""
+                   row_cols: np.ndarray, n_global_rows: int) -> LatentBlocks:
+    """Local blocks from the latent layout, checked against the local
+    columns cols of every stacked row, and the scatter indices of the rows
+    evaluated one by one, whose local columns are row_cols."""
     m = layout.dim - p
     block = np.empty(m, dtype=np.intp)
     x_slice = layout.slice("x")
@@ -712,121 +775,234 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         slot0 += count * s
         flat0 += count * s * s
 
-    slots = np.ascontiguousarray(slot[cols - p].T)
+    slots, pair_index = _row_index(slot, row_start, col_in_block, p, row_cols)
     return LatentBlocks(
         p=p,
         m=m,
         perm=np.concatenate((np.arange(p), p + order)),
         groups=tuple(groups),
         n_flat=flat0,
+        local_slot=slot,
+        row_start=row_start,
+        col_in_block=col_in_block,
         diag=row_start + col_in_block,
         slots=slots,
-        pair_index=row_start[slots][:, None, :] + col_in_block[slots][None, :, :],
+        pair_index=pair_index,
         n_global_rows=n_global_rows,
         border_index=slots[:, None, :n_global_rows] * p + np.arange(p)[None, :, None],
     )
 
 
-@dataclass(eq=False)
-class Conditional:
-    """Everything the Gaussian engine needs about p(v | y, theta).
+@dataclass(frozen=True, eq=False)
+class StackedRows:
+    """The stacked rows of a model at one hyperparameter point, row by row.
 
-    The stacked rows cover regression, exposure, proxy, and (for augmented
-    models) the copy-link pseudo-observations 0 = x_star - beta_x x. Each
-    row is stored compactly: its coefficients on the p global latent
-    components are a row of A (N x p), and its at most q <= 2 coefficients
-    on local components sit at latent columns cols with values vals (both
-    N x q; padding entries have value 0), so the linear predictor is
-    eta = A v[:p] + sum_j vals[:, j] v[cols[:, j]] + offset. gauss_hess
-    holds each row's Gaussian precision, which is also its curvature weight
-    (0 on binomial or Poisson rows); gauss_rows spans the Gaussian rows,
-    which follow the regression rows of a binomial or Poisson response.
-    Gaussian rows are always evaluated in
-    residual form, never through an expanded quadratic, so stiff blocks
-    such as the 1e9 copy link do not cancel catastrophically. For a
-    binomial or Poisson response the reg_slice rows are not Gaussian:
-    trials_ng holds their trials and ng_c0 their summed normalizing
-    constant. The latent prior is independent, with precisions prior_prec
-    and precision-weighted means bp. blocks is the model's block-arrowhead
-    structure. row_gram holds the outer products A[r, a] * A[r, b] of the
-    global rows, one row per pair (a, b) in row-major order (p*p x
-    n_global_rows), from which the global block of the Hessian is summed.
-
-    A Conditional holds K hyperparameter points at once. `_design` builds
-    one theta-free template per model, and `assemble_conditional` copies it
-    with the theta-dependent values of K points filled in: the beta_x
-    entries of vals (K x N x q), gauss_hess (K x N), gauss_const (K),
-    prior_prec (K x d) and prior_c0 (K). Every other field is shared by the
-    K points.
+    The row blocks reg_slice, exp_slice, prox_slice and copy_slice (the
+    links 0 = x_star - beta_x x of a copy-augmented model) follow each
+    other. Row r has the linear predictor eta_r = A[r] v[:p] + sum_j
+    vals[r, j] v[cols[r, j]] + offset[r] (A is N x p; a row's at most q
+    local entries sit at cols, N x q, and padding entries have value 0),
+    the observation obs[r] and the Gaussian precision precision[r], which
+    is 0 on the regression rows of a binomial or Poisson response; trials
+    holds the trials of those rows. This is the form the model is defined
+    in; the engine reads the `Conditional` built from it.
     """
 
-    dim: int
+    family: str
     A: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     obs: np.ndarray
     offset: np.ndarray
-    gauss_hess: Optional[np.ndarray]
-    gauss_rows: slice
-    gauss_const: float
+    precision: Optional[np.ndarray]
+    trials: Optional[np.ndarray]
     reg_slice: slice
     exp_slice: slice
     prox_slice: slice
+    copy_slice: slice
+
+    def eta(self, v: np.ndarray) -> np.ndarray:
+        """Linear predictor of every row at the latent vector v."""
+        eta = self.A @ v[:self.A.shape[1]] + self.offset
+        for j in range(self.cols.shape[1]):
+            eta = eta + self.vals[:, j] * v[self.cols[:, j]]
+        return eta
+
+
+@dataclass(eq=False)
+class Conditional:
+    """Everything the Gaussian engine needs about p(v | y, theta), at K
+    hyperparameter points at once.
+
+    The log density splits three ways, by how each part is evaluated.
+
+    - The Gaussian rows (exposure, proxy, and the regression rows of a
+      gaussian response) give a quadratic in the work-order latent vector
+      u (see `LatentBlocks`): gauss_const + gauss_lin' u - u' Q u / 2, with
+      gauss_lin K x d and Q stored flat in gauss_hess (K x n_hess). Q is
+      also these rows' share of the negative Hessian. `_design` builds the
+      theta-free pieces once per model, one per row-precision
+      hyperparameter and power of beta_x, and `assemble_conditional` sums
+      them with theta at O(d) cost per point, so no pass over these rows
+      is made per point.
+    - The rows evaluated one by one: the regression rows of a binomial or
+      Poisson response (family_rows), then the copy links 0 = x_star -
+      beta_x x of an augmented model (copy_rows), whose precision
+      copy_precision (1e9 by default) would make an expanded quadratic
+      lose all signal to cancellation; they stay in residual form. A row's
+      linear predictor is eta = A v[:p] + sum_j vals[:, j] v[cols[:, j]] +
+      offset, where the global coefficients A (p columns) belong to the
+      family rows only, and a row's at most q <= 2 local entries sit at
+      latent columns cols (n x q) with values vals (K x q x n, entry by
+      entry; padding entries have value 0). obs holds the family rows'
+      observations and 0 on the copy links, trials_ng the family rows'
+      trials (None for a gaussian response) and ng_c0 their summed
+      normalizing constant. row_gram holds the outer products A[r, a] *
+      A[r, b], one row per pair (a, b) in row-major order (p*p x family
+      rows), from which the global block of the Hessian is summed.
+    - The latent prior is independent, with precisions prior_prec (K x d),
+      precision-weighted means bp and constant prior_c0 (K).
+
+    `_design` builds one theta-free template per model, and
+    `assemble_conditional` copies it with the theta-dependent values of K
+    points filled in: vals, gauss_hess, gauss_lin, gauss_const, prior_prec
+    and prior_c0. Every other field is shared by the K points.
+    """
+
+    dim: int
+    blocks: LatentBlocks
     family: str
+    A: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    obs: np.ndarray
+    offset: np.ndarray
+    family_rows: slice
+    copy_rows: slice
+    copy_precision: float
     trials_ng: Optional[np.ndarray]
     ng_c0: float
+    row_gram: np.ndarray
+    gauss_hess: Optional[np.ndarray]
+    gauss_lin: Optional[np.ndarray]
+    gauss_const: float
     prior_prec: np.ndarray
     bp: np.ndarray
     prior_c0: float
-    blocks: LatentBlocks
-    row_gram: np.ndarray
 
     def subset(self, points) -> "Conditional":
         """The conditional at the points indexed (or masked) by points."""
         return replace(self, vals=self.vals[points], gauss_hess=self.gauss_hess[points],
-                       gauss_const=self.gauss_const[points], prior_prec=self.prior_prec[points],
-                       prior_c0=self.prior_c0[points])
+                       gauss_lin=self.gauss_lin[points], gauss_const=self.gauss_const[points],
+                       prior_prec=self.prior_prec[points], prior_c0=self.prior_c0[points])
 
     def eta(self, v: np.ndarray) -> np.ndarray:
-        """Linear predictor of every stacked row (K x N) at the latent
-        vectors v (K x d), one per point.
+        """Linear predictor of the rows evaluated one by one (K x n) at the
+        latent vectors v (K x d), one per point.
 
         The global part is one matrix product per point, so a point's value
         does not depend on the batch it is in.
         """
-        k = self.blocks.n_global_rows
+        k = self.A.shape[0]
         eta = np.empty((v.shape[0],) + self.offset.shape)
         eta[...] = self.offset
         for j in range(self.cols.shape[1]):
-            eta += self.vals[:, :, j] * v[:, self.cols[:, j]]
-        eta[:, :k] += (v[:, None, :self.A.shape[1]] @ self.A[:k].T)[:, 0, :]
+            eta += self.vals[:, j] * v[:, self.cols[:, j]]
+        eta[:, :k] += (v[:, None, :self.A.shape[1]] @ self.A.T)[:, 0, :]
         return eta
 
-    def log_density(self, v: np.ndarray) -> np.ndarray:
+    def linear_maps(self, v: np.ndarray) -> tuple:
+        """(eta(v), Q u): the two linear maps of v (K x d) that the log
+        density and its gradient share, Q u of the Gaussian rows being in
+        work order."""
+        return self.eta(v), self.blocks.matvec(self.gauss_hess, v[:, self.blocks.perm])
+
+    def log_density(self, v: np.ndarray, maps: Optional[tuple] = None) -> np.ndarray:
         """log p(y | v, theta) + log p(v | theta), constants included, of
-        each point at its row of v (K x d)."""
-        eta = self.eta(v)
-        rows = self.gauss_rows
-        res = self.obs[rows] - eta[:, rows]
-        val = self.gauss_const - 0.5 * (self.gauss_hess[:, rows] * res * res).sum(axis=-1)
+        each point at its row of v (K x d); maps is `linear_maps(v)` when
+        known."""
+        eta, Qu = self.linear_maps(v) if maps is None else maps
+        u = v[:, self.blocks.perm]
+        val = self.gauss_const + (u * (self.gauss_lin - 0.5 * Qu)).sum(axis=-1)
+        copy = eta[:, self.copy_rows]
+        if copy.size:
+            val = val - 0.5 * self.copy_precision * (copy * copy).sum(axis=-1)
         if self.trials_ng is not None:
-            rows = self.reg_slice
+            rows = self.family_rows
             terms = families.loglik(self.family, self.obs[rows], self.trials_ng, eta[:, rows])
             val = val + terms.sum(axis=-1) + self.ng_c0
         return (val + self.prior_c0 + (self.bp * v).sum(axis=-1)
                 - 0.5 * (self.prior_prec * v * v).sum(axis=-1))
 
 
-def _design(model: JointModel) -> tuple:
-    """The model's theta-free Conditional and how theta fills it in (cached).
+def _block_pieces(blocks: LatentBlocks, A, cols, vals, power, resid, factor) -> dict:
+    """The Gaussian rows of one row-precision entry in block form.
 
-    Returns (template, precisions, beta_at, beta_sign). The template has 0
-    at the beta_x entries of vals, where beta_sign * beta_x belongs, no
-    gauss_hess, and the prior of the coefficients only. precisions is the
-    row-precision table: per row block, (rows, hyperparameter name or None,
-    factor), the rows' precision being the named value times factor, or
-    factor itself.
+    Row r adds -factor[r] (resid[r] - A[r] v[:p] - sum_j b^power[r, j]
+    vals[r, j] v[cols[r, j]])^2 / 2 to the log density, where resid is
+    obs - offset and b is beta_x. Expanded in the work-order vector u,
+    that is const + lin' u - u' Q u / 2, and each entry of Q and lin
+    collects a single power of b. Returns {power: [Q stored flat (n_hess),
+    lin (d), const]} for each power present.
     """
+    p, m = blocks.p, blocks.m
+    slots, pairs = blocks.row_index(cols)
+    lg, ll = slice(p * p, p * p + m * p), slice(p * p + m * p, None)
+    out = {}
+
+    def piece(power):
+        return out.setdefault(int(power), [np.zeros(blocks.n_hess), np.zeros(p + m), 0.0])
+
+    zero = piece(0)
+    zero[0][:p * p] = ((A.T * factor) @ A).ravel()
+    zero[1][:p] = A.T @ (factor * resid)
+    zero[2] = -0.5 * float(np.sum(factor * resid * resid))
+    for j in range(cols.shape[1]):
+        for P in np.unique(power[:, j]):
+            at = power[:, j] == P
+            hess, lin, _ = piece(P)
+            lin[p:] += np.bincount(slots[j, at], weights=(factor * resid * vals[:, j])[at], minlength=m)
+            hess[lg] += np.bincount((slots[j, at, None] * p + np.arange(p)).ravel(),
+                                    weights=((factor * vals[:, j])[at, None] * A[at]).ravel(),
+                                    minlength=m * p)
+        for k in range(cols.shape[1]):
+            both = power[:, j] + power[:, k]
+            for P in np.unique(both):
+                at = both == P
+                piece(P)[0][ll] += np.bincount(pairs[j, k, at],
+                                               weights=(factor * vals[:, j] * vals[:, k])[at],
+                                               minlength=blocks.n_flat)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Design:
+    """A model's theta-free stacked rows and conditional, and how theta
+    fills them in.
+
+    rows has 0 at the beta_x entries of vals and no precisions: its vals
+    at theta are vals + beta_sign * beta_x, and precisions is the
+    row-precision table of the Gaussian rows, per row block (rows,
+    hyperparameter name, factor), the rows' precision being the named
+    value times factor. The template conditional's vals take row_beta_sign
+    * beta_x in the same way; it holds its theta-free Gaussian constant in
+    gauss_const and the prior of the coefficients only. Its Gaussian rows
+    are the sum over pieces (name, power, Q, lin, const) of value(name) *
+    beta_x**power times (Q, lin, const), plus count/2 log value(name) for
+    each normalizer (name, count).
+    """
+
+    rows: StackedRows
+    beta_sign: np.ndarray
+    precisions: tuple
+    template: Conditional
+    row_beta_sign: np.ndarray
+    pieces: tuple
+    normalizers: tuple
+
+
+def _design(model: JointModel) -> _Design:
+    """The model's theta-free stacked rows and conditional (cached)."""
     cache = model._cache
     if "design" in cache:
         return cache["design"]
@@ -868,16 +1044,12 @@ def _design(model: JointModel) -> tuple:
         else:
             offset[rows] += c.prior.value * c.column
 
-    # every row block's precision; binomial and Poisson rows have none
-    precisions = tuple(
-        entry for entry in (
-            (reg_slice, "tau_eps", 1.0) if model.family == "gaussian" else (reg_slice, None, 0.0),
-            (exp_slice, "tau_x", 1.0),
-            (prox_slice, "tau_u", model.proxy_weights),
-            (copy_slice, None, model.copy_precision),
-        )
-        if entry[0].stop > entry[0].start
-    )
+    # the precision of every Gaussian row block; binomial and Poisson rows
+    # and the copy links have none here
+    gaussian_blocks = [(exp_slice, "tau_x", 1.0), (prox_slice, "tau_u", model.proxy_weights)]
+    if model.family == "gaussian":
+        gaussian_blocks.insert(0, (reg_slice, "tau_eps", 1.0))
+    precisions = tuple(entry for entry in gaussian_blocks if entry[0].stop > entry[0].start)
 
     # local entries as (rows, latent columns, value, sign); a nonzero sign
     # marks a coefficient sign * beta_x that assemble_conditional fills in:
@@ -918,7 +1090,34 @@ def _design(model: JointModel) -> tuple:
         # padding repeats the row's first column, so it stays in its block
         pad = counts <= j
         cols[pad, j] = cols[pad, 0]
-    beta_at = np.nonzero(beta_sign)
+
+    trials = model.trials[rr] if model.family != "gaussian" else None
+    stacked = StackedRows(family=model.family, A=A, cols=cols, vals=vals, obs=obs, offset=offset,
+                          precision=None, trials=trials, reg_slice=reg_slice, exp_slice=exp_slice,
+                          prox_slice=prox_slice, copy_slice=copy_slice)
+
+    # the rows evaluated one by one: the regression rows of a binomial or
+    # Poisson response, then the copy links
+    n_fam = n_reg if trials is not None else 0
+    one_by_one = np.concatenate((np.arange(n_fam), copy_slice.start + np.arange(n_copy)))
+    blocks = _latent_blocks(layout, p, model.x_index, cols, cols[one_by_one], n_fam)
+
+    # the Gaussian rows in block form, one piece per row-precision
+    # hyperparameter and power of beta_x; the theta-free parts of their
+    # normalizing constants, and the copy links', go to gauss_const
+    power = (beta_sign != 0).astype(np.intp)
+    unit = vals + beta_sign
+    resid = obs - offset
+    pieces, normalizers = [], []
+    gauss_const = 0.0
+    for rows, name, factor in precisions:
+        factor = np.broadcast_to(np.asarray(factor, dtype=float), (rows.stop - rows.start,))
+        found = _block_pieces(blocks, A[rows], cols[rows], unit[rows], power[rows], resid[rows], factor)
+        pieces += [(name, P, Q, lin, const) for P, (Q, lin, const) in sorted(found.items())]
+        normalizers.append((name, factor.size))
+        gauss_const += 0.5 * (float(np.sum(np.log(factor))) - factor.size * LOG_2PI)
+    if n_copy:
+        gauss_const += 0.5 * n_copy * (math.log(model.copy_precision) - LOG_2PI)
 
     # expand log N(v; m, 1/p) = [log(p)/2 - log(2 pi)/2 - p m^2/2] + (p m) v - p v^2/2
     bp = prior_prec * prior_mean
@@ -928,38 +1127,54 @@ def _design(model: JointModel) -> tuple:
             const += 0.5 * (math.log(pk) - LOG_2PI)
     const -= 0.5 * float(np.sum(prior_prec * prior_mean * prior_mean))
 
-    ng_c0 = 0.0
-    trials_ng = None
-    if model.family != "gaussian":
-        trials_ng = model.trials[rr]
-        ng_c0 = families.log_normalizer(model.family, obs[reg_slice], trials_ng)
-
+    A_fam = A[:n_fam]
     template = Conditional(
         dim=d,
-        A=A,
-        cols=cols,
-        vals=vals,
-        obs=obs,
-        offset=offset,
-        gauss_hess=None,
-        # every row is Gaussian except the regression rows of a binomial
-        # or Poisson response
-        gauss_rows=slice(n_reg if model.family != "gaussian" else 0, N),
-        gauss_const=math.nan,
-        reg_slice=reg_slice,
-        exp_slice=exp_slice,
-        prox_slice=prox_slice,
+        blocks=blocks,
         family=model.family,
-        trials_ng=trials_ng,
-        ng_c0=ng_c0,
+        A=A_fam,
+        cols=cols[one_by_one],
+        vals=np.ascontiguousarray(vals[one_by_one].T),
+        obs=obs[one_by_one],
+        offset=offset[one_by_one],
+        family_rows=slice(0, n_fam),
+        copy_rows=slice(n_fam, n_fam + n_copy),
+        copy_precision=model.copy_precision if n_copy else 0.0,
+        trials_ng=trials,
+        ng_c0=families.log_normalizer(model.family, obs[reg_slice], trials) if trials is not None else 0.0,
+        row_gram=(A_fam.T[:, None, :] * A_fam.T[None, :, :]).reshape(p * p, n_fam),
+        gauss_hess=None,
+        gauss_lin=None,
+        gauss_const=gauss_const,
         prior_prec=prior_prec,
         bp=bp,
         prior_c0=const,
-        blocks=_latent_blocks(layout, p, model.x_index, cols, n_reg + n_exp),
-        row_gram=(A[:n_reg + n_exp].T[:, None, :] * A[:n_reg + n_exp].T[None, :, :]).reshape(p * p, n_reg + n_exp),
     )
-    cache["design"] = (template, precisions, beta_at, beta_sign[beta_at])
+    cache["design"] = _Design(
+        rows=stacked,
+        beta_sign=beta_sign,
+        precisions=precisions,
+        template=template,
+        row_beta_sign=np.ascontiguousarray(beta_sign[one_by_one].T),
+        pieces=tuple(pieces),
+        normalizers=tuple(normalizers),
+    )
     return cache["design"]
+
+
+def stacked_rows(model: JointModel, theta) -> StackedRows:
+    """The stacked rows at one hyperparameter point theta (m values), with
+    beta_x and the row precisions filled in."""
+    named = model.theta.named(model.theta.validate(theta))
+    design = _design(model)
+    rows = design.rows
+    vals = rows.vals + design.beta_sign * named.get("beta_x", 0.0)
+    precision = np.zeros(rows.obs.size)
+    for sl, name, factor in design.precisions:
+        precision[sl] = named[name] * factor
+    if model.is_augmented:
+        precision[rows.copy_slice] = model.copy_precision
+    return replace(rows, vals=vals, precision=precision)
 
 
 def assemble_conditional(model: JointModel, theta) -> Conditional:
@@ -967,26 +1182,32 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
     of theta (K x m; a single point of m values is a batch of one).
 
     Copies the model's theta-free Conditional (`_design`) with the beta_x
-    coefficients of the local entries, the row precisions of its
-    row-precision table and the random-effect prior filled in; a point's
-    values are the same in any batch.
+    coefficients of its one-by-one rows, the Gaussian rows' block form and
+    the random-effect prior filled in; a point's values are the same in
+    any batch.
     """
     thetas = np.atleast_2d(np.asarray(theta, dtype=float))
-    points = [model.theta.named(model.theta.validate(t)) for t in thetas]
-    K = len(points)
-    cond, precisions, beta_at, beta_sign = _design(model)
+    column = model.theta.columns(thetas).__getitem__
+    K = thetas.shape[0]
+    design = _design(model)
+    cond = design.template
 
-    def column(name):
-        return np.array([named[name] for named in points])[:, None]
+    beta_x = column("beta_x") if design.beta_sign.any() else np.zeros(K)
+    vals = cond.vals + design.row_beta_sign * beta_x[:, None, None]
 
-    vals = np.repeat(cond.vals[None], K, axis=0)
-    if beta_sign.size:
-        vals[(slice(None),) + beta_at] = beta_sign * column("beta_x")
-
-    gauss_hess = np.empty((K, cond.obs.size))
-    for rows, name, factor in precisions:
-        gauss_hess[:, rows] = factor if name is None else column(name) * factor
-    gauss_const = 0.5 * (np.log(gauss_hess[:, cond.gauss_rows]) - LOG_2PI).sum(axis=-1)
+    # each piece weighted by its hyperparameter and power of beta_x, summed
+    # elementwise in a fixed order
+    gauss_hess = np.zeros((K, cond.blocks.n_hess))
+    gauss_lin = np.zeros((K, cond.dim))
+    gauss_const = np.full(K, cond.gauss_const)
+    term = np.empty(gauss_hess.shape)
+    for name, power, Q, lin, const in design.pieces:
+        weight = column(name) * beta_x ** power if power else column(name)
+        gauss_hess += np.multiply(weight[:, None], Q, out=term)
+        gauss_lin += weight[:, None] * lin
+        gauss_const += weight * const
+    for name, count in design.normalizers:
+        gauss_const += 0.5 * count * np.log(column(name))
 
     # latent prior; only the random-effect precision depends on theta
     prior_prec = np.repeat(cond.prior_prec[None], K, axis=0)
@@ -994,10 +1215,10 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
     s = model.layout.slice("gamma")
     if s is not None:
         tau_gamma = column("tau_gamma")
-        prior_prec[:, s] = tau_gamma
-        prior_c0 += 0.5 * (s.stop - s.start) * (np.log(tau_gamma[:, 0]) - LOG_2PI)
+        prior_prec[:, s] = tau_gamma[:, None]
+        prior_c0 += 0.5 * (s.stop - s.start) * (np.log(tau_gamma) - LOG_2PI)
 
-    return replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_const=gauss_const,
+    return replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_lin=gauss_lin, gauss_const=gauss_const,
                    prior_prec=prior_prec, prior_c0=prior_c0)
 
 
@@ -1017,14 +1238,15 @@ def joint_log_density(model: JointModel, v, theta) -> float:
 
 def block_log_densities(model: JointModel, v, theta) -> tuple:
     """(regression, exposure, proxy) block log likelihoods at (v, theta)."""
-    cond = assemble_conditional(model, theta)
-    eta = cond.eta(np.asarray(v, dtype=float)[None])[0]
+    rows = stacked_rows(model, theta)
+    eta = rows.eta(np.asarray(v, dtype=float))
     out = []
-    for sl in (cond.reg_slice, cond.exp_slice, cond.prox_slice):
-        if sl is cond.reg_slice and cond.trials_ng is not None:
-            terms = families.loglik(cond.family, cond.obs[sl], cond.trials_ng, eta[sl])
-            out.append(float(np.sum(terms)) + cond.ng_c0)
+    for sl in (rows.reg_slice, rows.exp_slice, rows.prox_slice):
+        if sl is rows.reg_slice and rows.trials is not None:
+            obs = rows.obs[sl]
+            terms = families.loglik(rows.family, obs, rows.trials, eta[sl])
+            out.append(float(np.sum(terms)) + families.log_normalizer(rows.family, obs, rows.trials))
         else:
-            tau, res = cond.gauss_hess[0, sl], cond.obs[sl] - eta[sl]
+            tau, res = rows.precision[sl], rows.obs[sl] - eta[sl]
             out.append(float(np.sum(-0.5 * tau * res * res + 0.5 * (np.log(tau) - LOG_2PI))))
     return tuple(out)

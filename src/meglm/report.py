@@ -94,12 +94,7 @@ class RunConfig:
             raise SpecError("diff-logdens must be finite and positive, got %g" % self.diff_logdens)
         if self.method in ("mcmc", "all"):
             # checked before any fit runs, so a bad chain writes nothing
-            chain = self.chain_config()
-            if chain.kept < 2:
-                raise SpecError(
-                    "the chain keeps too few draws: (iterations %d - burn-in %d) // thin %d = %d; "
-                    "at least 2 are needed" % (self.iterations, self.burn_in, self.thin, chain.kept)
-                )
+            self.chain_config()
 
     def chain_config(self) -> ChainConfig:
         return ChainConfig(

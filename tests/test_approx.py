@@ -506,6 +506,24 @@ class TestBatchedWalk:
         for name in ("thetas", "log_post", "latent_mean", "latent_sd"):
             assert np.array_equal(getattr(grid, name), getattr(small, name)), name
 
+    def test_each_stencil_and_shell_is_one_newton_call(self, monkeypatch):
+        # the laplace_framingham benchmark design: 243 solves, whose shells
+        # of new points hold up to 62 of them
+        sim = simulate_study(make_recipe("framingham_like", n=140, beta_0=-1.4, seed=42))
+        model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
+        sizes = []
+        real_newton = meglm.gaussian._newton
+
+        def counting(cond, init):
+            sizes.append(cond.gauss_hess.shape[0])
+            return real_newton(cond, init)
+
+        monkeypatch.setattr(meglm.gaussian, "_newton", counting)
+        grid = explore_grid(model, dz=1.0, diff_logdens=4.0)
+        assert sum(sizes) == grid.solves
+        assert len(sizes) <= 13
+        assert 62 in sizes
+
     def test_solve_counts_cover_mode_search_and_walk(self, monkeypatch):
         calls = []
         real_solve = meglm.approx.latent_gaussian_approx
@@ -685,6 +703,18 @@ def handmade_grid(center, scale, scale_kind, steps=12, dz=0.5):
 
 
 class TestHyperMarginal:
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 23])
+    def test_spline_is_scipys_not_a_knot_spline(self, n):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n)
+        x = np.cumsum(0.2 + rng.random(n))
+        y = -0.5 * (x - x.mean()) ** 2 + 0.1 * rng.standard_normal(n)
+        at = np.linspace(x[0] - 0.1, x[-1] + 0.1, 75)
+        want = CubicSpline(x, y, bc_type="not-a-knot")(at)
+        got = meglm.approx._not_a_knot_spline(x, y, at)
+        assert np.max(np.abs(got - want)) <= 1.0e-12 * np.max(np.abs(want))
+
     def test_identity_scale_matches_normal_density(self):
         grid = handmade_grid(1.3, 0.7, "identity")
         marg = hyper_marginal(grid, 0)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from meglm.model import (
     build_joint_model,
     copy_augment,
     joint_log_density,
+    stacked_rows,
 )
-from meglm.priors import FixedValue, GammaPrior, GaussianPrior
+from meglm.priors import LOG_2PI, FixedValue, GammaPrior, GaussianPrior
 from meglm.studies import make_recipe, simulate_study
 
 
@@ -300,13 +302,13 @@ def dense_from_blocks(blocks, H):
     return dense
 
 
-def dense_design(cond):
-    """The N x d design matrix of point 0 of a conditional's compact rows."""
-    N, p = cond.A.shape
-    A = np.zeros((N, cond.dim))
-    A[:, :p] = cond.A
-    for j in range(cond.cols.shape[1]):
-        np.add.at(A, (np.arange(N), cond.cols[:, j]), cond.vals[0, :, j])
+def dense_design(rows, dim):
+    """The N x dim design matrix of a model's stacked rows (`stacked_rows`)."""
+    N, p = rows.A.shape
+    A = np.zeros((N, dim))
+    A[:, :p] = rows.A
+    for j in range(rows.cols.shape[1]):
+        np.add.at(A, (np.arange(N), rows.cols[:, j]), rows.vals[:, j])
     return A
 
 
@@ -315,28 +317,32 @@ def log_density_0(cond, v):
     return float(cond.log_density(v[None])[0])
 
 
-def dense_gradient_and_hessian(cond, v):
-    """Gradient and negative Hessian of point 0's log density with dense algebra."""
-    A = dense_design(cond)
-    eta = A @ v + cond.offset
-    score = cond.gauss_hess[0] * (cond.obs - eta)
-    w = cond.gauss_hess[0].copy()
-    if cond.trials_ng is not None:
-        rows = cond.reg_slice
-        s, W = families.score_weight(cond.family, cond.obs[rows], cond.trials_ng, eta[rows])
-        score[rows] += s
-        w[rows] = W
+def dense_gradient_and_hessian(model, theta, v):
+    """Gradient and negative Hessian of the log density at one point theta,
+    row by row from the stacked rows, with dense algebra."""
+    rows = stacked_rows(model, theta)
+    cond = assemble_conditional(model, theta)
+    A = dense_design(rows, model.layout.dim)
+    eta = A @ v + rows.offset
+    score = rows.precision * (rows.obs - eta)
+    w = rows.precision.copy()
+    if rows.trials is not None:
+        reg = rows.reg_slice
+        s, W = families.score_weight(rows.family, rows.obs[reg], rows.trials, eta[reg])
+        score[reg] += s
+        w[reg] = W
     g = A.T @ score + cond.bp - cond.prior_prec[0] * v
     H = (A.T * w) @ A + np.diag(cond.prior_prec[0])
     return g, H
 
 
-def dense_mode(cond):
-    """Newton with step halving on the dense gradient and Hessian of point 0."""
+def dense_mode(model, theta):
+    """Newton with step halving on the dense gradient and Hessian at theta."""
+    cond = assemble_conditional(model, theta)
     v = np.zeros(cond.dim)
     f = log_density_0(cond, v)
     for _ in range(100):
-        g, H = dense_gradient_and_hessian(cond, v)
+        g, H = dense_gradient_and_hessian(model, theta, v)
         step = np.linalg.solve(H, g)
         if np.max(np.abs(step)) <= 1.0e-13 * (1.0 + np.max(np.abs(v))):
             return v
@@ -365,14 +371,14 @@ class TestArrowheadAgainstDense:
         cond = assemble_conditional(model, theta)
         approx = latent_gaussian_approx(model, theta)
 
-        # the blocks hold exactly the dense Hessian of the compact rows
+        # the blocks hold exactly the dense Hessian of the stacked rows
         _, blocks_H = _grad_hess(cond, approx.mode[None])
         dense_H = dense_from_blocks(cond.blocks, tuple(a[0] for a in blocks_H))
-        _, ref_H = dense_gradient_and_hessian(cond, approx.mode)
+        _, ref_H = dense_gradient_and_hessian(model, theta, approx.mode)
         assert rel_gap(dense_H, ref_H) < 1.0e-12
 
-        mode = dense_mode(cond)
-        _, H = dense_gradient_and_hessian(cond, mode)
+        mode = dense_mode(model, theta)
+        _, H = dense_gradient_and_hessian(model, theta, mode)
         assert rel_gap(approx.mode, mode) < 1.0e-9
         sign, log_det = np.linalg.slogdet(H)
         assert sign == 1.0
@@ -399,6 +405,52 @@ class TestArrowheadAgainstDense:
             expected = np.bincount(rows_per_group + 1 + int(augmented))
             assert sizes == {s: int(c) for s, c in enumerate(expected) if c}
             assert blocks.p + blocks.m == model.layout.dim
+
+
+def random_effect_ibex():
+    """ibex_like with an iid Gaussian effect on every regression row: a
+    gaussian response whose rows carry beta_x x_k and gamma_k."""
+    sim = simulate_study(make_recipe("ibex", n=26, seed=1))
+    spec = parse_model_config(sim.model_config)
+    observation = replace(spec.observation, random_effect=GammaPrior(2.0, 1.0))
+    return build_joint_model(replace(spec, observation=observation), sim.dataset)
+
+
+def per_row_log_density(model, theta, v):
+    """The log density at v, row by row from the stacked rows."""
+    rows = stacked_rows(model, theta)
+    cond = assemble_conditional(model, theta)
+    tau, res = rows.precision, rows.obs - rows.eta(v)
+    gauss = tau > 0.0
+    f = float(np.sum(-0.5 * tau[gauss] * res[gauss] ** 2 + 0.5 * (np.log(tau[gauss]) - LOG_2PI)))
+    if rows.trials is not None:
+        reg = rows.reg_slice
+        f += float(np.sum(families.loglik(rows.family, rows.obs[reg], rows.trials, rows.eta(v)[reg])))
+        f += families.log_normalizer(rows.family, rows.obs[reg], rows.trials)
+    return f + cond.prior_c0[0] + float(cond.bp @ v) - 0.5 * float(np.sum(cond.prior_prec[0] * v * v))
+
+
+class TestBlockForm:
+    """The Gaussian rows in block form against the same rows one by one."""
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("study", ["ibex", "framingham", "seedling", "random-effect"])
+    def test_matches_the_rows(self, study, perturbed):
+        model = random_effect_ibex() if study == "random-effect" else study_model(study, False)
+        theta = study_theta(model, perturbed)
+        v = 0.3 * np.cos(1.3 * np.arange(model.layout.dim))
+        cond = assemble_conditional(model, theta)
+        g, H = _grad_hess(cond, v[None])
+        ref_g, ref_H = dense_gradient_and_hessian(model, theta, v)
+        assert rel_gap(cond.blocks.to_latent(g)[0], ref_g) < 1.0e-12
+        assert rel_gap(dense_from_blocks(cond.blocks, tuple(a[0] for a in H)), ref_H) < 1.0e-12
+        assert rel_gap(log_density_0(cond, v), per_row_log_density(model, theta, v)) < 1.0e-12
+
+    def test_a_gaussian_response_leaves_no_row_to_evaluate(self):
+        # ibex_like has a gaussian response and no copy links
+        model = study_model("ibex", False)
+        cond = assemble_conditional(model, model.theta.init_natural())
+        assert cond.obs.size == 0 and cond.trials_ng is None
 
 
 class TestRidgeAndFailure:

@@ -22,6 +22,7 @@ from meglm.model import (
     copy_augment,
     joint_log_density,
     naive_spec,
+    stacked_rows,
 )
 from meglm.priors import FixedValue, GammaPrior, GaussianPrior
 from meglm.studies import make_recipe, simulate_study
@@ -443,9 +444,9 @@ class TestObservationBlockForms:
 
     @staticmethod
     def row_precisions(model, theta):
-        cond = assemble_conditional(model, theta)
-        h = cond.gauss_hess[0]
-        return h[cond.reg_slice], h[cond.exp_slice], h[cond.prox_slice], h[cond.prox_slice.stop:]
+        rows = stacked_rows(model, theta)
+        h = rows.precision
+        return h[rows.reg_slice], h[rows.exp_slice], h[rows.prox_slice], h[rows.copy_slice]
 
     def test_berkson_proxy_rows_hold_the_centered_group_proxy(self):
         model, data = weighted_seedling()
@@ -550,14 +551,15 @@ class TestCoefficientTable:
         assert model.latent_names() == ("beta_z2", "alpha_0", "alpha_z2", "x_1", "x_2", "x_3", "x_4")
 
         cond = assemble_conditional(model, model.theta.init_natural())
-        reg, exp_, prox = cond.reg_slice, cond.exp_slice, cond.prox_slice
-        assert cond.A.shape == (3 + 4 + 4, 3)
-        assert np.array_equal(cond.A[reg], np.column_stack([z2[rr], np.zeros(3), np.zeros(3)]))
-        assert np.array_equal(cond.A[exp_], np.column_stack([np.zeros(4), np.ones(4), z2]))
-        assert not cond.A[prox].any()
-        assert np.allclose(cond.offset[reg], 0.7 - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
-        assert np.allclose(cond.offset[exp_], 0.3 * z1, rtol=0.0, atol=1e-15)
-        assert not cond.offset[prox].any()
+        rows = stacked_rows(model, model.theta.init_natural())
+        reg, exp_, prox = rows.reg_slice, rows.exp_slice, rows.prox_slice
+        assert rows.A.shape == (3 + 4 + 4, 3)
+        assert np.array_equal(rows.A[reg], np.column_stack([z2[rr], np.zeros(3), np.zeros(3)]))
+        assert np.array_equal(rows.A[exp_], np.column_stack([np.zeros(4), np.ones(4), z2]))
+        assert not rows.A[prox].any()
+        assert np.allclose(rows.offset[reg], 0.7 - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
+        assert np.allclose(rows.offset[exp_], 0.3 * z1, rtol=0.0, atol=1e-15)
+        assert not rows.offset[prox].any()
         assert np.array_equal(cond.prior_prec[0], [2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
         assert np.array_equal(cond.bp, [2.0, 0.5, -0.1, 0.0, 0.0, 0.0, 0.0])
 
@@ -582,9 +584,10 @@ class TestCoefficientTable:
         assert model.theta.names == ("tau_eps",)
 
         cond = assemble_conditional(model, model.theta.init_natural())
-        assert cond.A.shape == (3, 2)
-        assert np.array_equal(cond.A, np.column_stack([np.ones(3), z2[rr]]))
-        assert np.allclose(cond.offset, 0.8 * w[rr] - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
+        rows = stacked_rows(model, model.theta.init_natural())
+        assert rows.A.shape == (3, 2)
+        assert np.array_equal(rows.A, np.column_stack([np.ones(3), z2[rr]]))
+        assert np.allclose(rows.offset, 0.8 * w[rr] - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
         assert np.array_equal(cond.prior_prec[0], [1.0e-4, 2.0])
         assert np.array_equal(cond.bp, [0.0, 2.0])
 

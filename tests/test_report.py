@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,16 @@ class TestMarginalSources:
         assert marginals["beta_x"].mean == pytest.approx(
             float(np.mean(draws)), abs=0.05 * float(np.std(draws))
         )
+
+    def test_mcmc_marginals_reject_a_chain_of_fewer_than_two_draws(self, tmp_path):
+        # (10 - 5) // 10 = 0 draws: refused before the chain runs, with no
+        # numpy warning from statistics of an empty chain
+        sim, _ = ibex_files(tmp_path, seed=8)
+        spec = parse_model_config(sim.model_config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match=r"the chain keeps too few draws: .* = 0; at least 2"):
+                mcmc_marginals(spec, sim.dataset, ChainConfig(iterations=10, burn_in=5, thin=10, seed=1))
 
     def test_naive_and_laplace_share_regression_names(self, tmp_path):
         sim, _ = ibex_files(tmp_path, seed=9)
