@@ -1,7 +1,8 @@
 """Dataset loading and model configuration parsing.
 
 Datasets are plain CSV files with a header row; every cell is either a
-number or the literal token NA marking an absent value (stored as NaN).
+finite number or the literal token NA marking an absent value (stored as
+NaN). Cells such as inf, nan or 1e999 are refused, not read as absent.
 Model configurations are INI files with a [model] section naming the
 family, error kind and column bindings, plus one [prior.<name>] section
 per parameter block.
@@ -87,12 +88,15 @@ class Dataset:
                     cols[j].append(math.nan)
                     continue
                 try:
-                    cols[j].append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise DataError(
-                        "%s line %d, column %r: cannot parse %r as a number"
-                        % (label, lineno, names[j], cell)
+                        "%s line %d, column %r: %r is not a finite number (%s marks an absent value)"
+                        % (label, lineno, names[j], cell, NA_TOKEN)
                     )
+                cols[j].append(value)
         columns = {name: np.asarray(vals, dtype=float) for name, vals in zip(names, cols)}
         return cls(names=names, columns=columns)
 

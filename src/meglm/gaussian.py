@@ -10,11 +10,12 @@ or N x d matrix is ever formed. Models whose likelihood blocks are all
 Gaussian have a closed-form posterior, where the Newton result is exact
 after a single step.
 
-The Gaussian rows reach the engine already summed into a quadratic in
-block form (`model.Conditional`), so the gradient, the Hessian and the
-log density of a Newton iteration pass row by row only over the binomial
-or Poisson outcome rows and the copy links; everything else costs O(d)
-per point. A Gaussian response without copy links has no such rows.
+The Gaussian rows, the latent prior's among them, reach the engine
+already summed into a quadratic in block form (`model.Conditional`), so
+the gradient, the Hessian and the log density of a Newton iteration pass
+row by row only over the binomial or Poisson outcome rows and the copy
+links; everything else costs O(d) per point. A Gaussian response without
+copy links has no such rows.
 
 Every solve runs on a batch: the conditionals at K hyperparameter points
 (`assemble_conditional` with a K x m theta) are iterated together, and a
@@ -386,9 +387,9 @@ class LatentBatch:
 
 
 def _hessian(cond: Conditional, w: np.ndarray) -> tuple:
-    """(H_gg, H_lg, flat H_ll): the Gaussian rows' block form, plus the
-    one-by-one rows with curvature weights w (K x n), plus the prior; the
-    results carry the same leading axis of K points.
+    """(H_gg, H_lg, flat H_ll): the Gaussian rows' block form plus the
+    one-by-one rows with curvature weights w (K x n); the results carry
+    the same leading axis of K points.
     """
     blocks = cond.blocks
     K = w.shape[0]
@@ -396,30 +397,26 @@ def _hessian(cond: Conditional, w: np.ndarray) -> tuple:
     k = blocks.n_global_rows
     gauss = blocks.split(cond.gauss_hess)
     if not w.shape[1]:
-        gg, lg, ll = (a.copy() for a in gauss)
-    else:
-        # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product
-        # per point against the rows' outer products
-        gg = (w[:, None, :k] @ cond.row_gram.T).reshape(K, p, p)
-        vals = cond.vals
-        wv = w[:, None, :] * vals
-        # with no global or no local components bincount sees no entries
-        # and returns integers, hence the casts
-        lg = np.bincount(
-            blocks.scatter_index("border_index", K),
-            weights=(wv[:, :, None, :k] * cond.A.T).ravel(),
-            minlength=K * m * p,
-        ).reshape(K, m, p).astype(float, copy=False)
-        ll = np.bincount(
-            blocks.scatter_index("pair_index", K),
-            weights=(wv[:, :, None, :] * vals[:, None, :, :]).ravel(),
-            minlength=K * blocks.n_flat,
-        ).reshape(K, blocks.n_flat).astype(float, copy=False)
-        for a, b in zip((gg, lg, ll), gauss):
-            a += b
-    prior = cond.prior_prec[:, blocks.perm]
-    gg.reshape(K, p * p)[:, ::p + 1] += prior[:, :p]
-    ll[:, blocks.diag] += prior[:, p:]
+        return gauss
+    # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product
+    # per point against the rows' outer products
+    gg = (w[:, None, :k] @ cond.row_gram.T).reshape(K, p, p)
+    vals = cond.vals
+    wv = w[:, None, :] * vals
+    # with no global or no local components bincount sees no entries
+    # and returns integers, hence the casts
+    lg = np.bincount(
+        blocks.scatter_index("border_index", K),
+        weights=(wv[:, :, None, :k] * cond.A.T).ravel(),
+        minlength=K * m * p,
+    ).reshape(K, m, p).astype(float, copy=False)
+    ll = np.bincount(
+        blocks.scatter_index("pair_index", K),
+        weights=(wv[:, :, None, :] * vals[:, None, :, :]).ravel(),
+        minlength=K * blocks.n_flat,
+    ).reshape(K, blocks.n_flat).astype(float, copy=False)
+    for a, b in zip((gg, lg, ll), gauss):
+        a += b
     return gg, lg, ll
 
 
@@ -435,7 +432,7 @@ def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True, maps: Option
     K = v.shape[0]
     p, k = blocks.p, blocks.n_global_rows
     eta, Qu = cond.linear_maps(v) if maps is None else maps
-    g = cond.gauss_lin - Qu + (cond.bp - cond.prior_prec * v)[:, blocks.perm]
+    g = cond.gauss_lin - Qu
     score = np.empty(eta.shape)
     w = np.empty(eta.shape)
     rows = cond.copy_rows

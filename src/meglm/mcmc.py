@@ -359,17 +359,6 @@ class _Sampler:
     tau_gamma_prior: object
     has_gamma: bool
 
-    # the coefficient blocks' arrays under flat names; free masks are boolean
-    beta_names = property(lambda self: self.beta.names)
-    beta_mean = property(lambda self: self.beta.mean)
-    beta_prec = property(lambda self: self.beta.prec)
-    beta_free = property(lambda self: np.isfinite(self.beta.prec))
-    alpha_names = property(lambda self: self.alpha.names)
-    alpha_mean = property(lambda self: self.alpha.mean)
-    alpha_prec = property(lambda self: self.alpha.prec)
-    alpha_free = property(lambda self: np.isfinite(self.alpha.prec))
-    exp_design = property(lambda self: self.alpha.design)
-
     def regression_design(self, x: np.ndarray) -> np.ndarray:
         """The regression design at latent values x (the shared buffer)."""
         self.beta.design[:, _BETA_X] = x[self.x_index]
@@ -435,8 +424,8 @@ def _initial_state(sampler: _Sampler) -> ChainState:
     x0 = np.bincount(sampler.proxy_index, weights=sampler.w, minlength=sampler.n_x) / counts
     return ChainState(
         x=x0,
-        beta=np.where(sampler.beta_free, 0.0, sampler.beta_mean),
-        alpha=np.where(sampler.alpha_free, 0.0, sampler.alpha_mean),
+        beta=np.where(np.isfinite(sampler.beta.prec), 0.0, sampler.beta.mean),
+        alpha=np.where(np.isfinite(sampler.alpha.prec), 0.0, sampler.alpha.mean),
         gamma=np.zeros(sampler.y.size) if sampler.has_gamma else np.zeros(0),
         **{name: v for name, v in start.items() if name.startswith("tau_")},
     )

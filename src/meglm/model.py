@@ -23,11 +23,15 @@ beta_x * x so that the regression row reads x_star with unit coefficient,
 turning the conditional latent distribution given hyperparameters into a
 Gaussian-friendly form for any fixed beta_x.
 
-Given the hyperparameters, each stacked row touches the few global
-coefficients and at most two components of one local block (x_k, its
-copy and the random effects of the rows sharing x_k), so the latent
-precision is block-arrowhead (`LatentBlocks`) and the design is stored
-row by row, never as a dense N x d matrix.
+The latent prior is Gaussian too, and joins the stacked rows as
+pseudo-observations: each free coefficient with a proper prior observes
+its prior mean with the prior precision, and each random effect gamma_i
+observes 0 with precision tau_gamma. Given the hyperparameters, each
+stacked row touches the few global coefficients and at most two
+components of one local block (x_k, its copy and the random effects of
+the rows sharing x_k), so the latent precision is block-arrowhead
+(`LatentBlocks`) and the design is stored row by row, never as a dense
+N x d matrix.
 
 Continuous covariates and proxies are centered at build time, and the
 applied constants are recorded on the model (`JointModel.centering`). The
@@ -797,15 +801,18 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
 class StackedRows:
     """The stacked rows of a model at one hyperparameter point, row by row.
 
-    The row blocks reg_slice, exp_slice, prox_slice and copy_slice (the
-    links 0 = x_star - beta_x x of a copy-augmented model) follow each
-    other. Row r has the linear predictor eta_r = A[r] v[:p] + sum_j
-    vals[r, j] v[cols[r, j]] + offset[r] (A is N x p; a row's at most q
-    local entries sit at cols, N x q, and padding entries have value 0),
-    the observation obs[r] and the Gaussian precision precision[r], which
-    is 0 on the regression rows of a binomial or Poisson response; trials
-    holds the trials of those rows. This is the form the model is defined
-    in; the engine reads the `Conditional` built from it.
+    The row blocks reg_slice, exp_slice, prox_slice, copy_slice (the links
+    0 = x_star - beta_x x of a copy-augmented model) and prior_slice (the
+    latent prior: a row observing its prior mean for each free coefficient
+    with a proper prior, then a row observing 0 for each random effect)
+    follow each other. Row r has the linear predictor eta_r = A[r] v[:p]
+    + sum_j vals[r, j] v[cols[r, j]] + offset[r] (A is N x p; a row's at
+    most q local entries sit at cols, N x q, and padding entries have
+    value 0), the observation obs[r] and the Gaussian precision
+    precision[r], which is 0 on the regression rows of a binomial or
+    Poisson response; trials holds the trials of those rows. This is the
+    form the model is defined in; the engine reads the `Conditional` built
+    from it.
     """
 
     family: str
@@ -820,6 +827,7 @@ class StackedRows:
     exp_slice: slice
     prox_slice: slice
     copy_slice: slice
+    prior_slice: slice
 
     def eta(self, v: np.ndarray) -> np.ndarray:
         """Linear predictor of every row at the latent vector v."""
@@ -834,17 +842,19 @@ class Conditional:
     """Everything the Gaussian engine needs about p(v | y, theta), at K
     hyperparameter points at once.
 
-    The log density splits three ways, by how each part is evaluated.
+    The log density splits two ways, by how each part is evaluated.
 
-    - The Gaussian rows (exposure, proxy, and the regression rows of a
-      gaussian response) give a quadratic in the work-order latent vector
-      u (see `LatentBlocks`): gauss_const + gauss_lin' u - u' Q u / 2, with
-      gauss_lin K x d and Q stored flat in gauss_hess (K x n_hess). Q is
-      also these rows' share of the negative Hessian. `_design` builds the
-      theta-free pieces once per model, one per row-precision
-      hyperparameter and power of beta_x, and `assemble_conditional` sums
-      them with theta at O(d) cost per point, so no pass over these rows
-      is made per point.
+    - The Gaussian rows (exposure, proxy, the regression rows of a
+      gaussian response and the latent prior's rows) give a quadratic in
+      the work-order latent vector u (see `LatentBlocks`): gauss_const +
+      gauss_lin' u - u' Q u / 2, with gauss_lin K x d and Q stored flat in
+      gauss_hess (K x n_hess). Q is also these rows' share of the negative
+      Hessian. `_design` builds the theta-free pieces once per model, one
+      per row-precision hyperparameter and power of beta_x, and
+      `assemble_conditional` sums them with theta at O(d) cost per point,
+      so no pass over these rows is made per point. gauss_const also holds
+      every theta-free normalizing constant, the binomial or Poisson rows'
+      included.
     - The rows evaluated one by one: the regression rows of a binomial or
       Poisson response (family_rows), then the copy links 0 = x_star -
       beta_x x of an augmented model (copy_rows), whose precision
@@ -855,18 +865,18 @@ class Conditional:
       family rows only, and a row's at most q <= 2 local entries sit at
       latent columns cols (n x q) with values vals (K x q x n, entry by
       entry; padding entries have value 0). obs holds the family rows'
-      observations and 0 on the copy links, trials_ng the family rows'
-      trials (None for a gaussian response) and ng_c0 their summed
-      normalizing constant. row_gram holds the outer products A[r, a] *
-      A[r, b], one row per pair (a, b) in row-major order (p*p x family
-      rows), from which the global block of the Hessian is summed.
-    - The latent prior is independent, with precisions prior_prec (K x d),
-      precision-weighted means bp and constant prior_c0 (K).
+      observations and 0 on the copy links, and trials_ng the family
+      rows' trials (None for a gaussian response). row_gram holds the
+      outer products A[r, a] * A[r, b], one row per pair (a, b) in
+      row-major order (p*p x family rows), from which the global block of
+      the Hessian is summed.
 
-    `_design` builds one theta-free template per model, and
-    `assemble_conditional` copies it with the theta-dependent values of K
-    points filled in: vals, gauss_hess, gauss_lin, gauss_const, prior_prec
-    and prior_c0. Every other field is shared by the K points.
+    `_design` builds one template per model, whose gauss_hess (n_hess),
+    gauss_lin (d) and gauss_const are the quadratic of the rows of fixed
+    precision, and `assemble_conditional` copies it with the
+    theta-dependent values of K points filled in: vals, gauss_hess,
+    gauss_lin and gauss_const. Every other field is shared by the K
+    points.
     """
 
     dim: int
@@ -881,20 +891,15 @@ class Conditional:
     copy_rows: slice
     copy_precision: float
     trials_ng: Optional[np.ndarray]
-    ng_c0: float
     row_gram: np.ndarray
-    gauss_hess: Optional[np.ndarray]
-    gauss_lin: Optional[np.ndarray]
-    gauss_const: float
-    prior_prec: np.ndarray
-    bp: np.ndarray
-    prior_c0: float
+    gauss_hess: np.ndarray
+    gauss_lin: np.ndarray
+    gauss_const: np.ndarray
 
     def subset(self, points) -> "Conditional":
         """The conditional at the points indexed (or masked) by points."""
         return replace(self, vals=self.vals[points], gauss_hess=self.gauss_hess[points],
-                       gauss_lin=self.gauss_lin[points], gauss_const=self.gauss_const[points],
-                       prior_prec=self.prior_prec[points], prior_c0=self.prior_c0[points])
+                       gauss_lin=self.gauss_lin[points], gauss_const=self.gauss_const[points])
 
     def eta(self, v: np.ndarray) -> np.ndarray:
         """Linear predictor of the rows evaluated one by one (K x n) at the
@@ -930,9 +935,8 @@ class Conditional:
         if self.trials_ng is not None:
             rows = self.family_rows
             terms = families.loglik(self.family, self.obs[rows], self.trials_ng, eta[:, rows])
-            val = val + terms.sum(axis=-1) + self.ng_c0
-        return (val + self.prior_c0 + (self.bp * v).sum(axis=-1)
-                - 0.5 * (self.prior_prec * v * v).sum(axis=-1))
+            val = val + terms.sum(axis=-1)
+        return val
 
 
 def _block_pieces(blocks: LatentBlocks, A, cols, vals, power, resid, factor) -> dict:
@@ -984,12 +988,13 @@ class _Design:
     at theta are vals + beta_sign * beta_x, and precisions is the
     row-precision table of the Gaussian rows, per row block (rows,
     hyperparameter name, factor), the rows' precision being the named
-    value times factor. The template conditional's vals take row_beta_sign
-    * beta_x in the same way; it holds its theta-free Gaussian constant in
-    gauss_const and the prior of the coefficients only. Its Gaussian rows
-    are the sum over pieces (name, power, Q, lin, const) of value(name) *
-    beta_x**power times (Q, lin, const), plus count/2 log value(name) for
-    each normalizer (name, count).
+    value times factor, or factor alone where the name is None (the
+    coefficient prior rows). The template conditional's vals take
+    row_beta_sign * beta_x in the same way. Its Gaussian rows are its own
+    quadratic (the rows of fixed precision, and every theta-free
+    constant) plus the sum over pieces (name, power, Q, lin, const) of
+    value(name) * beta_x**power times (Q, lin, const), plus count/2 log
+    value(name) for each normalizer (name, count).
     """
 
     rows: StackedRows
@@ -1011,42 +1016,49 @@ def _design(model: JointModel) -> _Design:
     d = layout.dim
     rr = model.reg_rows
     n_reg, n_exp, n_prox = model.block_sizes
-    N = model.n_rows
-    n_copy = N - n_reg - n_exp - n_prox
-    p = sum(c.free for c in model.coefficients)
+    n_copy = model.n_rows - n_reg - n_exp - n_prox
+    free = [c.prior for c in model.coefficients if c.free]
+    p = len(free)
+    proper = [k for k, prior in enumerate(free) if prior.precision > 0.0]
+    g_slice = layout.slice("gamma")
+    n_gamma = 0 if g_slice is None else g_slice.stop - g_slice.start
+
+    reg_slice = slice(0, n_reg)
+    exp_slice = slice(n_reg, n_reg + n_exp)
+    prox_slice = slice(n_reg + n_exp, n_reg + n_exp + n_prox)
+    copy_slice = slice(n_reg + n_exp + n_prox, model.n_rows)
+    coef_prior = slice(model.n_rows, model.n_rows + len(proper))
+    gamma_prior = slice(coef_prior.stop, coef_prior.stop + n_gamma)
+    N = gamma_prior.stop
 
     # A is the transpose of a p x N array, so the matrix products of the
     # engine read each global column contiguously
     A = np.zeros((p, N)).T
     obs = np.zeros(N)
     offset = np.zeros(N)
-    reg_slice = slice(0, n_reg)
-    exp_slice = slice(n_reg, n_reg + n_exp)
-    prox_slice = slice(n_reg + n_exp, n_reg + n_exp + n_prox)
-    copy_slice = slice(n_reg + n_exp + n_prox, N)
-
     obs[reg_slice] = model.y[rr]
     if n_prox:
         obs[prox_slice] = model.proxy_obs
 
     # free coefficient k is latent component k and fills column k of A; a
     # fixed one adds its share of the linear predictor to the offset
-    prior_prec = np.zeros(d)
-    prior_mean = np.zeros(d)
     k = 0
     for c in model.coefficients:
         rows = exp_slice if c.exposure else reg_slice
         if c.free:
             A[rows, k] = c.column
-            prior_prec[k] = c.prior.precision
-            prior_mean[k] = c.prior.mean
             k += 1
         else:
             offset[rows] += c.prior.value * c.column
+    # a proper prior on a free coefficient is one row observing its mean
+    A[np.arange(coef_prior.start, coef_prior.stop), proper] = 1.0
+    obs[coef_prior] = [free[k].mean for k in proper]
 
     # the precision of every Gaussian row block; binomial and Poisson rows
     # and the copy links have none here
-    gaussian_blocks = [(exp_slice, "tau_x", 1.0), (prox_slice, "tau_u", model.proxy_weights)]
+    gaussian_blocks = [(exp_slice, "tau_x", 1.0), (prox_slice, "tau_u", model.proxy_weights),
+                       (coef_prior, None, np.array([free[k].precision for k in proper])),
+                       (gamma_prior, "tau_gamma", 1.0)]
     if model.family == "gaussian":
         gaussian_blocks.insert(0, (reg_slice, "tau_eps", 1.0))
     precisions = tuple(entry for entry in gaussian_blocks if entry[0].stop > entry[0].start)
@@ -1057,7 +1069,6 @@ def _design(model: JointModel) -> _Design:
     # copy-link rows 0 = x_star - beta_x x
     x_slice = layout.slice("x")
     xs_slice = layout.slice("x_star")
-    g_slice = layout.slice("gamma")
     entries = []
     if x_slice is not None:
         if model.is_augmented:
@@ -1074,6 +1085,8 @@ def _design(model: JointModel) -> _Design:
         rows = copy_slice.start + np.arange(n_copy)
         entries.append((rows, xs_slice.start + np.arange(n_copy), 1.0, 0.0))
         entries.append((rows, x_slice.start + np.arange(n_copy), 0.0, -1.0))
+    if n_gamma:
+        entries.append((gamma_prior.start + np.arange(n_gamma), g_slice.start + np.arange(n_gamma), 1.0, 0.0))
     counts = np.bincount(np.concatenate([e[0] for e in entries]), minlength=N) if entries else np.zeros(N, int)
     q = int(counts.max()) if N else 0
     cols = np.full((N, q), p, dtype=np.intp)
@@ -1094,7 +1107,8 @@ def _design(model: JointModel) -> _Design:
     trials = model.trials[rr] if model.family != "gaussian" else None
     stacked = StackedRows(family=model.family, A=A, cols=cols, vals=vals, obs=obs, offset=offset,
                           precision=None, trials=trials, reg_slice=reg_slice, exp_slice=exp_slice,
-                          prox_slice=prox_slice, copy_slice=copy_slice)
+                          prox_slice=prox_slice, copy_slice=copy_slice,
+                          prior_slice=slice(model.n_rows, N))
 
     # the rows evaluated one by one: the regression rows of a binomial or
     # Poisson response, then the copy links
@@ -1103,29 +1117,31 @@ def _design(model: JointModel) -> _Design:
     blocks = _latent_blocks(layout, p, model.x_index, cols, cols[one_by_one], n_fam)
 
     # the Gaussian rows in block form, one piece per row-precision
-    # hyperparameter and power of beta_x; the theta-free parts of their
-    # normalizing constants, and the copy links', go to gauss_const
+    # hyperparameter and power of beta_x; the rows of fixed precision, the
+    # theta-free parts of every normalizing constant and the copy links'
+    # go to the template's own quadratic
     power = (beta_sign != 0).astype(np.intp)
     unit = vals + beta_sign
     resid = obs - offset
     pieces, normalizers = [], []
+    gauss_hess, gauss_lin = np.zeros(blocks.n_hess), np.zeros(d)
     gauss_const = 0.0
     for rows, name, factor in precisions:
         factor = np.broadcast_to(np.asarray(factor, dtype=float), (rows.stop - rows.start,))
         found = _block_pieces(blocks, A[rows], cols[rows], unit[rows], power[rows], resid[rows], factor)
-        pieces += [(name, P, Q, lin, const) for P, (Q, lin, const) in sorted(found.items())]
-        normalizers.append((name, factor.size))
         gauss_const += 0.5 * (float(np.sum(np.log(factor))) - factor.size * LOG_2PI)
+        if name is None:
+            Q, lin, const = found[0]
+            gauss_hess += Q
+            gauss_lin += lin
+            gauss_const += const
+        else:
+            pieces += [(name, P, Q, lin, const) for P, (Q, lin, const) in sorted(found.items())]
+            normalizers.append((name, factor.size))
     if n_copy:
         gauss_const += 0.5 * n_copy * (math.log(model.copy_precision) - LOG_2PI)
-
-    # expand log N(v; m, 1/p) = [log(p)/2 - log(2 pi)/2 - p m^2/2] + (p m) v - p v^2/2
-    bp = prior_prec * prior_mean
-    const = 0.0
-    for pk in prior_prec:
-        if pk > 0.0:
-            const += 0.5 * (math.log(pk) - LOG_2PI)
-    const -= 0.5 * float(np.sum(prior_prec * prior_mean * prior_mean))
+    if trials is not None:
+        gauss_const += families.log_normalizer(model.family, obs[reg_slice], trials)
 
     A_fam = A[:n_fam]
     template = Conditional(
@@ -1141,14 +1157,10 @@ def _design(model: JointModel) -> _Design:
         copy_rows=slice(n_fam, n_fam + n_copy),
         copy_precision=model.copy_precision if n_copy else 0.0,
         trials_ng=trials,
-        ng_c0=families.log_normalizer(model.family, obs[reg_slice], trials) if trials is not None else 0.0,
         row_gram=(A_fam.T[:, None, :] * A_fam.T[None, :, :]).reshape(p * p, n_fam),
-        gauss_hess=None,
-        gauss_lin=None,
+        gauss_hess=gauss_hess,
+        gauss_lin=gauss_lin,
         gauss_const=gauss_const,
-        prior_prec=prior_prec,
-        bp=bp,
-        prior_c0=const,
     )
     cache["design"] = _Design(
         rows=stacked,
@@ -1171,7 +1183,7 @@ def stacked_rows(model: JointModel, theta) -> StackedRows:
     vals = rows.vals + design.beta_sign * named.get("beta_x", 0.0)
     precision = np.zeros(rows.obs.size)
     for sl, name, factor in design.precisions:
-        precision[sl] = named[name] * factor
+        precision[sl] = factor if name is None else named[name] * factor
     if model.is_augmented:
         precision[rows.copy_slice] = model.copy_precision
     return replace(rows, vals=vals, precision=precision)
@@ -1182,9 +1194,9 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
     of theta (K x m; a single point of m values is a batch of one).
 
     Copies the model's theta-free Conditional (`_design`) with the beta_x
-    coefficients of its one-by-one rows, the Gaussian rows' block form and
-    the random-effect prior filled in; a point's values are the same in
-    any batch.
+    coefficients of its one-by-one rows filled in, and adds the Gaussian
+    rows' pieces, weighted by theta, to its quadratic; a point's values
+    are the same in any batch.
     """
     thetas = np.atleast_2d(np.asarray(theta, dtype=float))
     column = model.theta.columns(thetas).__getitem__
@@ -1196,9 +1208,9 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
     vals = cond.vals + design.row_beta_sign * beta_x[:, None, None]
 
     # each piece weighted by its hyperparameter and power of beta_x, summed
-    # elementwise in a fixed order
-    gauss_hess = np.zeros((K, cond.blocks.n_hess))
-    gauss_lin = np.zeros((K, cond.dim))
+    # elementwise in a fixed order onto the template's own quadratic
+    gauss_hess = np.repeat(cond.gauss_hess[None], K, axis=0)
+    gauss_lin = np.repeat(cond.gauss_lin[None], K, axis=0)
     gauss_const = np.full(K, cond.gauss_const)
     term = np.empty(gauss_hess.shape)
     for name, power, Q, lin, const in design.pieces:
@@ -1209,17 +1221,7 @@ def assemble_conditional(model: JointModel, theta) -> Conditional:
     for name, count in design.normalizers:
         gauss_const += 0.5 * count * np.log(column(name))
 
-    # latent prior; only the random-effect precision depends on theta
-    prior_prec = np.repeat(cond.prior_prec[None], K, axis=0)
-    prior_c0 = np.full(K, cond.prior_c0)
-    s = model.layout.slice("gamma")
-    if s is not None:
-        tau_gamma = column("tau_gamma")
-        prior_prec[:, s] = tau_gamma[:, None]
-        prior_c0 += 0.5 * (s.stop - s.start) * (np.log(tau_gamma) - LOG_2PI)
-
-    return replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_lin=gauss_lin, gauss_const=gauss_const,
-                   prior_prec=prior_prec, prior_c0=prior_c0)
+    return replace(cond, vals=vals, gauss_hess=gauss_hess, gauss_lin=gauss_lin, gauss_const=gauss_const)
 
 
 def joint_log_density(model: JointModel, v, theta) -> float:

@@ -251,7 +251,7 @@ def test_criterion_05_conjugate_conditionals_exact():
     hand_rng = np.random.default_rng(55)
     draw = gibbs_tau_x(state, sampler, lib_rng)
     shape, rate = tau_x_conditional(
-        state.x, sampler.exp_design @ state.alpha, sampler.tau_x_prior
+        state.x, sampler.alpha.design @ state.alpha, sampler.tau_x_prior
     )
     assert draw == float(hand_rng.gamma(shape, 1.0 / rate))
 
@@ -266,14 +266,15 @@ def test_criterion_05_conjugate_conditionals_exact():
     lib_rng = np.random.default_rng(57)
     hand_rng = np.random.default_rng(57)
     drawn_alpha = gibbs_alpha(state, sampler, lib_rng)
-    free = sampler.alpha_free
-    offset = sampler.exp_design[:, ~free] @ state.alpha[~free]
+    alpha = sampler.alpha
+    free, fixed = alpha.free, alpha.fixed
+    offset = alpha.design[:, fixed] @ state.alpha[fixed]
     mean, precision = alpha_conditional(
         state.x - offset,
-        sampler.exp_design[:, free],
+        alpha.design[:, free],
         state.tau_x,
-        sampler.alpha_mean[free],
-        sampler.alpha_prec[free],
+        alpha.mean[free],
+        alpha.prec[free],
     )
     expected = state.alpha.copy()
     expected[free] = _draw_mvn_from_precision(hand_rng, mean, precision)

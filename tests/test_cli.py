@@ -174,6 +174,27 @@ class TestFit:
         err = capsys.readouterr().err
         assert "line 4" in err and "not-a-number" in err
 
+    def test_non_finite_cell_exits_one_naming_it(self, study_dir, tmp_path, capsys):
+        _, files = study_dir
+        bad = tmp_path / "bad.csv"
+        with open(files["data"]) as fh:
+            lines = fh.read().splitlines()
+        y = lines[0].split(",").index("y")
+        fields = lines[2].split(",")
+        fields[y] = "inf"
+        lines[2] = ",".join(fields)
+        bad.write_text("\n".join(lines) + "\n")
+        outdir = tmp_path / "out"
+        code = run_cli(
+            "fit", "--config", files["config"], "--data", str(bad),
+            "--method", "laplace", "--outdir", str(outdir),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "line 3, column 'y': 'inf' is not a finite number" in captured.err
+        assert captured.out == ""
+        assert not outdir.exists()
+
     def test_naive_fit_writes_report_and_flags_attenuation(self, study_dir, tmp_path, capsys):
         sim, files = study_dir
         outdir = tmp_path / "naive_out"

@@ -1,10 +1,10 @@
 """Cold start: `import meglm` loads numpy and no scipy submodule.
 
-scipy.interpolate, scipy.stats and the other submodules take over a second
-to load, so each is imported where it is first used. These tests run fresh
-interpreters: one checks what the import loads, the others run the
-commands whose first call reaches each deferred import, so a missing one
-fails here rather than as a NameError in a user's run.
+scipy.stats and the other submodules take a large share of a short run's
+start-up, so each is imported where it is first used. These tests run
+fresh interpreters: some check what an import or a grid fit loads, the
+others run the commands whose first call reaches each deferred import, so
+a missing one fails here rather than as a NameError in a user's run.
 """
 
 import json
@@ -87,3 +87,33 @@ def test_fit_all_on_a_tiny_ibex_design(tmp_path):
     for name in ("laplace_tau_x.csv", "mcmc_beta_x.csv"):
         rows = (marginals / name).read_text().splitlines()
         assert rows[0] == "value,density" and len(rows) > 3
+
+
+def scipy_modules_after_laplace_fit(study, n, cwd):
+    """The scipy modules a fresh interpreter has loaded after simulating a
+    study and fitting it with `meglm fit --method laplace`."""
+    run_meglm("simulate", "--study", study, "--n", str(n), "--seed", "1", "--outdir", "sim", cwd=cwd)
+    proc = fresh_python(
+        "-c",
+        "import json, sys\n"
+        "from meglm.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "sys.exit(code)",
+        "fit", "--config", "sim/%s_like_model.ini" % study, "--data", "sim/%s_like.csv" % study,
+        "--method", "laplace", "--outdir", "out", "--dz", "1.0", "--diff-logdens", "3",
+        cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_gaussian_grid_fit_loads_no_scipy(tmp_path):
+    assert scipy_modules_after_laplace_fit("ibex", 26, tmp_path) == []
+
+
+def test_binomial_grid_fit_loads_scipy_special_only(tmp_path):
+    loaded = scipy_modules_after_laplace_fit("framingham", 40, tmp_path)
+    assert "scipy.special" in loaded
+    for module in ("scipy.interpolate", "scipy.stats", "scipy.linalg"):
+        assert module not in loaded

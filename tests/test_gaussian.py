@@ -319,9 +319,9 @@ def log_density_0(cond, v):
 
 def dense_gradient_and_hessian(model, theta, v):
     """Gradient and negative Hessian of the log density at one point theta,
-    row by row from the stacked rows, with dense algebra."""
+    row by row from the stacked rows (the latent prior's included), with
+    dense algebra."""
     rows = stacked_rows(model, theta)
-    cond = assemble_conditional(model, theta)
     A = dense_design(rows, model.layout.dim)
     eta = A @ v + rows.offset
     score = rows.precision * (rows.obs - eta)
@@ -331,9 +331,7 @@ def dense_gradient_and_hessian(model, theta, v):
         s, W = families.score_weight(rows.family, rows.obs[reg], rows.trials, eta[reg])
         score[reg] += s
         w[reg] = W
-    g = A.T @ score + cond.bp - cond.prior_prec[0] * v
-    H = (A.T * w) @ A + np.diag(cond.prior_prec[0])
-    return g, H
+    return A.T @ score, (A.T * w) @ A
 
 
 def dense_mode(model, theta):
@@ -417,9 +415,9 @@ def random_effect_ibex():
 
 
 def per_row_log_density(model, theta, v):
-    """The log density at v, row by row from the stacked rows."""
+    """The log density at v, row by row from the stacked rows (the latent
+    prior's included)."""
     rows = stacked_rows(model, theta)
-    cond = assemble_conditional(model, theta)
     tau, res = rows.precision, rows.obs - rows.eta(v)
     gauss = tau > 0.0
     f = float(np.sum(-0.5 * tau[gauss] * res[gauss] ** 2 + 0.5 * (np.log(tau[gauss]) - LOG_2PI)))
@@ -427,7 +425,7 @@ def per_row_log_density(model, theta, v):
         reg = rows.reg_slice
         f += float(np.sum(families.loglik(rows.family, rows.obs[reg], rows.trials, rows.eta(v)[reg])))
         f += families.log_normalizer(rows.family, rows.obs[reg], rows.trials)
-    return f + cond.prior_c0[0] + float(cond.bp @ v) - 0.5 * float(np.sum(cond.prior_prec[0] * v * v))
+    return f
 
 
 class TestBlockForm:
@@ -480,8 +478,8 @@ class TestRidgeAndFailure:
 
     def test_non_pd_schur_complement_raises(self):
         cond = assemble_conditional(linear_gaussian_model(), self.theta)
-        cond.prior_prec = cond.prior_prec.copy()
-        cond.prior_prec[:, :cond.blocks.p] = -1.0e6
+        p = cond.blocks.p
+        cond.gauss_hess[:, :p * p:p + 1] -= 1.0e6
         with pytest.raises(NumericError, match="not positive definite"):
             _newton(cond, None).approx(0)
 

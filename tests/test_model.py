@@ -16,7 +16,6 @@ from meglm.model import (
     ExposureModel,
     ModelSpec,
     ObservationModel,
-    assemble_conditional,
     block_log_densities,
     build_joint_model,
     copy_augment,
@@ -498,12 +497,30 @@ class TestObservationBlockForms:
         assert np.array_equal(prox, tau_u * np.array([1.0, 2.0, 0.5, 1.0, 2.0, 0.5]))
         assert np.array_equal(copy, np.full(3, DEFAULT_COPY_PRECISION))
 
+    def test_latent_prior_rows(self):
+        model, _ = weighted_seedling()
+        rows = stacked_rows(model, np.array([0.4, 3.0, 6.0]))
+        free = [c.prior for c in model.coefficients if c.free]
+        p, gamma = len(free), model.layout.slice("gamma")
+        # after the model's rows: one row per free coefficient observing its
+        # prior mean, then one row 0 = gamma_i per random effect
+        assert rows.prior_slice == slice(model.n_rows, model.n_rows + p + model.n)
+        coef = slice(model.n_rows, model.n_rows + p)
+        assert np.array_equal(rows.A[coef], np.eye(p))
+        assert np.array_equal(rows.obs[coef], [prior.mean for prior in free])
+        assert np.array_equal(rows.precision[coef], [prior.precision for prior in free])
+        effects = slice(coef.stop, rows.prior_slice.stop)
+        assert not rows.A[effects].any() and not rows.obs[effects].any()
+        assert np.array_equal(rows.cols[effects, 0], np.arange(gamma.start, gamma.stop))
+        assert np.array_equal(rows.vals[effects, 0], np.ones(model.n))
+        assert np.array_equal(rows.precision[effects], np.full(model.n, 6.0))
+
     def test_weighted_seedling_sampler_x_prior(self):
         model, data = weighted_seedling()
         sampler = _prepare(model)
         state = _initial_state(sampler)
         # no exposure law under Berkson error: no alpha columns and tau_x = 0
-        assert sampler.exp_design.shape == (model.n_x, 0)
+        assert sampler.alpha.design.shape == (model.n_x, 0)
         assert state.tau_x == 0.0
         state.tau_u = 3.7
         d = per_house(data, "d")
@@ -550,29 +567,40 @@ class TestCoefficientTable:
         model = build_joint_model(self.classical_spec(), data)
         assert model.latent_names() == ("beta_z2", "alpha_0", "alpha_z2", "x_1", "x_2", "x_3", "x_4")
 
-        cond = assemble_conditional(model, model.theta.init_natural())
         rows = stacked_rows(model, model.theta.init_natural())
-        reg, exp_, prox = rows.reg_slice, rows.exp_slice, rows.prox_slice
-        assert rows.A.shape == (3 + 4 + 4, 3)
+        reg, exp_, prox, prior = rows.reg_slice, rows.exp_slice, rows.prox_slice, rows.prior_slice
+        assert rows.A.shape == (3 + 4 + 4 + 3, 3)
         assert np.array_equal(rows.A[reg], np.column_stack([z2[rr], np.zeros(3), np.zeros(3)]))
         assert np.array_equal(rows.A[exp_], np.column_stack([np.zeros(4), np.ones(4), z2]))
         assert not rows.A[prox].any()
         assert np.allclose(rows.offset[reg], 0.7 - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
         assert np.allclose(rows.offset[exp_], 0.3 * z1, rtol=0.0, atol=1e-15)
         assert not rows.offset[prox].any()
-        assert np.array_equal(cond.prior_prec[0], [2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(cond.bp, [2.0, 0.5, -0.1, 0.0, 0.0, 0.0, 0.0])
+        # one prior row per free coefficient: its mean observed with its precision
+        assert np.array_equal(rows.A[prior], np.eye(3))
+        assert not rows.vals[prior].any() and not rows.offset[prior].any()
+        assert np.array_equal(rows.obs[prior], [1.0, 0.5, -0.2])
+        assert np.array_equal(rows.precision[prior], [2.0, 1.0, 0.5])
 
         sampler = _prepare(model)
-        assert sampler.beta_names == ("beta_0", "beta_x", "beta_z1", "beta_z2")
-        assert np.array_equal(sampler.beta_mean, [0.7, 0.1, -0.4, 1.0])
-        assert np.array_equal(sampler.beta_prec, [math.inf, 0.01, math.inf, 2.0])
-        assert np.array_equal(sampler.beta_free, [False, True, False, True])
-        assert sampler.alpha_names == ("alpha_0", "alpha_z1", "alpha_z2")
-        assert np.array_equal(sampler.alpha_mean, [0.5, 0.3, -0.2])
-        assert np.array_equal(sampler.alpha_prec, [1.0, math.inf, 0.5])
-        assert np.array_equal(sampler.alpha_free, [True, False, True])
-        assert np.array_equal(sampler.exp_design, np.column_stack([np.ones(4), z1, z2]))
+        assert sampler.beta.names == ("beta_0", "beta_x", "beta_z1", "beta_z2")
+        assert np.array_equal(sampler.beta.mean, [0.7, 0.1, -0.4, 1.0])
+        assert np.array_equal(sampler.beta.prec, [math.inf, 0.01, math.inf, 2.0])
+        assert np.array_equal(sampler.beta.free, [1, 3])
+        assert sampler.alpha.names == ("alpha_0", "alpha_z1", "alpha_z2")
+        assert np.array_equal(sampler.alpha.mean, [0.5, 0.3, -0.2])
+        assert np.array_equal(sampler.alpha.prec, [1.0, math.inf, 0.5])
+        assert np.array_equal(sampler.alpha.free, [0, 2])
+        assert np.array_equal(sampler.alpha.design, np.column_stack([np.ones(4), z1, z2]))
+
+    def test_a_flat_prior_gets_no_row(self):
+        spec = replace(self.classical_spec(), beta_z=(FixedValue(-0.4), GaussianPrior(1.0, 0.0)))
+        model = build_joint_model(spec, self.data())
+        rows = stacked_rows(model, model.theta.init_natural())
+        # beta_z2 is flat, so only alpha_0 and alpha_z2 observe their means
+        assert rows.prior_slice == slice(model.n_rows, model.n_rows + 2)
+        assert np.array_equal(rows.A[rows.prior_slice], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(rows.obs[rows.prior_slice], [0.5, -0.2])
 
     def test_naive_fixed_beta_x(self):
         data = self.data()
@@ -583,22 +611,23 @@ class TestCoefficientTable:
         assert model.latent_names() == ("beta_0", "beta_z2")
         assert model.theta.names == ("tau_eps",)
 
-        cond = assemble_conditional(model, model.theta.init_natural())
         rows = stacked_rows(model, model.theta.init_natural())
-        assert rows.A.shape == (3, 2)
-        assert np.array_equal(rows.A, np.column_stack([np.ones(3), z2[rr]]))
-        assert np.allclose(rows.offset, 0.8 * w[rr] - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
-        assert np.array_equal(cond.prior_prec[0], [1.0e-4, 2.0])
-        assert np.array_equal(cond.bp, [0.0, 2.0])
+        reg, prior = rows.reg_slice, rows.prior_slice
+        assert rows.A.shape == (3 + 2, 2)
+        assert np.array_equal(rows.A[reg], np.column_stack([np.ones(3), z2[rr]]))
+        assert np.allclose(rows.offset[reg], 0.8 * w[rr] - 0.4 * z1[rr], rtol=0.0, atol=1e-15)
+        assert np.array_equal(rows.A[prior], np.eye(2))
+        assert np.array_equal(rows.obs[prior], [0.0, 1.0])
+        assert np.array_equal(rows.precision[prior], [1.0e-4, 2.0])
 
         # under error the same fixed slope is a fixed hyperparameter of the
         # grid model and a fixed regression coefficient of the sampler
         model = build_joint_model(spec, data)
         assert dict(model.theta.fixed)["beta_x"] == 0.8
         sampler = _prepare(model)
-        assert np.array_equal(sampler.beta_mean, [0.0, 0.8, -0.4, 1.0])
-        assert np.array_equal(sampler.beta_prec, [1.0e-4, math.inf, math.inf, 2.0])
-        assert np.array_equal(sampler.beta_free, [True, False, False, True])
+        assert np.array_equal(sampler.beta.mean, [0.0, 0.8, -0.4, 1.0])
+        assert np.array_equal(sampler.beta.prec, [1.0e-4, math.inf, math.inf, 2.0])
+        assert np.array_equal(sampler.beta.free, [0, 3])
 
 
 class TestNaive:
@@ -820,6 +849,14 @@ class TestDatasetIO:
         path = tmp_path / "d.csv"
         path.write_text("y,w\n1.5,abc\n")
         with pytest.raises(DataError, match="line 2.*'w'.*'abc'"):
+            Dataset.from_csv(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "1e999", "Infinity"])
+    def test_csv_non_finite_cell_is_refused(self, tmp_path, cell):
+        # NA is the only absent token: a non-finite number is an error, not a gap
+        path = tmp_path / "d.csv"
+        path.write_text("y,w\n1.5,2.0\n0.5,%s\n" % cell)
+        with pytest.raises(DataError, match="line 3, column 'w': '%s' is not a finite number" % cell):
             Dataset.from_csv(path)
 
     def test_csv_ragged_row(self, tmp_path):
