@@ -48,11 +48,18 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, **columns) -> "Dataset":
-        names = tuple(columns)
-        sizes = {name: np.asarray(vals, dtype=float).size for name, vals in columns.items()}
+        """Dataset of the given columns; NaN marks an absent value, and an
+        infinity is refused as `from_csv` refuses it."""
+        arrays = {name: np.asarray(vals, dtype=float).ravel() for name, vals in columns.items()}
+        sizes = {name: a.size for name, a in arrays.items()}
         if len(set(sizes.values())) > 1:
             raise DataError("columns differ in length: %r" % (sizes,))
-        return cls(names=names, columns={k: np.asarray(v, dtype=float).ravel() for k, v in columns.items()})
+        for name, a in arrays.items():
+            if np.any(np.isinf(a)):
+                raise DataError(
+                    "column %r holds an infinite value (NaN marks an absent value)" % (name,)
+                )
+        return cls(names=tuple(columns), columns=arrays)
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":

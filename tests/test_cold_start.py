@@ -1,10 +1,12 @@
 """Cold start: `import meglm` loads numpy and no scipy submodule.
 
-scipy.stats and the other submodules take a large share of a short run's
-start-up, so each is imported where it is first used. These tests run
-fresh interpreters: some check what an import or a grid fit loads, the
-others run the commands whose first call reaches each deferred import, so
-a missing one fails here rather than as a NameError in a user's run.
+scipy's submodules take a large share of a short run's start-up, so each
+is imported where it is first used, and the package imports no
+scipy.stats at all (the chain's kernel density is numpy). These tests run
+fresh interpreters: some check what an import, a grid fit or a chain
+loads, the others run the commands whose first call reaches each deferred
+import, so a missing one fails here rather than as a NameError in a
+user's run.
 """
 
 import json
@@ -89,9 +91,10 @@ def test_fit_all_on_a_tiny_ibex_design(tmp_path):
         assert rows[0] == "value,density" and len(rows) > 3
 
 
-def scipy_modules_after_laplace_fit(study, n, cwd):
+def scipy_modules_after_fit(study, n, method, cwd):
     """The scipy modules a fresh interpreter has loaded after simulating a
-    study and fitting it with `meglm fit --method laplace`."""
+    study and fitting it with `meglm fit --method <method>`: a coarse grid,
+    or a short chain."""
     run_meglm("simulate", "--study", study, "--n", str(n), "--seed", "1", "--outdir", "sim", cwd=cwd)
     proc = fresh_python(
         "-c",
@@ -101,7 +104,8 @@ def scipy_modules_after_laplace_fit(study, n, cwd):
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         "sys.exit(code)",
         "fit", "--config", "sim/%s_like_model.ini" % study, "--data", "sim/%s_like.csv" % study,
-        "--method", "laplace", "--outdir", "out", "--dz", "1.0", "--diff-logdens", "3",
+        "--method", method, "--outdir", "out", "--dz", "1.0", "--diff-logdens", "3",
+        "--iterations", "400", "--burn-in", "100", "--thin", "1", "--seed", "3",
         cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
@@ -109,11 +113,18 @@ def scipy_modules_after_laplace_fit(study, n, cwd):
 
 
 def test_gaussian_grid_fit_loads_no_scipy(tmp_path):
-    assert scipy_modules_after_laplace_fit("ibex", 26, tmp_path) == []
+    assert scipy_modules_after_fit("ibex", 26, "laplace", tmp_path) == []
 
 
 def test_binomial_grid_fit_loads_scipy_special_only(tmp_path):
-    loaded = scipy_modules_after_laplace_fit("framingham", 40, tmp_path)
+    loaded = scipy_modules_after_fit("framingham", 40, "laplace", tmp_path)
     assert "scipy.special" in loaded
     for module in ("scipy.interpolate", "scipy.stats", "scipy.linalg"):
+        assert module not in loaded
+
+
+def test_gaussian_chain_loads_scipy_linalg_and_no_scipy_stats(tmp_path):
+    loaded = scipy_modules_after_fit("ibex", 26, "mcmc", tmp_path)
+    assert "scipy.linalg" in loaded
+    for module in ("scipy.stats", "scipy.interpolate", "scipy.optimize"):
         assert module not in loaded

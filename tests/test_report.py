@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from meglm.approx import MARGINAL_GRID_SIZE, marginal_from_grid
 from meglm.data import Dataset, DataError, parse_model_config
 from meglm.errors import SpecError
 from meglm.mcmc import ChainConfig
@@ -17,6 +18,7 @@ from meglm.report import (
     ParameterSummary,
     PosteriorReport,
     RunConfig,
+    _chain_marginal,
     _grid_fit,
     attenuation_note,
     build_report,
@@ -252,6 +254,54 @@ class TestMarginalSources:
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(DataError):
             read_marginal_csv(bad)
+
+
+def scipy_chain_marginal(draws):
+    """The chain density as scipy.stats.gaussian_kde gives it, on the same grid."""
+    from scipy.stats import gaussian_kde
+
+    kde = gaussian_kde(draws)
+    bandwidth = float(kde.factor) * float(np.std(draws, ddof=1))
+    values = np.linspace(
+        float(np.min(draws)) - 3.0 * bandwidth,
+        float(np.max(draws)) + 3.0 * bandwidth,
+        MARGINAL_GRID_SIZE,
+    )
+    return marginal_from_grid(values, kde(values))
+
+
+class TestChainDensity:
+    """The numpy kernel density reproduces scipy.stats.gaussian_kde."""
+
+    @staticmethod
+    def assert_matches_scipy(marginal, draws):
+        want = scipy_chain_marginal(draws)
+        np.testing.assert_allclose(marginal.values, want.values, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(marginal.density, want.density, rtol=1e-12, atol=0.0)
+        for stat in ("mean", "sd", "q025", "q50", "q975"):
+            assert abs(getattr(marginal, stat) - getattr(want, stat)) <= 1e-12 * want.sd, stat
+
+    @pytest.mark.parametrize(
+        "study, overrides",
+        [("ibex", {"n": 26}), ("framingham", {"n": 60}), ("seedling", {})],
+    )
+    def test_chain_marginals_match_scipy(self, study, overrides):
+        sim = simulate_study(make_recipe(study, seed=3, **overrides))
+        spec = parse_model_config(sim.model_config)
+        marginals, chain = mcmc_marginals(
+            spec, sim.dataset, ChainConfig(iterations=1500, burn_in=500, thin=1, seed=5)
+        )
+        assert marginals
+        for name, marginal in marginals.items():
+            self.assert_matches_scipy(marginal, chain.column(name))
+
+    @pytest.mark.parametrize(
+        "draws",
+        [np.array([0.25, 1.75]), np.random.default_rng(2).standard_t(2.5, size=3000)],
+        ids=["two-draws", "heavy-tailed"],
+    )
+    def test_sample_matches_scipy(self, draws):
+        self.assert_matches_scipy(_chain_marginal(draws), draws)
 
 
 class TestCentering:
