@@ -240,10 +240,10 @@ def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
     model) it takes that last short step without a further stencil and
     stops. Every solve of a stencil or of the line search starts from the
     latent mode at the current point, so each stencil is one batch. Returns
-    (mode, curvature, lp_at_mode, latent_init), where curvature is the
+    (mode, curvature, lp_at_mode, approx_at_mode), where curvature is the
     negative finite-difference Hessian of the internal-scale log posterior
-    at the mode (from the last iteration's stencil) and latent_init is the
-    latent mode found there. tally, when given, counts the solves.
+    at the mode (from the last iteration's stencil) and approx_at_mode is
+    the latent solve there. tally, when given, counts the solves.
     """
     layout = model.theta
     m = layout.dim
@@ -251,7 +251,7 @@ def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
     tally = _Tally() if tally is None else tally
 
     def lp_one(lam, init):
-        """(lp, latent mode) at lam, or (-inf, None) where it cannot be evaluated."""
+        """(lp, latent solve) at lam, or (-inf, None) where it cannot be evaluated."""
         if not np.all(np.isfinite(lam)):
             return -np.inf, None
         tally.solves += 1
@@ -260,16 +260,16 @@ def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
         except NumericError:
             return -np.inf, None
         tally.newton_iters += approx.converged_in
-        return val, approx.mode
+        return val, approx
 
     lam = np.asarray(layout.to_internal(layout.init_natural()), dtype=float)
-    f_here, latent_init = lp_one(lam, None)
+    f_here, here = lp_one(lam, None)
     if not np.isfinite(f_here):
         raise NumericError("hyperparameter mode search did not converge")
     # every iteration takes its derivatives at lam first, so (g, C) belong
     # to the returned point, or to one a final short step away
     for it in range(MAX_MODE_ITER + 1):
-        g, H = _fd_derivatives(lambda lams: _lp_values(model, lams, latent_init, tally),
+        g, H = _fd_derivatives(lambda lams: _lp_values(model, lams, here.mode, tally),
                                lam, f_here, FD_STEP)
         C = -H
         if it == MAX_MODE_ITER or not (np.all(np.isfinite(g)) and np.all(np.isfinite(C))):
@@ -291,18 +291,18 @@ def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
             # stencil: take it if it does not lower the log posterior, and
             # keep this stencil's (g, C), taken that close to the mode
             cand = lam + step
-            f_cand, v_cand = lp_one(cand, latent_init)
+            f_cand, at_cand = lp_one(cand, here.mode)
             if np.isfinite(f_cand) and f_cand >= f_here:
-                lam, f_here, latent_init = cand, f_cand, v_cand
+                lam, f_here, here = cand, f_cand, at_cand
             break
         if float(np.max(np.abs(step))) > 1.0:
             step = step / float(np.max(np.abs(step)))
         t = 1.0
         for _ in range(20):
             cand = lam + t * step
-            f_cand, v_cand = lp_one(cand, latent_init)
+            f_cand, at_cand = lp_one(cand, here.mode)
             if np.isfinite(f_cand) and f_cand > f_here:
-                lam, f_here, latent_init = cand, f_cand, v_cand
+                lam, f_here, here = cand, f_cand, at_cand
                 break
             t *= 0.5
         else:
@@ -319,7 +319,7 @@ def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
     normalized = float(g @ np.linalg.solve(C, g))
     if not np.isfinite(normalized) or math.sqrt(max(normalized, 0.0)) > 0.5:
         raise NumericError("hyperparameter mode search did not converge")
-    return lam, C, f_here, latent_init
+    return lam, C, f_here, here
 
 
 def _explore_lattice(
@@ -329,6 +329,7 @@ def _explore_lattice(
     dz: float,
     diff_logdens: float,
     cap: int = GRID_POINT_CAP,
+    lp0: Optional[float] = None,
 ):
     """Breadth-first walk on the standardized lattice around the mode.
 
@@ -337,10 +338,12 @@ def _explore_lattice(
     With m = 0 the lattice is its origin alone. The walk is level
     synchronous: the lattice origin is evaluated first, then each
     breadth-first shell's new neighbours, in first-in-first-out order, in
-    one lp_fn call. The retention rule and the cap are then applied in that
-    same order, so the result is the walk that evaluates one point at a
-    time: a point is retained when its value is within diff_logdens of the
-    origin's, and the walk stops when the cap is reached. Returns the
+    one lp_fn call; lp0, when given, is the origin's value, and the origin
+    is not evaluated again. The retention rule and the cap are then
+    applied in that same order, so the result is the walk that evaluates
+    one point at a time: a point is retained when its value is within
+    diff_logdens of the origin's, and the walk stops when the cap is
+    reached. Returns the
     sorted lattice keys, their points, log posteriors, the standardizing
     axes matrix, and whether the cap truncated the walk.
     """
@@ -357,7 +360,8 @@ def _explore_lattice(
         return np.array([mode + axes @ (dz * np.asarray(k, dtype=float)) for k in keys]).reshape(len(keys), m)
 
     origin = (0,) * m
-    lp0 = float(lp_fn([origin], points([origin]))[0])
+    if lp0 is None:
+        lp0 = float(lp_fn([origin], points([origin]))[0])
     if not np.isfinite(lp0):
         raise NumericError("log posterior is not finite at the hyperparameter mode")
     retained = {origin: lp0}
@@ -414,7 +418,10 @@ def explore_grid(
     point's solve does not depend on the batch (or the size of the batches)
     it is solved in, so the grid depends on neither the walk order nor the
     batching; each retained point keeps its latent mode and marginal
-    standard deviations for latent_marginals.
+    standard deviations for latent_marginals. The lattice origin is the
+    hyperparameter mode, so its value and moments come from the mode
+    search's solve there; only a model with no free hyperparameters solves
+    its one point in the walk.
     """
     if not (math.isfinite(dz) and dz > 0.0):
         raise SpecError("dz must be finite and positive, got %g" % dz)
@@ -422,15 +429,16 @@ def explore_grid(
         raise SpecError("diff_logdens must be finite and positive, got %g" % diff_logdens)
     layout = model.theta
     tally = _Tally()
+    moments = {}
     if layout.dim:
-        lam_star, curvature, _, latent_init = _find_hyper_mode(model, tally)
+        lam_star, curvature, lp_origin, at_mode = _find_hyper_mode(model, tally)
+        latent_init = at_mode.mode
+        moments[(0,) * layout.dim] = (at_mode.mode, at_mode.marginal_sd())
     else:
         # nothing to search: the lattice is the single point of the fixed
         # hyperparameters, solved from zero
-        lam_star, curvature, latent_init = np.zeros(0), np.zeros((0, 0)), None
+        lam_star, curvature, lp_origin, latent_init = np.zeros(0), np.zeros((0, 0)), None, None
     skipped = 0
-    lp_origin = None
-    moments = {}
 
     def lp(keys, lams):
         nonlocal skipped, lp_origin
@@ -452,7 +460,7 @@ def explore_grid(
         return out
 
     keys, thetas, log_post, axes, truncated = _explore_lattice(
-        lp, lam_star, curvature, dz, diff_logdens, cap=cap
+        lp, lam_star, curvature, dz, diff_logdens, cap=cap, lp0=lp_origin
     )
     latent = [moments[k] for k in keys]
     w = np.exp(log_post - np.max(log_post))

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import families
 from .errors import NumericError, SpecError
-from .model import Conditional, JointModel, LatentBlocks, assemble_conditional
+from .model import Conditional, JointModel, LatentBlocks, _apply, assemble_conditional
 from .priors import LOG_2PI
 
 __all__ = [
@@ -83,18 +83,6 @@ def gaussian_logpdf(x, mean, precision_chol) -> float:
     t = L.T @ (x - mean)
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
     return -0.5 * d * LOG_2PI + 0.5 * log_det - 0.5 * float(t @ t)
-
-
-def _apply(M: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Stacked (K, count, s, s) matrices, or their transposes, times the
-    count*s rows that follow the batch axis of x."""
-    K, count, s, _ = M.shape
-    seg = x.reshape(K, count, s, -1)
-    if s == 1:
-        res = M * seg
-    else:
-        res = (np.swapaxes(M, 2, 3) if transpose else M) @ seg
-    return res.reshape(x.shape)
 
 
 def _blockwise(blocks: LatentBlocks, mats: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:

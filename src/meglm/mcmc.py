@@ -15,9 +15,11 @@ LAPACK triangular solves. Under Berkson error x has no exposure law: the
 exposure block has no columns and tau_x is 0, so no update branches on the
 error kind.
 
-Proposal scales adapt by Robbins-Monro toward a 0.35 acceptance rate and
-freeze when burn-in ends. All randomness flows through one counter-based
-generator (Philox) seeded explicitly, so chains are reproducible bit for bit.
+Proposal scales start from DEFAULT_PROPOSAL_SCALES, adapt by Robbins-Monro
+toward a 0.35 acceptance rate and freeze when burn-in ends. The chain
+records the model's reported parameters (`JointModel.parameter_names`).
+All randomness flows through one counter-based generator (Philox) seeded
+explicitly, so chains are reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -59,15 +61,13 @@ MIN_ESS_DRAWS = 10
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Sampler run parameters; defaults follow the reference run lengths."""
+    """Sampler run parameters, the four that `meglm fit` sets; defaults
+    follow the reference run lengths."""
 
     iterations: int = 100_000
     burn_in: int = 10_000
     thin: int = 10
     seed: Optional[int] = None
-    proposal_scales: Optional[dict] = None
-    monitor_x: Optional[tuple] = None
-    store_x: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -88,15 +88,6 @@ class ChainConfig:
             raise SpecError("a seed is required: chains must be reproducible")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
             raise SpecError("seed must be a 64-bit unsigned integer, got %r" % (self.seed,))
-        if self.proposal_scales is not None:
-            unknown = set(self.proposal_scales) - set(DEFAULT_PROPOSAL_SCALES)
-            if unknown:
-                raise SpecError(
-                    "unknown proposal scale blocks: %s" % ", ".join(sorted(unknown))
-                )
-            for name, value in self.proposal_scales.items():
-                if not (np.isfinite(value) and value >= 0.0):
-                    raise SpecError("proposal scale %r must be >= 0, got %r" % (name, value))
 
     @property
     def kept(self) -> int:
@@ -105,7 +96,12 @@ class ChainConfig:
 
 @dataclass
 class ChainOutput:
-    """Thinned draws plus per-block Metropolis acceptance rates."""
+    """Thinned draws plus per-block Metropolis acceptance rates.
+
+    names is the model's table of reported parameters
+    (`JointModel.parameter_names`), and column j of draws holds the draws
+    of names[j].
+    """
 
     names: tuple
     draws: np.ndarray
@@ -115,7 +111,7 @@ class ChainOutput:
     def column(self, name: str) -> np.ndarray:
         if name not in self.names:
             raise SpecError(
-                "no monitored parameter %r (have: %s)" % (name, ", ".join(self.names))
+                "no parameter %r in the chain (have: %s)" % (name, ", ".join(self.names))
             )
         return self.draws[:, self.names.index(name)]
 
@@ -474,8 +470,7 @@ def mh_latent_x(state: ChainState, sampler: _Sampler, scale: float, rng) -> tupl
     Gaussian responses use the exact conjugate draw (acceptance 1). Other
     families take one componentwise random-walk Metropolis step; components
     are conditionally independent, so the vectorized accept/reject per
-    component is a valid Gibbs sweep. A zero proposal scale leaves the chain
-    in place with acceptance 1 by convention.
+    component is a valid Gibbs sweep.
     """
     prior_prec, prior_numer = _x_prior_precision_mean(state, sampler)
     beta_x = state.beta[_BETA_X]
@@ -489,9 +484,6 @@ def mh_latent_x(state: ChainState, sampler: _Sampler, scale: float, rng) -> tupl
         )
         draw = numer / prec + rng.standard_normal(sampler.n_x) / np.sqrt(prec)
         return draw, 1.0
-
-    if scale == 0.0:
-        return state.x.copy(), 1.0
 
     x_new = state.x + scale * rng.standard_normal(sampler.n_x)
     eta = sampler.eta(state)
@@ -513,8 +505,6 @@ def _update_gamma(state: ChainState, sampler: _Sampler, scale: float, rng) -> tu
         mean = state.tau_eps * resid_wo_g / prec
         draw = mean + rng.standard_normal(state.gamma.size) / math.sqrt(prec)
         return draw, 1.0
-    if scale == 0.0:
-        return state.gamma.copy(), 1.0
     g_new = state.gamma + scale * rng.standard_normal(state.gamma.size)
     eta_new = eta + (g_new - state.gamma)
     delta = families.loglik(sampler.family, sampler.y, sampler.trials, eta_new)
@@ -544,8 +534,6 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
     if sampler.family == "gaussian":
         return coef.draw(rng, beta, state.tau_eps, sampler.y - offset), 1.0
 
-    if scale == 0.0:
-        return beta, 1.0
     Xf = coef.free_columns()
     bf = beta[free]
     bf_new = bf + scale * rng.standard_normal(bf.size)
@@ -578,48 +566,28 @@ def _gibbs_tau_gamma(state: ChainState, sampler: _Sampler, rng) -> float:
 # the full chain
 
 
-def _monitor_layout(sampler: _Sampler, cfg: ChainConfig) -> tuple:
-    """Monitored names, the free precisions among them, and the x picks."""
-    names = [coef.names[i] for coef in (sampler.beta, sampler.alpha) for i in coef.free]
-    # the free precisions, in the grid model's order (tau_u, tau_x, tau_eps, tau_gamma)
-    taus = tuple(name for name in sampler.model.theta.names if name.startswith("tau_"))
-    names.extend(taus)
-    if cfg.store_x:
-        x_picks = tuple(range(sampler.n_x))
-    elif cfg.monitor_x is not None:
-        x_picks = tuple(int(i) for i in cfg.monitor_x)
-        for i in x_picks:
-            if not 0 <= i < sampler.n_x:
-                raise SpecError("monitored x index %d out of range [0, %d)" % (i, sampler.n_x))
-    else:
-        count = min(4, sampler.n_x)
-        x_picks = tuple(
-            int(i) for i in np.unique(np.linspace(0, sampler.n_x - 1, count).round())
-        )
-    names.extend("x_%d" % (i + 1) for i in x_picks)
-    return tuple(names), taus, np.array(x_picks, dtype=int)
-
-
-def _record(state: ChainState, sampler: _Sampler, taus: tuple, x_picks: np.ndarray) -> np.ndarray:
-    """One draws row, in the column order of `_monitor_layout`."""
-    taus = [getattr(state, t) for t in taus]
-    return np.concatenate(
-        (state.beta[sampler.beta.free], state.alpha[sampler.alpha.free], taus, state.x[x_picks])
-    )
+def _record(state: ChainState, taus: tuple, picks: np.ndarray) -> np.ndarray:
+    """One draws row: the reported parameters, picked from the regression
+    coefficients, the exposure coefficients and the precisions taus."""
+    return np.concatenate((state.beta, state.alpha, [getattr(state, t) for t in taus]))[picks]
 
 
 def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
-    """Run one chain on a measurement-error model; deterministic given seed."""
+    """Run one chain on a measurement-error model; deterministic given seed.
+
+    The draws hold one column per reported parameter of the model, in the
+    order of `JointModel.parameter_names`.
+    """
     sampler = _prepare(model)
     state = _initial_state(sampler)
     rng = np.random.Generator(np.random.Philox(int(cfg.seed)))
+    log_scales = {k: math.log(v) for k, v in DEFAULT_PROPOSAL_SCALES.items()}
 
-    scales = dict(DEFAULT_PROPOSAL_SCALES)
-    if cfg.proposal_scales:
-        scales.update(cfg.proposal_scales)
-    log_scales = {k: math.log(v) if v > 0 else -math.inf for k, v in scales.items()}
-
-    names, taus, x_picks = _monitor_layout(sampler, cfg)
+    names = model.parameter_names()
+    # the free precisions, in the grid model's order (tau_u, tau_x, tau_eps, tau_gamma)
+    taus = tuple(name for name in model.theta.names if name.startswith("tau_"))
+    sources = sampler.beta.names + sampler.alpha.names + taus
+    picks = np.array([sources.index(name) for name in names], dtype=int)
     draws = np.empty((cfg.kept, len(names)))
     kept = 0
     accept_totals = {}
@@ -649,17 +617,14 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
         if mh_needed and it <= cfg.burn_in:
             step = (it + _ADAPT_OFFSET) ** -0.6
             for block, acc in accepted.items():
-                if np.isfinite(log_scales[block]):
-                    log_scales[block] += step * (acc - ADAPT_TARGET)
-                    log_scales[block] = min(
-                        max(log_scales[block], -_LOG_SCALE_BOUND), _LOG_SCALE_BOUND
-                    )
+                log_scales[block] += step * (acc - ADAPT_TARGET)
+                log_scales[block] = min(max(log_scales[block], -_LOG_SCALE_BOUND), _LOG_SCALE_BOUND)
 
         if it > cfg.burn_in:
             for block, acc in accepted.items():
                 accept_totals[block] = accept_totals.get(block, 0.0) + acc
             if (it - cfg.burn_in) % cfg.thin == 0 and kept < draws.shape[0]:
-                draws[kept] = _record(state, sampler, taus, x_picks)
+                draws[kept] = _record(state, taus, picks)
                 kept += 1
 
     rates = {block: total / (cfg.iterations - cfg.burn_in) for block, total in accept_totals.items()}

@@ -164,6 +164,17 @@ class ModelSpec:
             raise SpecError(
                 "beta_z has %d priors for %d covariates" % (len(self.beta_z), len(self.covariates))
             )
+        # a covariate's coefficients are named beta_<name> and alpha_<name>,
+        # which must not repeat a name of the parameter table
+        taken = {"0": "the intercept beta_0"}
+        if self.proxies:
+            taken["x"] = "the slope beta_x of the mismeasured covariate"
+        for k, col in enumerate(self.covariates):
+            if col in self.covariates[:k]:
+                raise SpecError("covariate %r is listed twice" % (col,))
+            if col in taken:
+                raise SpecError("covariate %r would share its coefficient names with %s"
+                                % (col, taken[col]))
         if self.error is None:
             if self.exposure is not None:
                 raise SpecError("exposure model requires a classical error model")
@@ -335,7 +346,9 @@ class JointModel:
     hyperparameter), the beta_z, alpha_0, then the alpha_z. Its free
     entries are the first latent components, in that order; its fixed
     entries enter the linear predictors as offsets. The layout, the design
-    and the sampler all derive from it.
+    and the sampler all derive from it. `parameter_names` is the table of
+    reported parameters that every method's marginals and the chain's
+    draws follow.
 
     Treat instances as immutable; `_cache` holds derived design matrices.
     """
@@ -380,6 +393,17 @@ class JointModel:
         """Stacked rows of the conditional: the three blocks, plus the copy
         links of an augmented model."""
         return sum(self.block_sizes) + (self.n_x if self.is_augmented else 0)
+
+    def parameter_names(self) -> tuple:
+        """The reported parameters, in the order every method writes them:
+        the free coefficients, with beta_x second whether it is a
+        coefficient (naive model) or a hyperparameter (error models), then
+        the free precisions in theta order."""
+        names = [c.name for c in self.coefficients if c.free]
+        hypers = list(self.theta.names)
+        if hypers[:1] == ["beta_x"]:
+            names.insert(int(self.coefficients[0].free), hypers.pop(0))
+        return tuple(names + hypers)
 
     def latent_names(self) -> tuple:
         names = [c.name for c in self.coefficients if c.free]
@@ -718,8 +742,7 @@ class LatentBlocks:
         out[:, p:] = (lg @ u_g)[..., 0]
         for s, count, k0, f0 in self.groups:
             M = ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
-            seg = u_l[:, k0:k0 + count * s].reshape(K, count, s, 1)
-            out[:, p + k0:p + k0 + count * s] += (M * seg if s == 1 else M @ seg).reshape(K, count * s)
+            out[:, p + k0:p + k0 + count * s] += _apply(M, u_l[:, k0:k0 + count * s])
         return out
 
     def to_latent(self, w: np.ndarray) -> np.ndarray:
@@ -727,6 +750,18 @@ class LatentBlocks:
         out = np.empty_like(w)
         out[..., self.perm] = w
         return out
+
+
+def _apply(M: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Stacked (K, count, s, s) matrices, or their transposes, times the
+    count*s rows that follow the batch axis of x."""
+    K, count, s, _ = M.shape
+    seg = x.reshape(K, count, s, -1)
+    if s == 1:
+        res = M * seg
+    else:
+        res = (np.swapaxes(M, 2, 3) if transpose else M) @ seg
+    return res.reshape(x.shape)
 
 
 def _row_index(local_slot, row_start, col_in_block, p: int, cols: np.ndarray) -> tuple:

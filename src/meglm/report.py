@@ -3,7 +3,9 @@
 Runs the naive, grid-approximation, and sampler fits on a parsed model and
 dataset, reduces each to per-parameter marginals, and writes them as plain
 files: one summary JSON per method, one `value,density` CSV per parameter,
-and a side-by-side comparison table when several methods ran.
+and a side-by-side comparison table when several methods ran. All three
+methods report the parameters of one table, `JointModel.parameter_names`,
+under its names and in its order.
 
 Every summary statistic is computed from the written marginal grid by
 trapezoid quadrature, so recomputing the summary from a report's own CSV
@@ -164,36 +166,15 @@ def summarize_grid(values: np.ndarray, density: np.ndarray) -> PosteriorMarginal
     return marginal_from_grid(values, density)
 
 
-def _canonical_order(spec: ModelSpec) -> list:
-    order = ["beta_0", "beta_x"]
-    order += ["beta_%s" % c for c in spec.covariates]
-    order += ["alpha_0"]
-    order += ["alpha_%s" % c for c in spec.covariates]
-    order += ["tau_u", "tau_x", "tau_eps", "tau_gamma"]
-    return order
-
-
-def _ordered(spec: ModelSpec, found: dict) -> dict:
-    out = {}
-    for name in _canonical_order(spec):
-        if name in found:
-            out[name] = found[name]
-    for name in found:
-        if name not in out:
-            out[name] = found[name]
-    return out
-
-
 def _grid_fit(model: JointModel, dz: float, diff_logdens: float) -> tuple:
     grid = explore_grid(model, dz=dz, diff_logdens=diff_logdens)
-    # the free coefficients, the first latent components, are the model
-    # parameters; the per-unit x, x_star and gamma components are fit
-    # artifacts, not parameters
-    params = [c.name for c in model.coefficients if c.free]
-    found = dict(zip(params, latent_marginals(model, grid, range(len(params)))))
-    for j, name in enumerate(grid.names):
-        found[name] = hyper_marginal(grid, j)
-    return _ordered(model.spec, found), grid
+    # the free coefficients, the first latent components, and the free
+    # hyperparameters are the model parameters; the per-unit x, x_star and
+    # gamma components are fit artifacts, not parameters
+    coefs = [c.name for c in model.coefficients if c.free]
+    found = dict(zip(coefs, latent_marginals(model, grid, range(len(coefs)))))
+    found.update((name, hyper_marginal(grid, j)) for j, name in enumerate(grid.names))
+    return {name: found[name] for name in model.parameter_names()}, grid
 
 
 def naive_marginals(
@@ -261,21 +242,17 @@ def _chain_marginal(draws: np.ndarray) -> PosteriorMarginal:
 def mcmc_marginals(spec: ModelSpec, dataset: Dataset, config: ChainConfig) -> tuple:
     """Sampler fit reduced to per-parameter marginals.
 
-    Returns (marginals, chain). Each parameter's draws are smoothed by a
-    Gaussian kernel density estimate with Scott's bandwidth factor (the
+    Returns (marginals, chain); the chain's draws and the marginals both
+    follow the model's table of reported parameters
+    (`JointModel.parameter_names`). Each parameter's draws are smoothed by
+    a Gaussian kernel density estimate with Scott's bandwidth factor (the
     estimate scipy's gaussian_kde makes, computed in numpy) to a
     density on a 75-point grid, so the written artifact has the same
     schema as the other methods; summaries come from that grid.
     """
     model = build_joint_model(spec, dataset)
     chain = run_chain(model, config)
-    found = {name: _chain_marginal(chain.column(name)) for name in _reported(chain)}
-    return _ordered(spec, found), chain
-
-
-def _reported(chain: ChainOutput) -> list:
-    """Monitored parameters that become marginals (not the latent x picks)."""
-    return [name for name in chain.names if not re.fullmatch(r"x_\d+", name)]
+    return {name: _chain_marginal(chain.column(name)) for name in model.parameter_names()}, chain
 
 
 def _grid_diagnostics(method: str, grid: IntegrationGrid) -> list:
@@ -299,13 +276,12 @@ def _chain_diagnostics(chain: ChainOutput) -> list:
     rates = ", ".join("%s %.3f" % item for item in chain.acceptance_rates.items())
     lines = ["mcmc: acceptance %s" % rates]
     kept = chain.draws.shape[0]
-    names = _reported(chain)
-    if kept < MIN_ESS_DRAWS or not names:
+    if kept < MIN_ESS_DRAWS or not chain.names:
         lines.append(
             "mcmc: ESS not estimated (%d draws kept, need %d)" % (kept, MIN_ESS_DRAWS)
         )
         return lines
-    ess, name = min((effective_sample_size(chain.column(n)), n) for n in names)
+    ess, name = min((effective_sample_size(chain.column(n)), n) for n in chain.names)
     lines.append("mcmc: min ESS %.1f of %d draws (%s)" % (ess, kept, name))
     if ess < ESS_WARNING_FLOOR:
         lines.append(

@@ -507,7 +507,7 @@ class TestBatchedWalk:
             assert np.array_equal(getattr(grid, name), getattr(small, name)), name
 
     def test_each_stencil_and_shell_is_one_newton_call(self, monkeypatch):
-        # the laplace_framingham benchmark design: 243 solves, whose shells
+        # the laplace_framingham benchmark design: 242 solves, whose shells
         # of new points hold up to 62 of them
         sim = simulate_study(make_recipe("framingham_like", n=140, beta_0=-1.4, seed=42))
         model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)

@@ -251,10 +251,7 @@ class TestFit:
             read_model_config(files["config"]), Dataset.from_csv(files["data"]),
             ChainConfig(iterations=2000, burn_in=500, thin=3, seed=11),
         )
-        ess = {
-            n: effective_sample_size(chain.column(n))
-            for n in chain.names if not n.startswith("x_")
-        }
+        ess = {n: effective_sample_size(chain.column(n)) for n in chain.names}
         worst = min(ess, key=ess.get)
         assert "mcmc: acceptance x 1.000, beta 1.000" in out
         assert "mcmc: min ESS %.1f of 500 draws (%s)" % (ess[worst], worst) in out

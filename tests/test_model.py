@@ -566,6 +566,9 @@ class TestCoefficientTable:
         rr = np.array([0, 1, 3])
         model = build_joint_model(self.classical_spec(), data)
         assert model.latent_names() == ("beta_z2", "alpha_0", "alpha_z2", "x_1", "x_2", "x_3", "x_4")
+        # beta_0 is fixed, so the slope beta_x leads the reported parameters
+        assert model.parameter_names() == (
+            "beta_x", "beta_z2", "alpha_0", "alpha_z2", "tau_u", "tau_x", "tau_eps")
 
         rows = stacked_rows(model, model.theta.init_natural())
         reg, exp_, prox, prior = rows.reg_slice, rows.exp_slice, rows.prox_slice, rows.prior_slice
@@ -610,6 +613,7 @@ class TestCoefficientTable:
         model = build_joint_model(naive_spec(spec), data)
         assert model.latent_names() == ("beta_0", "beta_z2")
         assert model.theta.names == ("tau_eps",)
+        assert model.parameter_names() == ("beta_0", "beta_z2", "tau_eps")
 
         rows = stacked_rows(model, model.theta.init_natural())
         reg, prior = rows.reg_slice, rows.prior_slice
@@ -624,6 +628,8 @@ class TestCoefficientTable:
         # grid model and a fixed regression coefficient of the sampler
         model = build_joint_model(spec, data)
         assert dict(model.theta.fixed)["beta_x"] == 0.8
+        assert model.parameter_names() == (
+            "beta_0", "beta_z2", "alpha_0", "alpha_z2", "tau_u", "tau_x", "tau_eps")
         sampler = _prepare(model)
         assert np.array_equal(sampler.beta.mean, [0.0, 0.8, -0.4, 1.0])
         assert np.array_equal(sampler.beta.prec, [1.0e-4, math.inf, math.inf, 2.0])
@@ -637,6 +643,11 @@ class TestNaive:
         assert model.block_sizes == (3, 0, 0)
         assert model.latent_names() == ("beta_0", "beta_x", "beta_z")
         assert model.theta.names == ("tau_eps",)
+        assert model.parameter_names() == ("beta_0", "beta_x", "beta_z", "tau_eps")
+        # under error beta_x is a hyperparameter, and still reported second
+        model = build_joint_model(small_classical_spec(), small_classical_data())
+        assert model.parameter_names() == (
+            "beta_0", "beta_x", "beta_z", "alpha_0", "alpha_z", "tau_u", "tau_x", "tau_eps")
 
     def test_naive_covariate_is_replicate_mean(self):
         spec = naive_spec(small_classical_spec())
@@ -834,6 +845,76 @@ rate = 0.005
 """
         spec = parse_model_config(text)
         assert spec == berkson_poisson_spec()
+
+
+COLLIDING_COVARIATES = [
+    (("0",), "covariate '0' would share its coefficient names with the intercept beta_0"),
+    (("x",), "covariate 'x' would share its coefficient names with the slope beta_x"),
+    (("z", "z"), "covariate 'z' is listed twice"),
+]
+
+COLLISION_CONFIG = """
+[model]
+family = gaussian
+error = classical
+proxy = w1
+covariates = %s
+
+[prior.beta]
+kind = gaussian
+precision = 0.01
+
+[prior.beta_x]
+kind = gaussian
+precision = 0.01
+
+[prior.alpha]
+kind = gaussian
+precision = 0.5
+
+[prior.tau_x]
+kind = gamma
+shape = 1
+rate = 1
+
+[prior.tau_u]
+kind = gamma
+shape = 1
+rate = 1
+
+[prior.tau_eps]
+kind = gamma
+shape = 1
+rate = 1
+"""
+
+
+class TestCoefficientNames:
+    """A covariate whose coefficient names repeat a name of the parameter
+    table is refused, in a spec and in a configuration."""
+
+    @pytest.mark.parametrize("covariates, message", COLLIDING_COVARIATES)
+    def test_spec_refuses_colliding_covariate(self, covariates, message):
+        base = small_classical_spec()
+        k = len(covariates)
+        spec = replace(base, covariates=covariates, beta_z=base.beta_z * k,
+                       exposure=replace(base.exposure, alpha_z=base.exposure.alpha_z * k))
+        with pytest.raises(SpecError, match=message):
+            spec.validate()
+
+    @pytest.mark.parametrize("covariates, message", COLLIDING_COVARIATES)
+    def test_config_refuses_colliding_covariate(self, covariates, message):
+        with pytest.raises(SpecError, match=message):
+            parse_model_config(COLLISION_CONFIG % ", ".join(covariates))
+
+    def test_covariate_x_is_allowed_without_proxies(self):
+        # a plain regression has no beta_x of its own
+        spec = ModelSpec(
+            observation=ObservationModel(family="gaussian", residual_precision=GammaPrior(1.0, 1.0)),
+            error=None, exposure=None, beta0=GaussianPrior(0.0, 0.01),
+            beta_x=GaussianPrior(0.0, 0.0), beta_z=(GaussianPrior(0.0, 0.01),), covariates=("x",))
+        model = build_joint_model(spec, Dataset.from_arrays(y=[0.5, 1.0, 2.0], x=[0.0, 1.0, 3.0]))
+        assert model.parameter_names() == ("beta_0", "beta_x", "tau_eps")
 
 
 class TestDatasetIO:

@@ -267,7 +267,7 @@ def _original_scale_draws(out, spec, centering):
     which keeps the joint law exact.
     """
     m_w = _proxy_center(spec, centering)
-    draws = {name: out.column(name) for name in out.names if not name.startswith("x_")}
+    draws = {name: out.column(name) for name in out.names}
     if "beta_0" in draws:
         shifted = draws["beta_0"] - draws["beta_x"] * m_w
         for cov in spec.covariates:
