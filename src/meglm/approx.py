@@ -3,9 +3,10 @@
 The latent field is integrated out with a Gaussian (Laplace) approximation
 at each hyperparameter value. The hyperparameter mode is found by damped
 Newton steps on finite-difference derivatives, the posterior is explored on
-a standardized lattice around that mode, and latent and hyperparameter
-marginals are assembled as finite mixtures over the retained grid points;
-the latent mixtures reuse the moments of the walk's own solves.
+a standardized lattice around that mode, and every marginal is a Gaussian
+mixture over the retained grid points, with the grid weights: a latent
+component mixes the conditional Gaussians of the walk's own solves, and a
+hyperparameter mixes one shrunk kernel per lattice point (hyper_marginal).
 
 Given the mode, the Laplace evaluations are independent of each other, so
 each finite-difference stencil and each breadth-first shell of the lattice
@@ -47,6 +48,11 @@ __all__ = [
 GRID_POINT_CAP = 50_000
 MARGINAL_GRID_SIZE = 75
 MARGINAL_SPAN_SD = 5.0
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+# kernel sd of a hyperparameter marginal, in standardized lattice steps
+# along one axis (times sqrt(m) for m axes); at 0.9 a 1-D lattice of an
+# exactly Gaussian posterior gives its density to about 1e-9
+HYPER_KERNEL_FACTOR = 0.9
 FD_STEP = 1.0e-4
 MAX_MODE_ITER = 40
 # Newton decrement g' C^{-1} g below which the mode search stops: the step
@@ -63,9 +69,9 @@ AUGMENTED_MODE_STEP_TOL = 1.0e-12
 class PosteriorMarginal:
     """A univariate posterior marginal on a value grid.
 
-    values/density hold the gridded density (empty when moments_only);
-    mean, sd and the three standard quantiles are computed by trapezoid
-    quadrature on that grid.
+    values/density hold the gridded density, at least three points with
+    increasing values; mean, sd and the three standard quantiles are
+    computed by trapezoid quadrature on that grid.
     """
 
     values: np.ndarray
@@ -75,7 +81,6 @@ class PosteriorMarginal:
     q025: float
     q50: float
     q975: float
-    moments_only: bool = False
 
 
 @dataclass(eq=False)
@@ -84,7 +89,8 @@ class IntegrationGrid:
 
     thetas holds one internal-scale point per row; weights are normalized
     to sum to one. axes maps standardized steps to internal offsets
-    (lambda = mode + axes @ z), which hyper_marginal uses for bin widths.
+    (lambda = mode + axes @ z); with dz it sets the kernel widths of
+    hyper_marginal, and scales says which entries it maps through exp.
     truncated flags a walk stopped by the point cap; skipped counts lattice
     points dropped because their latent solve raised NumericError. solves
     and newton_iters count the latent solves of the mode search and the
@@ -507,6 +513,21 @@ def marginal_from_grid(values: np.ndarray, density: np.ndarray) -> PosteriorMarg
     )
 
 
+def _mixture_density(at: np.ndarray, means: np.ndarray, sds, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k N(at; means_k, sds_k**2) at each point of at.
+
+    sds and weights are each one value per component or one for all. The
+    K x len(at) kernel values live in one buffer, updated in place.
+    """
+    sds = np.broadcast_to(np.asarray(sds, dtype=float), means.shape)
+    kernel = np.subtract.outer(means, at)
+    kernel /= sds[:, None]
+    np.square(kernel, out=kernel)
+    kernel *= -0.5
+    np.exp(kernel, out=kernel)
+    return (weights / sds) @ kernel / SQRT_2PI
+
+
 def mixture_marginal(
     means: np.ndarray, sds: np.ndarray, weights: np.ndarray
 ) -> PosteriorMarginal:
@@ -527,10 +548,7 @@ def mixture_marginal(
     values = np.linspace(
         mu - MARGINAL_SPAN_SD * sd, mu + MARGINAL_SPAN_SD * sd, MARGINAL_GRID_SIZE
     )
-    z = (values[None, :] - means[:, None]) / sds[:, None]
-    comp = np.exp(-0.5 * z * z) / (sds[:, None] * math.sqrt(2.0 * math.pi))
-    density = weights @ comp
-    return marginal_from_grid(values, density)
+    return marginal_from_grid(values, _mixture_density(values, means, sds, weights))
 
 
 def latent_marginals(
@@ -565,107 +583,40 @@ def latent_marginal(model: JointModel, grid: IntegrationGrid, i: int) -> Posteri
     return latent_marginals(model, grid, [i])[0]
 
 
-def _moments_only(values: np.ndarray, weights: np.ndarray) -> PosteriorMarginal:
-    mean = float(np.sum(weights * values))
-    var = float(np.sum(weights * values * values) - mean * mean)
-    return PosteriorMarginal(
-        values=np.zeros(0),
-        density=np.zeros(0),
-        mean=mean,
-        sd=math.sqrt(max(var, 0.0)),
-        q025=math.nan,
-        q50=math.nan,
-        q975=math.nan,
-        moments_only=True,
-    )
-
-
-def _not_a_knot_spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The not-a-knot cubic spline through (x, y), at least three points
-    with increasing x, evaluated at `at` (extrapolated past the ends).
-
-    The same spline as scipy.interpolate.CubicSpline(x, y,
-    bc_type="not-a-knot"), built from the same slope equations; with
-    numpy alone, a fit does not load scipy.interpolate, which with the
-    modules it imports holds about 25 MB. Through three points the spline
-    is their interpolating parabola.
-    """
-    n = x.size
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    # one equation per knot for the slopes s: continuous second derivatives
-    # inside, and a continuous third derivative at the second and the
-    # second-to-last knot
-    A = np.zeros((n, n))
-    b = np.empty(n)
-    if n == 3:
-        A[0, :2] = 1.0
-        A[1] = dx[1], 2.0 * (dx[0] + dx[1]), dx[0]
-        A[2, 1:] = 1.0
-        b[:] = 2.0 * slope[0], 3.0 * (dx[0] * slope[1] + dx[1] * slope[0]), 2.0 * slope[1]
-    else:
-        inner = np.arange(1, n - 1)
-        A[inner, inner - 1] = dx[1:]
-        A[inner, inner] = 2.0 * (dx[:-1] + dx[1:])
-        A[inner, inner + 1] = dx[:-1]
-        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        d = x[2] - x[0]
-        A[0, :2] = dx[1], d
-        b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        A[-1, -2:] = d, dx[-2]
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = np.linalg.solve(A, b)
-    # each interval's cubic in powers of the offset from its left knot
-    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    coef = (y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx)
-    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, n - 2)
-    h = at - x[i]
-    out = np.zeros(at.shape)
-    power = np.ones(at.shape)
-    for c in coef:
-        out += c[i] * power
-        power = power * h
-    return out
-
-
 def hyper_marginal(grid: IntegrationGrid, j: int) -> PosteriorMarginal:
     """Posterior marginal of hyperparameter j in natural scale.
 
-    Aggregates grid weights into bins along internal coordinate j,
-    interpolates the log density through the nonempty bin centers with a
-    not-a-knot cubic spline, then evaluates on a fine natural-scale grid
-    with the change-of-variables Jacobian and renormalizes. Fewer than
-    three occupied bins yield a flagged moments-only result.
+    A Gaussian mixture over the retained lattice points in internal
+    coordinate lambda_j, with the grid weights (West 1993's shrunk kernel
+    mixture). The kernel sd is h = HYPER_KERNEL_FACTOR * dz * sigma_j /
+    sqrt(m), where sigma_j**2 = (axes axes')_jj is the variance along
+    lambda_j of one standardized step. Each point lambda_jk contributes
+    N(mu + c (lambda_jk - mu), h**2), with mu and V the lattice's weighted
+    mean and variance of lambda_j and c = sqrt(max(0, 1 - h**2 / V)), so
+    the mixture keeps mu exactly, and V whenever V >= h**2; a one-point
+    lattice gives N(mu, h**2). The density is evaluated at 75 evenly
+    spaced natural-scale values spanning mu plus/minus five mixture sds in
+    lambda_j, whose ends are mapped through exp for a log-scale entry,
+    with the change-of-variables Jacobian.
     """
     if grid.size == 0:
         raise SpecError("integration grid is empty")
     m = grid.thetas.shape[1]
     if not 0 <= j < m:
         raise SpecError("hyperparameter index %d out of range for %d" % (j, m))
-    scale = grid.scales[j]
-    lam_j = grid.thetas[:, j]
-
-    cov = grid.axes @ grid.axes.T
-    width = grid.dz * math.sqrt(float(cov[j, j]))
-    bins = np.rint((lam_j - grid.mode[j]) / width).astype(int)
-    order = np.argsort(bins, kind="stable")
-    uniq, start = np.unique(bins[order], return_index=True)
-    masses = np.add.reduceat(grid.weights[order], start)
-    centers = grid.mode[j] + width * uniq.astype(float)
-
-    natural = np.exp(centers) if scale == "log" else centers
-    if uniq.size < 3:
-        return _moments_only(natural, masses)
-
-    log_f = np.log(masses / width)
-    values = np.linspace(natural[0], natural[-1], MARGINAL_GRID_SIZE)
-    if scale == "log":
-        lam_grid = np.log(values)
-        jac = 1.0 / values
+    lam = grid.thetas[:, j]
+    w = grid.weights
+    mu = float(w @ lam)
+    var = float(w @ np.square(lam - mu))
+    h = HYPER_KERNEL_FACTOR * grid.dz * math.sqrt(float(grid.axes[j] @ grid.axes[j]) / m)
+    shrink = math.sqrt(max(0.0, 1.0 - h * h / var)) if var > 0.0 else 0.0
+    sd = math.sqrt(shrink * shrink * var + h * h)
+    lo, hi = mu - MARGINAL_SPAN_SD * sd, mu + MARGINAL_SPAN_SD * sd
+    means = mu + shrink * (lam - mu)
+    if grid.scales[j] == "log":
+        values = np.linspace(math.exp(lo), math.exp(hi), MARGINAL_GRID_SIZE)
+        density = _mixture_density(np.log(values), means, h, w) / values
     else:
-        lam_grid = values
-        jac = np.ones_like(values)
-    density = np.exp(_not_a_knot_spline(centers, log_f, lam_grid)) * jac
-    mass = float(np.trapezoid(density, values))
-    return marginal_from_grid(values, density / mass)
+        values = np.linspace(lo, hi, MARGINAL_GRID_SIZE)
+        density = _mixture_density(values, means, h, w)
+    return marginal_from_grid(values, density)

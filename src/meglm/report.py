@@ -27,6 +27,7 @@ from .approx import (
     MARGINAL_GRID_SIZE,
     IntegrationGrid,
     PosteriorMarginal,
+    _mixture_density,
     explore_grid,
     hyper_marginal,
     latent_marginals,
@@ -210,33 +211,17 @@ def _chain_marginal(draws: np.ndarray) -> PosteriorMarginal:
     """Gaussian kernel density of the draws on a 75-point grid.
 
     The same estimate as scipy's gaussian_kde(draws) with its default
-    bandwidth: equal weights w = 1/n, Scott's factor neff**(-1/5) from the
-    effective size neff = 1/sum(w**2), and a kernel sd of that factor times
-    the weighted unbiased sd. The grid reaches 3 bandwidths past the
-    extreme draws.
+    bandwidth: the equal-weight Gaussian mixture over the draws with a
+    kernel sd of Scott's factor n**(-1/5) times their unbiased sd. The grid
+    reaches 3 bandwidths past the extreme draws.
     """
     sd = float(np.std(draws, ddof=1))
     if not np.isfinite(sd) or sd <= 0.0:
         raise NumericError("chain draws are degenerate, cannot form a density")
-    weights = np.full(draws.size, 1.0 / draws.size)
-    sum_w2 = np.vecdot(weights, weights)
-    factor = float(np.power(1.0 / sum_w2, -1.0 / 5.0))
-    bandwidth = factor * sd
-    lo = float(np.min(draws)) - 3.0 * bandwidth
-    hi = float(np.max(draws)) + 3.0 * bandwidth
-    values = np.linspace(lo, hi, MARGINAL_GRID_SIZE)
-
-    deviation = draws - np.vecdot(weights, draws)
-    variance = np.vecdot(weights * deviation, deviation) / (1.0 - sum_w2)
-    h = factor * math.sqrt(variance)
-    # one draws x grid buffer, updated in place: the squared standardized
-    # distances, then the kernel values
-    kernel = np.subtract.outer(draws / h, values / h)
-    np.square(kernel, out=kernel)
-    kernel *= -0.5
-    np.exp(kernel, out=kernel)
-    density = (weights @ kernel) / (math.sqrt(2.0 * math.pi) * h)
-    return marginal_from_grid(values, density)
+    h = draws.size ** -0.2 * sd
+    values = np.linspace(float(np.min(draws)) - 3.0 * h, float(np.max(draws)) + 3.0 * h,
+                         MARGINAL_GRID_SIZE)
+    return marginal_from_grid(values, _mixture_density(values, draws, h, 1.0 / draws.size))
 
 
 def mcmc_marginals(spec: ModelSpec, dataset: Dataset, config: ChainConfig) -> tuple:
@@ -292,24 +277,25 @@ def _chain_diagnostics(chain: ChainOutput) -> list:
 
 
 def build_report(method: str, marginals: dict, wall_clock_seconds: float = 0.0) -> PosteriorReport:
+    """Per-parameter summaries of the marginals, each taken from the grid as
+    written (its values and normalized density), so that re-summarizing a
+    written CSV with summarize_grid gives its summary exactly. A summary
+    that is not finite raises NumericError naming the method and parameter.
+    """
     if method not in METHODS:
         raise SpecError("unknown method %r" % (method,))
-    params = tuple(
-        ParameterSummary(
-            parameter=name,
-            method=method,
-            mean=m.mean,
-            sd=m.sd,
-            q025=m.q025,
-            q50=m.q50,
-            q975=m.q975,
-        )
-        for name, m in marginals.items()
-    )
+    params = []
+    for name, m in marginals.items():
+        s = marginal_from_grid(m.values, m.density)
+        stats = (s.mean, s.sd, s.q025, s.q50, s.q975)
+        if not np.all(np.isfinite(stats)):
+            raise NumericError("%s marginal of %s has a non-finite summary (mean, sd, q025, "
+                               "q50, q975 = %g, %g, %g, %g, %g)" % ((method, name) + stats))
+        params.append(ParameterSummary(name, method, *stats))
     files = {name: _marginal_relpath(method, name) for name in marginals}
     return PosteriorReport(
         method=method,
-        parameters=params,
+        parameters=tuple(params),
         marginal_files=files,
         wall_clock_seconds=wall_clock_seconds,
     )
@@ -365,11 +351,16 @@ COMPARISON_HEADER = "parameter,method,mean,sd,q025,q50,q975"
 
 
 def write_comparison(reports: dict, outdir) -> str:
-    """Side-by-side long-format table, one row per parameter and method."""
+    """Side-by-side long-format table, one row per parameter and method.
+
+    Parameters come in the order of the corrected fits (laplace, then
+    mcmc), then any the naive fit adds: the naive model's parameter table
+    is a subsequence of the error model's, so the rows follow the latter.
+    """
     if not reports:
         raise SpecError("no reports to compare")
     ordered_params = []
-    for method in METHODS:
+    for method in ("laplace", "mcmc", "naive"):
         if method not in reports:
             continue
         for p in reports[method].parameters:

@@ -15,6 +15,7 @@ import meglm.gaussian
 import meglm.model
 from meglm.approx import (
     GRID_POINT_CAP,
+    MARGINAL_GRID_SIZE,
     IntegrationGrid,
     _explore_lattice,
     explore_grid,
@@ -39,6 +40,7 @@ from meglm.model import (
     joint_log_density,
 )
 from meglm.priors import LOG_2PI, FixedValue, GammaPrior, GaussianPrior
+from meglm.report import laplace_marginals
 from meglm.studies import make_recipe, simulate_study
 
 
@@ -702,19 +704,54 @@ def handmade_grid(center, scale, scale_kind, steps=12, dz=0.5):
     )
 
 
+def rotated_grid():
+    """2-D lattice of a Gaussian posterior on rotated, unequal axes."""
+    angle = math.pi / 6.0
+    rot = np.array(
+        [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    )
+    axes = rot @ np.diag([0.8, 1.5])
+    dz = 0.5
+    ks = np.arange(-8, 9)
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    z = np.stack([k1.ravel(), k2.ravel()], axis=1) * dz
+    mode = np.array([0.5, -0.3])
+    lam = mode + z @ axes.T
+    log_post = -0.5 * np.sum(z * z, axis=1)
+    w = np.exp(log_post - np.max(log_post))
+    return IntegrationGrid(
+        thetas=lam,
+        log_post=log_post,
+        weights=w / np.sum(w),
+        mode=mode,
+        scales=("identity", "identity"),
+        names=("a", "b"),
+        axes=axes,
+        dz=dz,
+        diff_logdens=20.0,
+    )
+
+
+def hyper_moves_across_newton_tol(monkeypatch, dz, diff_logdens):
+    """Every hyperparameter summary of the three studies moves by under
+    0.005 posterior sd when the latent Newton tolerance goes from 1e-8 to
+    1e-12, which perturbs the mode search's curvature and so the lattice."""
+    designs = [("ibex", {"n": 26}), ("framingham", {"n": 200}), ("seedling", {})]
+    for study, overrides in designs:
+        sim = simulate_study(make_recipe(study, seed=1, **overrides))
+        spec = parse_model_config(sim.model_config)
+        fits = []
+        for tol in (1.0e-8, 1.0e-12):
+            monkeypatch.setattr(meglm.gaussian, "NEWTON_TOL", tol)
+            fits.append(laplace_marginals(spec, sim.dataset, dz=dz, diff_logdens=diff_logdens))
+        (a, grid), (b, _) = fits
+        for name in grid.names:
+            for stat in ("mean", "sd", "q025", "q975"):
+                move = abs(getattr(a[name], stat) - getattr(b[name], stat)) / a[name].sd
+                assert move < 0.005, (study, name, stat, move)
+
+
 class TestHyperMarginal:
-    @pytest.mark.parametrize("n", [3, 4, 5, 9, 23])
-    def test_spline_is_scipys_not_a_knot_spline(self, n):
-        from scipy.interpolate import CubicSpline
-
-        rng = np.random.default_rng(n)
-        x = np.cumsum(0.2 + rng.random(n))
-        y = -0.5 * (x - x.mean()) ** 2 + 0.1 * rng.standard_normal(n)
-        at = np.linspace(x[0] - 0.1, x[-1] + 0.1, 75)
-        want = CubicSpline(x, y, bc_type="not-a-knot")(at)
-        got = meglm.approx._not_a_knot_spline(x, y, at)
-        assert np.max(np.abs(got - want)) <= 1.0e-12 * np.max(np.abs(want))
-
     def test_identity_scale_matches_normal_density(self):
         grid = handmade_grid(1.3, 0.7, "identity")
         marg = hyper_marginal(grid, 0)
@@ -749,7 +786,7 @@ class TestHyperMarginal:
         assert np.max(np.abs(got - ref)) < 5.0e-3
         assert marg.mean == pytest.approx(float(np.trapezoid(lam * ref, lam)), abs=5.0e-3)
 
-    def test_two_bins_give_flagged_moments(self):
+    def test_two_point_lattice_gives_a_full_marginal(self):
         grid = IntegrationGrid(
             thetas=np.array([[-1.0], [1.0]]),
             log_post=np.zeros(2),
@@ -762,39 +799,69 @@ class TestHyperMarginal:
             diff_logdens=20.0,
         )
         marg = hyper_marginal(grid, 0)
-        assert marg.moments_only
-        assert marg.values.size == 0
+        assert marg.values.size == MARGINAL_GRID_SIZE
+        # the mixture keeps the lattice's mean 0 and sd 1, so its grid spans
+        # 0 plus/minus five sds
+        assert marg.values[0] == pytest.approx(-5.0, abs=1.0e-12)
+        assert marg.values[-1] == pytest.approx(5.0, abs=1.0e-12)
         assert marg.mean == pytest.approx(0.0, abs=1.0e-12)
-        assert marg.sd == pytest.approx(1.0, abs=1.0e-12)
-        assert math.isnan(marg.q50)
+        # the five-sd window leaves out 2.7e-6 of the sd
+        assert marg.sd == pytest.approx(1.0, abs=1.0e-5)
+        assert marg.q50 == pytest.approx(0.0, abs=1.0e-12)
+
+    def test_one_point_lattice_gives_the_kernel(self):
+        grid = handmade_grid(0.4, 0.3, "identity", steps=0)
+        marg = hyper_marginal(grid, 0)
+        h = meglm.approx.HYPER_KERNEL_FACTOR * grid.dz * 0.3
+        expected = stats.norm.pdf(marg.values, 0.4, h)
+        assert np.max(np.abs(marg.density - expected)) < 1.0e-5 * np.max(expected)
+        assert marg.mean == pytest.approx(0.4, abs=1.0e-12)
+        assert np.isfinite([marg.q025, marg.q50, marg.q975]).all()
+
+    @pytest.mark.parametrize("source", ["rotated", "seedling"])
+    def test_mixture_keeps_lattice_mean_and_variance(self, source, monkeypatch):
+        if source == "rotated":
+            grid = rotated_grid()
+        else:
+            sim = simulate_study(make_recipe("seedling", seed=1))
+            model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
+            grid = explore_grid(model, dz=0.75, diff_logdens=8.0)
+        seen = []
+        real = meglm.approx._mixture_density
+
+        def spy(at, means, sds, weights):
+            seen.append((means, float(sds), weights))
+            return real(at, means, sds, weights)
+
+        monkeypatch.setattr(meglm.approx, "_mixture_density", spy)
+        m = grid.thetas.shape[1]
+        for j in range(m):
+            seen.clear()
+            hyper_marginal(grid, j)
+            (means, h, weights), = seen
+            lam, w = grid.thetas[:, j], grid.weights
+            mu = float(w @ lam)
+            var = float(w @ (lam - mu) ** 2)
+            sigma = math.sqrt(float((grid.axes @ grid.axes.T)[j, j]))
+            assert h == pytest.approx(0.9 * grid.dz * sigma / math.sqrt(m), rel=1.0e-14)
+            assert var >= h * h
+            assert np.array_equal(weights, w)
+            mix_mean = float(w @ means)
+            mix_var = float(w @ (means - mix_mean) ** 2) + h * h
+            assert abs(mix_mean - mu) <= 1.0e-12 * math.sqrt(var)
+            assert abs(mix_var - var) <= 1.0e-12 * var
+
+    def test_stable_across_newton_tolerance(self, monkeypatch):
+        hyper_moves_across_newton_tol(monkeypatch, dz=0.75, diff_logdens=8.0)
+
+    @pytest.mark.slow
+    def test_stable_across_newton_tolerance_fine_grid(self, monkeypatch):
+        hyper_moves_across_newton_tol(monkeypatch, dz=0.5, diff_logdens=20.0)
 
     def test_two_dimensional_grid_aggregates_along_axis(self):
-        angle = math.pi / 6.0
-        rot = np.array(
-            [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-        )
-        axes = rot @ np.diag([0.8, 1.5])
-        dz = 0.5
-        ks = np.arange(-8, 9)
-        k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-        z = np.stack([k1.ravel(), k2.ravel()], axis=1) * dz
-        mode = np.array([0.5, -0.3])
-        lam = mode + z @ axes.T
-        log_post = -0.5 * np.sum(z * z, axis=1)
-        w = np.exp(log_post - np.max(log_post))
-        grid = IntegrationGrid(
-            thetas=lam,
-            log_post=log_post,
-            weights=w / np.sum(w),
-            mode=mode,
-            scales=("identity", "identity"),
-            names=("a", "b"),
-            axes=axes,
-            dz=dz,
-            diff_logdens=20.0,
-        )
+        grid = rotated_grid()
         marg = hyper_marginal(grid, 0)
-        sd0 = math.sqrt(float((axes @ axes.T)[0, 0]))
+        sd0 = math.sqrt(float((grid.axes @ grid.axes.T)[0, 0]))
         assert marg.mean == pytest.approx(0.5, abs=0.02 * sd0)
         assert marg.sd == pytest.approx(sd0, rel=0.05)
         assert np.all(marg.density >= 0.0)

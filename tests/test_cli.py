@@ -316,6 +316,36 @@ class TestFit:
             grid.size, grid.solves, grid.newton_iters)
         assert line in out
 
+    def test_one_point_grid_writes_finite_marginals(self, tmp_path, capsys):
+        # at dz 3 the ibex lattice keeps its origin alone, and every
+        # hyperparameter marginal is then its one Gaussian kernel
+        assert run_cli(
+            "simulate", "--study", "ibex", "--n", "26", "--seed", "1", "--outdir", str(tmp_path)
+        ) == 0
+        outdir = tmp_path / "out"
+        assert run_cli(
+            "fit", "--config", str(tmp_path / "ibex_like_model.ini"),
+            "--data", str(tmp_path / "ibex_like.csv"), "--method", "laplace",
+            "--outdir", str(outdir), "--dz", "3", "--diff-logdens", "0.5",
+        ) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert any(ln.startswith("laplace: grid 1 points,") for ln in out)
+
+        def no_constant(name):
+            raise AssertionError("summary holds %s" % name)
+
+        with open(outdir / "laplace_summary.json") as fh:
+            payload = json.load(fh, parse_constant=no_constant)
+        assert {"beta_x", "tau_u", "tau_x", "tau_eps"} <= set(payload["marginal_files"])
+        for rec in payload["parameters"]:
+            values, density = report.read_marginal_csv(
+                outdir / payload["marginal_files"][rec["parameter"]]
+            )
+            again = report.summarize_grid(values, density)
+            assert rec["sd"] > 0.0
+            for stat in ("mean", "sd", "q025", "q50", "q975"):
+                assert getattr(again, stat) == rec[stat], (rec["parameter"], stat)
+
     def test_compare_rejects_duplicates_and_junk(self, study_dir, tmp_path, capsys):
         junk = tmp_path / "junk.json"
         junk.write_text('{"something": "else"}')
