@@ -2,7 +2,9 @@
 
 The latent field is integrated out with a Gaussian (Laplace) approximation
 at each hyperparameter value. The hyperparameter mode is found by damped
-Newton steps on finite-difference derivatives, the posterior is explored on
+Newton steps on finite-difference derivatives, with one stopping rule for
+every model, and is the origin of the lattice for every model: one with no
+free hyperparameters stops at its start point. The posterior is explored on
 a standardized lattice around that mode, and every marginal is a Gaussian
 mixture over the retained grid points, with the grid weights: a latent
 component mixes the conditional Gaussians of the walk's own solves, and a
@@ -12,9 +14,9 @@ Given the mode, the Laplace evaluations are independent of each other, so
 each finite-difference stencil and each breadth-first shell of the lattice
 is solved as one batch (`gaussian.latent_gaussian_batches`), every point
 warm-started from the latent mode at the stencil's centre or at the
-hyperparameter mode. Only the mode search's backtracking line search
-solves one point at a time. A point's value does not depend on the batch
-it is solved in, so neither does any result.
+hyperparameter mode. Only the mode search's start point and its
+backtracking line search solve one point at a time. A point's value does
+not depend on the batch it is solved in, so neither does any result.
 """
 from __future__ import annotations
 
@@ -55,14 +57,11 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 HYPER_KERNEL_FACTOR = 0.9
 FD_STEP = 1.0e-4
 MAX_MODE_ITER = 40
-# Newton decrement g' C^{-1} g below which the mode search stops: the step
-# left is under 1e-3 in curvature-standardized units, far inside one grid
-# step, and a further stencil would only confirm it. The copy-augmented
-# model keeps 1e-12: its 1e9 copy link puts round-off noise of order 1 into
-# the finite-difference curvature, so the stencil it stops on sets its grid
-# axes by chance, and it steps on until no step rises.
+# Newton decrement g' C^{-1} g below which the mode search of every model,
+# plain or copy-augmented, stops: the step left is under 1e-3 in
+# curvature-standardized units, far inside one grid step, and a further
+# stencil would only confirm it.
 MODE_STEP_TOL = 1.0e-6
-AUGMENTED_MODE_STEP_TOL = 1.0e-12
 
 
 @dataclass(eq=False)
@@ -123,12 +122,7 @@ class IntegrationGrid:
         return int(self.thetas.shape[0])
 
 
-def log_hyperposterior(
-    model: JointModel,
-    theta,
-    internal: bool = False,
-    init: Optional[np.ndarray] = None,
-) -> float:
+def log_hyperposterior(model: JointModel, theta, internal: bool = False) -> float:
     """Laplace-approximate log posterior of the hyperparameters, up to a constant.
 
     Computes joint density at the conditional latent mode minus the
@@ -137,7 +131,7 @@ def log_hyperposterior(
     internal scale (log precisions) and the change-of-variables term is
     included.
     """
-    lp, _ = _lp_and_approx(model, theta, internal=internal, init=init)
+    lp, _ = _lp_and_approx(model, theta, internal=internal)
     return lp
 
 
@@ -240,20 +234,22 @@ def _fd_derivatives(fn: Callable, lam: np.ndarray, f0: float, h: float):
 def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
     """Damped Newton ascent on finite-difference derivatives, in internal scale.
 
-    Starts from the prior-based initial point and backtracks each step
-    until the log posterior rises. Once the squared Newton decrement falls
-    below MODE_STEP_TOL (AUGMENTED_MODE_STEP_TOL for a copy-augmented
-    model) it takes that last short step without a further stencil and
-    stops. Every solve of a stencil or of the line search starts from the
-    latent mode at the current point, so each stencil is one batch. Returns
-    (mode, curvature, lp_at_mode, approx_at_mode), where curvature is the
-    negative finite-difference Hessian of the internal-scale log posterior
-    at the mode (from the last iteration's stencil) and approx_at_mode is
-    the latent solve there. tally, when given, counts the solves.
+    Solves the prior-based start point from a zero latent field; a failure
+    there raises NumericError naming the start point. With no free
+    hyperparameters that point is the mode, with a 0 x 0 curvature.
+    Otherwise each step backtracks until the log posterior rises, and once
+    the squared Newton decrement falls below MODE_STEP_TOL, for plain and
+    copy-augmented models alike, it takes that last short step without a
+    further stencil and stops. Every solve of a stencil or of the line
+    search starts from the latent mode at the current point, so each
+    stencil is one batch. Returns (mode, curvature, lp_at_mode,
+    approx_at_mode), where curvature is the negative finite-difference
+    Hessian of the internal-scale log posterior at the mode (from the last
+    iteration's stencil) and approx_at_mode is the latent solve there.
+    tally, when given, counts the solves.
     """
     layout = model.theta
     m = layout.dim
-    step_tol = AUGMENTED_MODE_STEP_TOL if model.is_augmented else MODE_STEP_TOL
     tally = _Tally() if tally is None else tally
 
     def lp_one(lam, init):
@@ -269,9 +265,15 @@ def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
         return val, approx
 
     lam = np.asarray(layout.to_internal(layout.init_natural()), dtype=float)
-    f_here, here = lp_one(lam, None)
-    if not np.isfinite(f_here):
-        raise NumericError("hyperparameter mode search did not converge")
+    tally.solves += 1
+    try:
+        f_here, here = _lp_and_approx(model, lam, internal=True)
+    except NumericError as exc:
+        raise NumericError("latent solve at the hyperparameter mode search's start point "
+                           "failed: %s" % exc) from exc
+    tally.newton_iters += here.converged_in
+    if m == 0:
+        return lam, np.zeros((0, 0)), f_here, here
     # every iteration takes its derivatives at lam first, so (g, C) belong
     # to the returned point, or to one a final short step away
     for it in range(MAX_MODE_ITER + 1):
@@ -292,7 +294,7 @@ def _find_hyper_mode(model: JointModel, tally: Optional[_Tally] = None):
         decrement_sq = float(g @ step)
         if not np.isfinite(decrement_sq):
             break
-        if decrement_sq < step_tol:
+        if decrement_sq < MODE_STEP_TOL:
             # the step left is too short to need confirming by another
             # stencil: take it if it does not lower the log posterior, and
             # keep this stencil's (g, C), taken that close to the mode
@@ -332,26 +334,25 @@ def _explore_lattice(
     lp_fn: Callable,
     mode: np.ndarray,
     curvature: np.ndarray,
+    lp0: float,
     dz: float,
     diff_logdens: float,
     cap: int = GRID_POINT_CAP,
-    lp0: Optional[float] = None,
 ):
     """Breadth-first walk on the standardized lattice around the mode.
 
     lp_fn(keys, points) maps K lattice keys and their K x m internal-scale
-    points to the K log posteriors, -inf where one cannot be evaluated.
-    With m = 0 the lattice is its origin alone. The walk is level
-    synchronous: the lattice origin is evaluated first, then each
-    breadth-first shell's new neighbours, in first-in-first-out order, in
-    one lp_fn call; lp0, when given, is the origin's value, and the origin
-    is not evaluated again. The retention rule and the cap are then
-    applied in that same order, so the result is the walk that evaluates
-    one point at a time: a point is retained when its value is within
-    diff_logdens of the origin's, and the walk stops when the cap is
-    reached. Returns the
-    sorted lattice keys, their points, log posteriors, the standardizing
-    axes matrix, and whether the cap truncated the walk.
+    points to the K log posteriors, -inf where one cannot be evaluated;
+    lp0 is the value at the origin, the mode, which is not evaluated
+    again. With m = 0 the lattice is its origin alone. The walk is level
+    synchronous: each breadth-first shell's new neighbours are evaluated,
+    in first-in-first-out order, in one lp_fn call. The retention rule and
+    the cap are then applied in that same order, so the result is the walk
+    that evaluates one point at a time: a point is retained when its value
+    is within diff_logdens of the origin's, and the walk stops when the cap
+    is reached. Returns the sorted lattice keys, their points, log
+    posteriors, the standardizing axes matrix, and whether the cap
+    truncated the walk.
     """
     m = mode.size
     evals, vecs = np.linalg.eigh(np.asarray(curvature, dtype=float))
@@ -366,8 +367,6 @@ def _explore_lattice(
         return np.array([mode + axes @ (dz * np.asarray(k, dtype=float)) for k in keys]).reshape(len(keys), m)
 
     origin = (0,) * m
-    if lp0 is None:
-        lp0 = float(lp_fn([origin], points([origin]))[0])
     if not np.isfinite(lp0):
         raise NumericError("log posterior is not finite at the hyperparameter mode")
     retained = {origin: lp0}
@@ -425,9 +424,9 @@ def explore_grid(
     it is solved in, so the grid depends on neither the walk order nor the
     batching; each retained point keeps its latent mode and marginal
     standard deviations for latent_marginals. The lattice origin is the
-    hyperparameter mode, so its value and moments come from the mode
-    search's solve there; only a model with no free hyperparameters solves
-    its one point in the walk.
+    mode search's result for every model, so its value and moments come
+    from the mode search's solve there; a model with no free
+    hyperparameters has that one point and no walk.
     """
     if not (math.isfinite(dz) and dz > 0.0):
         raise SpecError("dz must be finite and positive, got %g" % dz)
@@ -435,28 +434,16 @@ def explore_grid(
         raise SpecError("diff_logdens must be finite and positive, got %g" % diff_logdens)
     layout = model.theta
     tally = _Tally()
-    moments = {}
-    if layout.dim:
-        lam_star, curvature, lp_origin, at_mode = _find_hyper_mode(model, tally)
-        latent_init = at_mode.mode
-        moments[(0,) * layout.dim] = (at_mode.mode, at_mode.marginal_sd())
-    else:
-        # nothing to search: the lattice is the single point of the fixed
-        # hyperparameters, solved from zero
-        lam_star, curvature, lp_origin, latent_init = np.zeros(0), np.zeros((0, 0)), None, None
+    lam_star, curvature, lp_origin, at_mode = _find_hyper_mode(model, tally)
+    moments = {(0,) * layout.dim: (at_mode.mode, at_mode.marginal_sd())}
     skipped = 0
 
     def lp(keys, lams):
-        nonlocal skipped, lp_origin
+        nonlocal skipped
         out = np.full(lams.shape[0], -np.inf)
-        for rows, vals, batch in _lp_batches(model, lams, latent_init, tally):
+        for rows, vals, batch in _lp_batches(model, lams, at_mode.mode, tally):
             out[rows] = vals
             skipped += sum(err is not None for err in batch.error)
-            if lp_origin is None:
-                if batch.error[0] is not None:
-                    # the walk cannot start; report why the origin failed
-                    raise batch.error[0]
-                lp_origin = vals[0]
             # the walk's own retention rule, so only retained points pay for
             # the marginal standard deviations
             kept = np.flatnonzero(vals >= lp_origin - diff_logdens)
@@ -466,7 +453,7 @@ def explore_grid(
         return out
 
     keys, thetas, log_post, axes, truncated = _explore_lattice(
-        lp, lam_star, curvature, dz, diff_logdens, cap=cap, lp0=lp_origin
+        lp, lam_star, curvature, lp_origin, dz, diff_logdens, cap=cap
     )
     latent = [moments[k] for k in keys]
     w = np.exp(log_post - np.max(log_post))

@@ -19,10 +19,9 @@ from .elicit import (
 from .errors import NumericError, SpecError
 from .report import (
     METHODS,
-    ParameterSummary,
-    PosteriorReport,
     RunConfig,
     attenuation_note,
+    read_report,
     run_fit,
     write_comparison,
 )
@@ -141,40 +140,10 @@ def _cmd_elicit(args) -> int:
     return 0
 
 
-def _load_report(path: str) -> PosteriorReport:
-    try:
-        with open(path, "r") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError("cannot read summary %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise DataError("%s is not valid JSON: %s" % (path, exc))
-    try:
-        params = tuple(
-            ParameterSummary(
-                parameter=rec["parameter"],
-                method=rec["method"],
-                mean=float(rec["mean"]),
-                sd=float(rec["sd"]),
-                q025=float(rec["q025"]),
-                q50=float(rec["q50"]),
-                q975=float(rec["q975"]),
-            )
-            for rec in payload["parameters"]
-        )
-        return PosteriorReport(
-            method=payload["method"],
-            parameters=params,
-            marginal_files=dict(payload.get("marginal_files", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("%s does not look like a fit summary: %s" % (path, exc))
-
-
 def _cmd_compare(args) -> int:
     reports = {}
     for path in args.summaries:
-        report = _load_report(path)
+        report = read_report(path)
         if report.method in reports:
             raise DataError("two summaries claim method %r" % report.method)
         reports[report.method] = report

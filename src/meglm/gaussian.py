@@ -44,7 +44,6 @@ __all__ = [
     "ArrowheadFactor",
     "GaussianApprox",
     "LatentBatch",
-    "gaussian_logpdf",
     "latent_gaussian_approx",
     "latent_gaussian_batches",
     "exact_linear_gaussian_posterior",
@@ -64,25 +63,6 @@ MAX_HALVINGS = 60
 # the framingham_like walk fits in one batch.
 BATCH_ELEMENTS = 1 << 16
 _EPS = float(np.finfo(float).eps)
-
-
-def gaussian_logpdf(x, mean, precision_chol) -> float:
-    """Multivariate normal log density in the precision parameterization.
-
-    precision_chol is the lower-triangular factor L with Q = L L'.
-    """
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    L = np.asarray(precision_chol, dtype=float)
-    d = x.size
-    if mean.size != d or L.shape != (d, d):
-        raise SpecError(
-            "dimension mismatch: x has %d entries, mean %d, factor %r"
-            % (d, mean.size, L.shape)
-        )
-    t = L.T @ (x - mean)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * d * LOG_2PI + 0.5 * log_det - 0.5 * float(t @ t)
 
 
 def _blockwise(blocks: LatentBlocks, mats: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:

@@ -276,12 +276,6 @@ class ThetaLayout:
         out.update(zip(self.names, np.asarray(theta, dtype=float).tolist()))
         return out
 
-    def value(self, name: str, theta: np.ndarray) -> float:
-        named = self.named(theta)
-        if name not in named:
-            raise SpecError("no hyperparameter named %r" % (name,))
-        return named[name]
-
     def log_prior(self, theta: np.ndarray) -> float:
         return float(sum(e.prior.log_density(float(v)) for e, v in zip(self.entries, theta)))
 

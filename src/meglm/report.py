@@ -18,7 +18,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -52,6 +52,7 @@ __all__ = [
     "mcmc_marginals",
     "build_report",
     "write_report",
+    "read_report",
     "write_comparison",
     "read_marginal_csv",
     "summarize_grid",
@@ -118,17 +119,6 @@ class ParameterSummary:
     q50: float
     q975: float
 
-    def to_record(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "method": self.method,
-            "mean": self.mean,
-            "sd": self.sd,
-            "q025": self.q025,
-            "q50": self.q50,
-            "q975": self.q975,
-        }
-
 
 @dataclass
 class PosteriorReport:
@@ -137,6 +127,8 @@ class PosteriorReport:
     method: str
     parameters: tuple
     marginal_files: dict
+    # never written to a file; perfbench/run.py reads it for its per-method
+    # fit times
     wall_clock_seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
@@ -338,13 +330,44 @@ def write_report(report: PosteriorReport, marginals: dict, outdir) -> str:
         )
     payload = {
         "method": report.method,
-        "parameters": [p.to_record() for p in report.parameters],
+        "parameters": [asdict(p) for p in report.parameters],
         "marginal_files": dict(report.marginal_files),
     }
     path = os.path.join(outdir, "%s_summary.json" % report.method)
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     return path
+
+
+def read_report(path) -> PosteriorReport:
+    """Read a summary JSON that write_report wrote back into its report."""
+    try:
+        with open(path, "r") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataError("cannot read summary %s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise DataError("%s is not valid JSON: %s" % (path, exc))
+    try:
+        params = tuple(
+            ParameterSummary(
+                parameter=rec["parameter"],
+                method=rec["method"],
+                mean=float(rec["mean"]),
+                sd=float(rec["sd"]),
+                q025=float(rec["q025"]),
+                q50=float(rec["q50"]),
+                q975=float(rec["q975"]),
+            )
+            for rec in payload["parameters"]
+        )
+        return PosteriorReport(
+            method=payload["method"],
+            parameters=params,
+            marginal_files=dict(payload.get("marginal_files", {})),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError("%s does not look like a fit summary: %s" % (path, exc))
 
 
 COMPARISON_HEADER = "parameter,method,mean,sd,q025,q50,q975"

@@ -282,7 +282,7 @@ class TestExploreGrid:
 
         curvature = np.array([[1.0 / scale ** 2]])
         _, thetas, log_post, _, truncated = _explore_lattice(
-            lp, np.array([center]), curvature, dz=0.5, diff_logdens=20.0
+            lp, np.array([center]), curvature, 0.0, dz=0.5, diff_logdens=20.0
         )
         z = (thetas[:, 0] - center) / scale
         span = math.sqrt(2.0 * 20.0)
@@ -343,7 +343,10 @@ class TestExploreGrid:
         np.testing.assert_array_equal(grid.latent_mean, solo.mode[None])
         np.testing.assert_array_equal(grid.latent_sd, solo.marginal_sd()[None])
 
-    def test_fixed_hyperparameters_failed_solve_raises_its_error(self, monkeypatch):
+    @pytest.fixture
+    @staticmethod
+    def not_pd(monkeypatch):
+        """Make every conditional precision non-positive-definite."""
         real_assemble = meglm.gaussian.assemble_conditional
 
         def not_pd(model, thetas):
@@ -352,8 +355,16 @@ class TestExploreGrid:
             return cond
 
         monkeypatch.setattr(meglm.gaussian, "assemble_conditional", not_pd)
+
+    def test_fixed_hyperparameters_failed_solve_raises_its_error(self, not_pd):
         with pytest.raises(NumericError, match="conditional precision is not positive definite"):
             explore_grid(conjugate_fixed_model())
+
+    def test_failed_start_point_solve_names_the_start_point(self, not_pd):
+        with pytest.raises(NumericError) as info:
+            explore_grid(bernoulli_toy_model())
+        assert "mode search's start point" in str(info.value)
+        assert "conditional precision is not positive definite" in str(info.value)
 
     def test_prior_rescaling_leaves_weights_unchanged(self):
         model = bernoulli_toy_model()
@@ -473,16 +484,17 @@ class TestBatchedWalk:
             return np.array([self.surface(lam) for lam in lams])
 
         keys, thetas, log_post, axes, truncated = _explore_lattice(
-            lp, mode, curvature, dz=0.4, diff_logdens=5.0, cap=cap
+            lp, mode, curvature, self.surface(mode), dz=0.4, diff_logdens=5.0, cap=cap
         )
         order, evaluated, fifo_truncated = fifo_walk(self.surface, mode, axes, 0.4, 5.0, cap)
         assert truncated == fifo_truncated == (cap < GRID_POINT_CAP)
         assert keys == sorted(order)
         assert log_post.tolist() == [self.surface(t) for t in thetas]
-        # the shells evaluate the FIFO walk's points in its order; a capped
-        # walk may also evaluate the rest of its last shell
+        # the shells evaluate the FIFO walk's points after its origin, whose
+        # value the walk is given, in its order; a capped walk may also
+        # evaluate the rest of its last shell
         solved = np.concatenate(calls)
-        points = np.array([mode + axes @ (0.4 * np.asarray(k, dtype=float)) for k in evaluated])
+        points = np.array([mode + axes @ (0.4 * np.asarray(k, dtype=float)) for k in evaluated[1:]])
         assert np.array_equal(solved[:len(points)], points)
         assert len(solved) == len(points) or truncated
         assert len(calls) < len(points)

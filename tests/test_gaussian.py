@@ -19,7 +19,6 @@ from meglm.gaussian import (
     _grad_hess,
     _newton,
     exact_linear_gaussian_posterior,
-    gaussian_logpdf,
     latent_gaussian_approx,
     latent_gaussian_batches,
 )
@@ -128,30 +127,6 @@ class TestLinearGaussian:
         assert np.max(err) < 0.02
         sd_ratio = draws.std(axis=1) / approx.marginal_sd()
         assert np.max(np.abs(sd_ratio - 1.0)) < 0.02
-
-
-class TestGaussianLogpdf:
-    def test_standard_normal_at_mode(self):
-        val = gaussian_logpdf(np.array([0.0]), np.array([0.0]), np.array([[1.0]]))
-        assert val == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1.0e-14)
-
-    def test_two_dim_identity(self):
-        val = gaussian_logpdf(np.array([3.0, 4.0]), np.zeros(2), np.eye(2))
-        assert val == pytest.approx(-math.log(2.0 * math.pi) - 12.5, abs=1.0e-12)
-
-    def test_random_four_dim_against_covariance_inversion(self):
-        rng = np.random.default_rng(9)
-        M = rng.normal(size=(4, 4))
-        Q = M @ M.T + 4.0 * np.eye(4)
-        L = np.linalg.cholesky(Q)
-        mean = rng.normal(size=4)
-        x = rng.normal(size=4)
-        expected = stats.multivariate_normal.logpdf(x, mean=mean, cov=np.linalg.inv(Q))
-        assert gaussian_logpdf(x, mean, L) == pytest.approx(expected, abs=1.0e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SpecError, match="dimension"):
-            gaussian_logpdf(np.zeros(2), np.zeros(3), np.eye(3))
 
 
 class TestCholeskyLogDet:

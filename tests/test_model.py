@@ -116,8 +116,8 @@ class TestLayout:
         )
         model = build_joint_model(spec, small_classical_data())
         assert model.theta.names == ("tau_x", "tau_eps")
-        assert model.theta.value("tau_u", np.array([1.0, 1.0])) == 2.0
-        assert model.theta.value("beta_x", np.array([1.0, 1.0])) == -1.0
+        assert model.theta.named(np.array([1.0, 1.0]))["tau_u"] == 2.0
+        assert model.theta.named(np.array([1.0, 1.0]))["beta_x"] == -1.0
 
     def test_named_lists_fixed_then_free_hypers(self):
         spec = small_classical_spec()
@@ -125,9 +125,7 @@ class TestLayout:
         model = build_joint_model(spec, small_classical_data())
         theta = np.array([-0.5, 3.0, 4.0])
         assert model.theta.named(theta) == {"tau_u": 2.0, "beta_x": -0.5, "tau_x": 3.0, "tau_eps": 4.0}
-        assert model.theta.value("tau_x", theta) == 3.0
-        with pytest.raises(SpecError, match="no hyperparameter named 'tau_gamma'"):
-            model.theta.value("tau_gamma", theta)
+        assert model.theta.named(theta)["tau_x"] == 3.0
 
     def test_berkson_grouped_counts(self):
         data = Dataset.from_arrays(

@@ -26,6 +26,7 @@ from meglm.report import (
     mcmc_marginals,
     naive_marginals,
     read_marginal_csv,
+    read_report,
     run_fit,
     summarize_grid,
     write_comparison,
@@ -157,6 +158,11 @@ class TestReportFiles:
                     ("q975", again.q975),
                 ):
                     assert got == rec[key], (method, rec["parameter"], key)
+
+    @pytest.mark.parametrize("method", ["naive", "laplace", "mcmc"])
+    def test_read_report_returns_the_written_report(self, fitted, method):
+        _, _, outdir, reports = fitted
+        assert read_report(outdir / ("%s_summary.json" % method)) == reports[method]
 
     def test_naive_slope_attenuated_toward_zero(self, fitted):
         sim, _, _, reports = fitted
