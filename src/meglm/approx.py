@@ -43,11 +43,16 @@ __all__ = [
     "hyper_marginal",
     "marginal_from_grid",
     "GRID_POINT_CAP",
+    "DEFAULT_DZ",
+    "DEFAULT_DIFF_LOGDENS",
     "MARGINAL_GRID_SIZE",
     "MARGINAL_SPAN_SD",
 ]
 
 GRID_POINT_CAP = 50_000
+# the lattice step and log-density span of explore_grid and `meglm fit`
+DEFAULT_DZ = 0.5
+DEFAULT_DIFF_LOGDENS = 20.0
 MARGINAL_GRID_SIZE = 75
 MARGINAL_SPAN_SD = 5.0
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -408,8 +413,8 @@ def _explore_lattice(
 
 def explore_grid(
     model: JointModel,
-    dz: float = 0.5,
-    diff_logdens: float = 20.0,
+    dz: float = DEFAULT_DZ,
+    diff_logdens: float = DEFAULT_DIFF_LOGDENS,
     cap: int = GRID_POINT_CAP,
 ) -> IntegrationGrid:
     """Locate the hyperparameter mode and build the weighted support grid.

@@ -6,9 +6,12 @@ local blocks that do not touch each other. Newton steps with step halving
 factor the local blocks in stacked batches, one per block size, and then
 the Schur complement of the global block; log determinants add over the
 blocks, and marginal variances come from selected inversion, so no d x d
-or N x d matrix is ever formed. Models whose likelihood blocks are all
-Gaussian have a closed-form posterior, where the Newton result is exact
-after a single step.
+or N x d matrix is ever formed. The precisions, Newton Hessians and
+factors of a batch share one flat layout, a row of `LatentBlocks.n_hess`
+entries per point (`LatentBlocks.split`), and every product with the
+local blocks is `LatentBlocks.local_product`. Models whose likelihood
+blocks are all Gaussian have a closed-form posterior, where the Newton
+result is exact after a single step.
 
 The Gaussian rows, the latent prior's among them, reach the engine
 already summed into a quadratic in block form (`model.Conditional`), so
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import families
 from .errors import NumericError, SpecError
-from .model import Conditional, JointModel, LatentBlocks, _apply, assemble_conditional
+from .model import Conditional, JointModel, LatentBlocks, assemble_conditional
 from .priors import LOG_2PI
 
 __all__ = [
@@ -57,22 +60,12 @@ MAX_NEWTON_ITER = 100
 RIDGE = 1.0e-8
 MAX_HALVINGS = 60
 # points x stacked rows per batched solve. A full batch and its marginal
-# SDs peaked at 90 bytes per element on framingham_like (n = 140 and
-# 2000), 170 on ibex_like and 520 on seedling_like, whose 5 x 5 local
-# blocks outweigh its 75 rows: 6, 11 and 34 MB. At n = 140 every shell of
-# the framingham_like walk fits in one batch.
+# SDs peak (tracemalloc) at about 85 bytes per element on framingham_like
+# (n = 140 and 2000), 125 on ibex_like and 470 on seedling_like, whose
+# 5 x 5 local blocks outweigh its 75 rows: 5.4, 7.8 and 29 MiB. At
+# n = 140 every shell of the framingham_like walk fits in one batch.
 BATCH_ELEMENTS = 1 << 16
 _EPS = float(np.finfo(float).eps)
-
-
-def _blockwise(blocks: LatentBlocks, mats: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Apply the local factors of every block-size group to the local rows of x (K x m ...)."""
-    # a C-ordered result, so each point's vector has the same layout in a
-    # batch of any size, and so the same products downstream
-    out = np.empty(x.shape)
-    for (s, count, k0, _), M in zip(blocks.groups, mats):
-        out[:, k0:k0 + count * s] = _apply(M, x[:, k0:k0 + count * s], transpose)
-    return out
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -92,77 +85,55 @@ def _t(M: np.ndarray) -> np.ndarray:
 class ArrowheadFactor:
     """Cholesky factors H = L L' of K block-arrowhead precisions.
 
-    With the local components ordered first, L = [[L_ll, 0], [B', L_S]]:
-    chol and inv hold L_ll and its inverse as one stacked (K, count, s, s)
-    array per block size, border is B = L_ll^{-1} H_lg (K x m x p), and
-    chol_s and inv_s are the factor of the Schur complement S = H_gg - B'B
-    and its inverse (K x p x p). Vectors are K x d, in work order (global
-    components, then slots).
+    With the local components ordered first, L = [[L_ll, 0], [B', L_S]],
+    where B = L_ll^{-1} H_lg and L_S is the factor of the Schur complement
+    S = H_gg - B'B. inv stores the K factors flat, like the precisions
+    (`LatentBlocks.split`, K x n_hess): row k holds point k's L_S^{-1} in
+    the H_gg slot, B in the H_lg slot and the local blocks' L_ll^{-1} in
+    the H_ll slots. log_det holds log det H per point. Vectors are K x d,
+    in work order (global components, then slots).
     """
 
     blocks: LatentBlocks
-    chol: list
-    inv: list
-    border: np.ndarray
-    chol_s: np.ndarray
-    inv_s: np.ndarray
+    inv: np.ndarray
     log_det: np.ndarray
-
-    def _arrays(self) -> list:
-        return [self.border, self.chol_s, self.inv_s, self.log_det] + self.chol + self.inv
 
     def subset(self, points) -> "ArrowheadFactor":
         """The factors of the points indexed (or masked) by points."""
-        return ArrowheadFactor(
-            blocks=self.blocks,
-            chol=[M[points] for M in self.chol],
-            inv=[M[points] for M in self.inv],
-            border=self.border[points],
-            chol_s=self.chol_s[points],
-            inv_s=self.inv_s[points],
-            log_det=self.log_det[points],
-        )
+        return ArrowheadFactor(self.blocks, self.inv[points], self.log_det[points])
 
     def put(self, points, other: "ArrowheadFactor") -> None:
         """Overwrite the factors of the points indexed by points with other's."""
-        for mine, theirs in zip(self._arrays(), other._arrays()):
-            mine[points] = theirs
-
-    def empty(self, K: int) -> "ArrowheadFactor":
-        """Zero factors of the same shapes for K points, to be filled by put."""
-        def zeros(a):
-            return np.zeros((K,) + a.shape[1:])
-
-        return ArrowheadFactor(
-            blocks=self.blocks,
-            chol=[zeros(M) for M in self.chol],
-            inv=[zeros(M) for M in self.inv],
-            border=zeros(self.border),
-            chol_s=zeros(self.chol_s),
-            inv_s=zeros(self.inv_s),
-            log_det=zeros(self.log_det),
-        )
+        self.inv[points], self.log_det[points] = other.inv, other.log_det
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """H^{-1} r by block elimination of the local components."""
-        p = self.blocks.p
-        y = _blockwise(self.blocks, self.inv, r[:, p:])
-        x_g = _mv(_t(self.inv_s), _mv(self.inv_s, r[:, :p] - _mv(_t(self.border), y)))
-        x_l = _blockwise(self.blocks, self.inv, y - _mv(self.border, x_g), transpose=True)
+        p, local = self.blocks.p, self.blocks.local_product
+        inv_s, border, inv_ll = self.blocks.split(self.inv)
+        y = local(inv_ll, r[:, p:])
+        x_g = _mv(_t(inv_s), _mv(inv_s, r[:, :p] - _mv(_t(border), y)))
+        x_l = local(inv_ll, y - _mv(border, x_g), transpose=True)
         return np.concatenate((x_g, x_l), axis=1)
 
     def quadratic(self, u: np.ndarray) -> np.ndarray:
-        """u' H u as ||L' u||^2, per point."""
-        p = self.blocks.p
-        t_l = _blockwise(self.blocks, self.chol, u[:, p:], transpose=True) + _mv(self.border, u[:, :p])
-        t_g = _mv(_t(self.chol_s), u[:, :p])
+        """u' H u as ||L' u||^2, per point, with L' u solved against the inverses."""
+        blocks = self.blocks
+        K, p = u.shape[0], blocks.p
+        inv_s, border, inv_ll = blocks.split(self.inv)
+        t_g = np.linalg.solve(_t(inv_s), u[:, :p, None])[..., 0]
+        t_l = _mv(border, u[:, :p])
+        for s, count, k0, f0 in blocks.groups:
+            M = inv_ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
+            seg = u[:, p + k0:p + k0 + count * s].reshape(K, count, s, 1)
+            t_l[:, k0:k0 + count * s] += np.linalg.solve(_t(M), seg).reshape(K, count * s)
         return (t_l * t_l).sum(axis=1) + (t_g * t_g).sum(axis=1)
 
     def backsolve(self, z: np.ndarray) -> np.ndarray:
         """L'^{-1} z for z of shape (K, d, S): standard normal draws to draws with precision H."""
         p = self.blocks.p
-        x_g = _t(self.inv_s) @ z[:, :p]
-        x_l = _blockwise(self.blocks, self.inv, z[:, p:] - self.border @ x_g, transpose=True)
+        inv_s, border, inv_ll = self.blocks.split(self.inv)
+        x_g = _t(inv_s) @ z[:, :p]
+        x_l = self.blocks.local_product(inv_ll, z[:, p:] - border @ x_g, transpose=True)
         return np.concatenate((x_g, x_l), axis=1)
 
     def variances(self) -> np.ndarray:
@@ -172,11 +143,16 @@ class ArrowheadFactor:
         its own inverse H_kk^{-1} the term C C' with C = L_kk^{-T} B_k L_S^{-T},
         so only the diagonals of block-sized products are formed.
         """
+        blocks = self.blocks
         K = self.log_det.shape[0]
-        own = [(M * M).sum(axis=2).reshape(K, M.shape[1] * M.shape[2]) for M in self.inv]
-        C = _blockwise(self.blocks, self.inv, self.border @ _t(self.inv_s), transpose=True)
+        inv_s, border, inv_ll = blocks.split(self.inv)
+        own = []
+        for s, count, _, f0 in blocks.groups:
+            M = inv_ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
+            own.append((M * M).sum(axis=2).reshape(K, count * s))
+        C = blocks.local_product(inv_ll, border @ _t(inv_s), transpose=True)
         local = np.concatenate(own, axis=1) + (C * C).sum(axis=2) if own else np.zeros((K, 0))
-        return np.concatenate(((self.inv_s * self.inv_s).sum(axis=1), local), axis=1)
+        return np.concatenate(((inv_s * inv_s).sum(axis=1), local), axis=1)
 
 
 def _cholesky(M: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -199,55 +175,48 @@ def _cholesky(M: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return out
 
 
-def _arrowhead_factor(blocks: LatentBlocks, gg, lg, ll) -> tuple:
-    """(factor, ok): the factors of K precisions, and which were positive definite."""
-    K = gg.shape[0]
+def _arrowhead_factor(blocks: LatentBlocks, H: np.ndarray) -> tuple:
+    """(factor, ok): the factors of K precisions stored flat (K x n_hess),
+    and which were positive definite."""
+    K = H.shape[0]
+    gg, lg, ll = blocks.split(H)
     ok = np.ones(K, dtype=bool)
-    chol, inv = [], []
-    border = np.empty_like(lg)
+    inv = np.empty(H.shape)
+    inv_s, border, inv_ll = blocks.split(inv)
     log_det = np.zeros(K)
-    for s, count, k0, f0 in blocks.groups:
-        H = ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
+    for s, count, _, f0 in blocks.groups:
+        M = ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
+        Linv = inv_ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
         if s == 1:
-            pd = (H > 0.0).reshape(K, -1).all(axis=1)
+            pd = (M > 0.0).reshape(K, -1).all(axis=1)
             ok &= pd
-            L = np.sqrt(H if pd.all() else np.where(pd[:, None, None, None], H, 1.0))
-            Linv = 1.0 / L
+            L = np.sqrt(M if pd.all() else np.where(pd[:, None, None, None], M, 1.0))
+            np.divide(1.0, L, out=Linv)
             log_det += 2.0 * np.log(L).reshape(K, -1).sum(axis=1)
         else:
-            L = _cholesky(H, ok)
-            Linv = np.linalg.inv(L)
+            L = _cholesky(M, ok)
+            Linv[:] = np.linalg.inv(L)
             log_det += 2.0 * np.log(np.diagonal(L, axis1=2, axis2=3)).reshape(K, -1).sum(axis=1)
-        chol.append(L)
-        inv.append(Linv)
-        border[:, k0:k0 + count * s] = _apply(Linv, lg[:, k0:k0 + count * s])
+    blocks.local_product(inv_ll, lg, out=border)
     chol_s = _cholesky(gg - _t(border) @ border, ok)
     log_det += 2.0 * np.log(np.diagonal(chol_s, axis1=1, axis2=2)).sum(axis=1)
-    factor = ArrowheadFactor(
-        blocks=blocks,
-        chol=chol,
-        inv=inv,
-        border=border,
-        chol_s=chol_s,
-        inv_s=np.linalg.inv(chol_s),
-        log_det=log_det,
-    )
-    return factor, ok
+    inv_s[:] = np.linalg.inv(chol_s)
+    return ArrowheadFactor(blocks, inv, log_det), ok
 
 
-def _factor(blocks: LatentBlocks, H: tuple) -> tuple:
-    """(factor, ok) of H = (H_gg, H_lg, flat H_ll), each with a leading axis of K points.
+def _factor(blocks: LatentBlocks, H: np.ndarray) -> tuple:
+    """(factor, ok) of K precisions stored flat (K x n_hess).
 
     A point that is not positive definite is retried once with RIDGE on
     its diagonal; ok is False where that fails too.
     """
-    F, ok = _arrowhead_factor(blocks, *H)
+    F, ok = _arrowhead_factor(blocks, H)
     if ok.all():
         return F, ok
     bad = np.flatnonzero(~ok)
-    gg, lg, ll = (a[bad] for a in H)
-    ll[:, blocks.diag] += RIDGE
-    F_ridged, ok_ridged = _arrowhead_factor(blocks, gg + RIDGE * np.eye(blocks.p), lg, ll)
+    ridged = H[bad]
+    ridged[:, blocks.diag] += RIDGE
+    F_ridged, ok_ridged = _arrowhead_factor(blocks, ridged)
     F.put(bad, F_ridged)
     ok[bad] = ok_ridged
     return F, ok
@@ -305,21 +274,20 @@ class LatentBatch:
 
     Row k of mode, log_density_at_mode, log_det_precision and converged_in
     belongs to point k, and error[k] is None or the NumericError that ended
-    its solve (its rows then hold no result). factor holds the K factors.
-    A batch starts empty and is filled in as its points finish or fail.
+    its solve (its rows then hold no result). factor holds the K factors,
+    allocated with the batch. A batch starts empty and is filled in as its
+    points finish or fail.
     """
 
     mode: np.ndarray
     log_density_at_mode: np.ndarray
     converged_in: np.ndarray
     error: list
-    factor: Optional[ArrowheadFactor] = None
+    factor: ArrowheadFactor
 
     def finish(self, points, v, F: ArrowheadFactor, steps, f) -> None:
         """Record the results of the indexed points: modes v, factors F,
         Newton iterations steps and log densities f."""
-        if self.factor is None:
-            self.factor = F.empty(self.size)
         self.mode[points] = v
         self.factor.put(points, F)
         self.converged_in[points] = steps
@@ -354,44 +322,43 @@ class LatentBatch:
                               int(self.converged_in[k]), float(self.log_density_at_mode[k]))
 
 
-def _hessian(cond: Conditional, w: np.ndarray) -> tuple:
-    """(H_gg, H_lg, flat H_ll): the Gaussian rows' block form plus the
-    one-by-one rows with curvature weights w (K x n); the results carry
-    the same leading axis of K points.
+def _hessian(cond: Conditional, w: np.ndarray) -> np.ndarray:
+    """The negative Hessians, stored flat (K x n_hess): the Gaussian rows'
+    block form plus the one-by-one rows with curvature weights w (K x n).
+    With no such rows this is cond.gauss_hess itself.
     """
     blocks = cond.blocks
     K = w.shape[0]
     p, m = blocks.p, blocks.m
     k = blocks.n_global_rows
-    gauss = blocks.split(cond.gauss_hess)
     if not w.shape[1]:
-        return gauss
+        return cond.gauss_hess
     # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product
     # per point against the rows' outer products
-    gg = (w[:, None, :k] @ cond.row_gram.T).reshape(K, p, p)
+    gg = (w[:, None, :k] @ cond.row_gram.T).reshape(K, p * p)
     vals = cond.vals
     wv = w[:, None, :] * vals
-    # with no global or no local components bincount sees no entries
-    # and returns integers, hence the casts
     lg = np.bincount(
         blocks.scatter_index("border_index", K),
         weights=(wv[:, :, None, :k] * cond.A.T).ravel(),
         minlength=K * m * p,
-    ).reshape(K, m, p).astype(float, copy=False)
+    ).reshape(K, m * p)
     ll = np.bincount(
         blocks.scatter_index("pair_index", K),
         weights=(wv[:, :, None, :] * vals[:, None, :, :]).ravel(),
         minlength=K * blocks.n_flat,
-    ).reshape(K, blocks.n_flat).astype(float, copy=False)
-    for a, b in zip((gg, lg, ll), gauss):
-        a += b
-    return gg, lg, ll
+    ).reshape(K, blocks.n_flat)
+    # with no global or no local components bincount sees no entries and
+    # returns integers, which the float H_gg promotes
+    H = np.concatenate((gg, lg, ll), axis=1)
+    H += cond.gauss_hess
+    return H
 
 
 def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True, maps: Optional[tuple] = None):
     """Gradients (K x d, in work order) of the batch's log densities at the
-    rows of v, and their negative Hessian blocks; maps is
-    `cond.linear_maps(v)` when known."""
+    rows of v, and their negative Hessians stored flat (`_hessian`); maps
+    is `cond.linear_maps(v)` when known."""
     # the Gaussian rows' gradient is gauss_lin - Q u; the copy links keep
     # the residual form tau * (0 - eta) row by row, which stays accurate
     # near the mode, where their expanded form loses all signal to
@@ -470,7 +437,8 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
         f[cold] = cold_cond.log_density(v[cold], cold_maps)
         for a, b in zip(maps, cold_maps):
             a[cold] = b
-    out = LatentBatch(np.zeros((K, d)), np.full(K, -math.inf), np.zeros(K, dtype=int), [None] * K)
+    out = LatentBatch(np.zeros((K, d)), np.full(K, -math.inf), np.zeros(K, dtype=int), [None] * K,
+                      ArrowheadFactor(blocks, np.zeros((K, blocks.n_hess)), np.zeros(K)))
     points = np.arange(K)
     # with every row Gaussian the Hessian does not depend on v, so it is
     # assembled and factored once per solve
@@ -484,8 +452,7 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
         maps = tuple(a[keep] for a in maps)
         cond = cond.subset(keep)
         if constant:
-            H = tuple(a[keep] for a in H)
-            F = F.subset(keep)
+            H, F = H[keep], F.subset(keep)
 
     for steps in range(MAX_NEWTON_ITER):
         if H is None:
@@ -496,9 +463,9 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
         # to about eps * h * |v| in floating point, so stiff coordinates
         # (e.g. the 1e9 copy coupling) get a curvature-scaled floor; mode
         # displacement along them at that floor is O(eps * |v|).
-        diag = np.concatenate((np.diagonal(H[0], axis1=1, axis2=2), H[2][:, blocks.diag]), axis=1)
         floor = 16.0 * _EPS * (1.0 + np.abs(v).max(axis=1, initial=0.0))
-        converged = (np.abs(g) <= np.maximum(NEWTON_TOL, floor[:, None] * diag)).all(axis=1)
+        scaled = floor[:, None] * H[:, blocks.diag]
+        converged = (np.abs(g) <= np.maximum(NEWTON_TOL, scaled)).all(axis=1)
         ok = np.ones(points.size, dtype=bool)
         if F is None:
             F, ok = _factor(blocks, H)

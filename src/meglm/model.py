@@ -199,7 +199,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class LatentLayout:
-    """Ordered latent blocks; `blocks` maps block name to (start, length)."""
+    """Ordered latent blocks: the names in order and their sizes; `slice`
+    gives a block's latent index range."""
 
     order: tuple
     sizes: tuple
@@ -661,10 +662,13 @@ class LatentBlocks:
     flat0): they fill slots slot0 .. slot0 + count*s, and their s x s
     matrices fill entries flat0 .. flat0 + count*s*s of one flat array of
     length n_flat. Slot k's block row starts at row_start[k] of that
-    array, where it sits at column col_in_block[k], and `diag` indexes
-    each slot's diagonal. A whole block-arrowhead matrix is stored flat in
-    n_hess = p*p + m*p + n_flat entries: H_gg and the m x p H_lg row-major,
-    then flat H_ll (`split`).
+    array, where it sits at column col_in_block[k].
+
+    Every block-arrowhead matrix of a batch of K points is stored flat, as
+    K x n_hess with n_hess = p*p + m*p + n_flat: per point H_gg and the
+    m x p H_lg row-major, then flat H_ll (`split`). `diag` indexes the
+    whole diagonal of that row in work order, and `local_product` applies
+    the local blocks of a flat H_ll.
 
     The rows that the engine evaluates one by one (see `Conditional`)
     scatter into this structure through fixed indices, laid out with the
@@ -728,15 +732,34 @@ class LatentBlocks:
         C-ordered vectors, so a point's result does not depend on the batch.
         """
         gg, lg, ll = self.split(H)
-        K, p = u.shape[0], self.p
+        p = self.p
         u_g = np.ascontiguousarray(u[:, :p])[..., None]
         u_l = np.ascontiguousarray(u[:, p:])
         out = np.empty(u.shape)
         out[:, :p] = (gg @ u_g)[..., 0] + (np.swapaxes(lg, 1, 2) @ u_l[..., None])[..., 0]
-        out[:, p:] = (lg @ u_g)[..., 0]
+        out[:, p:] = (lg @ u_g)[..., 0] + self.local_product(ll, u_l)
+        return out
+
+    def local_product(self, ll: np.ndarray, x: np.ndarray, transpose: bool = False,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The local blocks of K flat arrays ll (K x n_flat), or their
+        transposes, times the local rows of x (K x m ...), into out.
+
+        The result is C-ordered unless out is given, so each point's vector
+        has the same layout in a batch of any size.
+        """
+        K = x.shape[0]
+        if out is None:
+            out = np.empty(x.shape)
         for s, count, k0, f0 in self.groups:
             M = ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
-            out[:, p + k0:p + k0 + count * s] += _apply(M, u_l[:, k0:k0 + count * s])
+            seg = x[:, k0:k0 + count * s].reshape(K, count, s, -1)
+            # splitting one axis in two always gives a view, so this writes into out
+            res = out[:, k0:k0 + count * s].reshape(seg.shape)
+            if s == 1:
+                np.multiply(M, seg, out=res)
+            else:
+                np.matmul(np.swapaxes(M, 2, 3) if transpose else M, seg, out=res)
         return out
 
     def to_latent(self, w: np.ndarray) -> np.ndarray:
@@ -744,18 +767,6 @@ class LatentBlocks:
         out = np.empty_like(w)
         out[..., self.perm] = w
         return out
-
-
-def _apply(M: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Stacked (K, count, s, s) matrices, or their transposes, times the
-    count*s rows that follow the batch axis of x."""
-    K, count, s, _ = M.shape
-    seg = x.reshape(K, count, s, -1)
-    if s == 1:
-        res = M * seg
-    else:
-        res = (np.swapaxes(M, 2, 3) if transpose else M) @ seg
-    return res.reshape(x.shape)
 
 
 def _row_index(local_slot, row_start, col_in_block, p: int, cols: np.ndarray) -> tuple:
@@ -818,7 +829,7 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         local_slot=slot,
         row_start=row_start,
         col_in_block=col_in_block,
-        diag=row_start + col_in_block,
+        diag=np.concatenate((np.arange(p) * (p + 1), p * p + m * p + row_start + col_in_block)),
         slots=slots,
         pair_index=pair_index,
         n_global_rows=n_global_rows,

@@ -24,6 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .approx import (
+    DEFAULT_DIFF_LOGDENS,
+    DEFAULT_DZ,
     MARGINAL_GRID_SIZE,
     IntegrationGrid,
     PosteriorMarginal,
@@ -62,9 +64,6 @@ __all__ = [
 
 METHODS = ("naive", "laplace", "mcmc")
 
-DEFAULT_DZ = 0.5
-DEFAULT_DIFF_LOGDENS = 20.0
-
 # `meglm fit` warns when the smallest effective sample size over a chain's
 # reported parameters falls below this many draws
 ESS_WARNING_FLOOR = 100.0
@@ -80,9 +79,9 @@ class RunConfig:
     outdir: str
     dz: float = DEFAULT_DZ
     diff_logdens: float = DEFAULT_DIFF_LOGDENS
-    iterations: int = 100_000
-    burn_in: int = 10_000
-    thin: int = 10
+    iterations: int = ChainConfig.iterations
+    burn_in: int = ChainConfig.burn_in
+    thin: int = ChainConfig.thin
     seed: Optional[int] = None
 
     def __post_init__(self):

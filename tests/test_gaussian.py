@@ -260,8 +260,8 @@ def study_theta(model, perturbed):
 
 
 def dense_from_blocks(blocks, H):
-    """The d x d matrix, in latent order, of block-arrowhead pieces (H_gg, H_lg, flat H_ll)."""
-    gg, lg, ll = H
+    """The d x d matrix, in latent order, of one block-arrowhead matrix stored flat (n_hess)."""
+    gg, lg, ll = (a[0] for a in blocks.split(H[None]))
     p = blocks.p
     work = np.zeros((p + blocks.m, p + blocks.m))
     work[:p, :p] = gg
@@ -346,7 +346,7 @@ class TestArrowheadAgainstDense:
 
         # the blocks hold exactly the dense Hessian of the stacked rows
         _, blocks_H = _grad_hess(cond, approx.mode[None])
-        dense_H = dense_from_blocks(cond.blocks, tuple(a[0] for a in blocks_H))
+        dense_H = dense_from_blocks(cond.blocks, blocks_H[0])
         _, ref_H = dense_gradient_and_hessian(model, theta, approx.mode)
         assert rel_gap(dense_H, ref_H) < 1.0e-12
 
@@ -416,7 +416,7 @@ class TestBlockForm:
         g, H = _grad_hess(cond, v[None])
         ref_g, ref_H = dense_gradient_and_hessian(model, theta, v)
         assert rel_gap(cond.blocks.to_latent(g)[0], ref_g) < 1.0e-12
-        assert rel_gap(dense_from_blocks(cond.blocks, tuple(a[0] for a in H)), ref_H) < 1.0e-12
+        assert rel_gap(dense_from_blocks(cond.blocks, H[0]), ref_H) < 1.0e-12
         assert rel_gap(log_density_0(cond, v), per_row_log_density(model, theta, v)) < 1.0e-12
 
     def test_a_gaussian_response_leaves_no_row_to_evaluate(self):
@@ -431,14 +431,13 @@ class TestRidgeAndFailure:
 
     def test_ridge_rescues_a_singular_block(self):
         cond = assemble_conditional(linear_gaussian_model(), self.theta)
-        _, (gg, lg, ll) = _grad_hess(cond, np.zeros((1, cond.dim)))
+        H = _grad_hess(cond, np.zeros((1, cond.dim)))[1].copy()
         blocks = cond.blocks
-        lg, ll = lg.copy(), ll.copy()
-        lg[0, 0] = 0.0
-        ll[0, blocks.diag[0]] = 0.0
-        F, ok = _factor(blocks, (gg, lg, ll))
+        blocks.split(H)[1][0, 0] = 0.0
+        H[0, blocks.diag[blocks.p]] = 0.0
+        F, ok = _factor(blocks, H)
         assert ok[0]
-        ridged = dense_from_blocks(blocks, (gg[0], lg[0], ll[0])) + RIDGE * np.eye(cond.dim)
+        ridged = dense_from_blocks(blocks, H[0]) + RIDGE * np.eye(cond.dim)
         assert F.log_det[0] == pytest.approx(np.linalg.slogdet(ridged)[1], rel=1.0e-12)
 
     @pytest.mark.parametrize("augmented", [False, True])
@@ -509,6 +508,9 @@ class TestBatch:
             solo = latent_gaussian_approx(model, thetas[k], init=init)
             assert_same_solve(batch.approx(k), solo)
             assert np.array_equal(batch.marginal_sd([k])[0], solo.marginal_sd())
+            # the stored factor too, whatever strides the batch's views have
+            assert np.array_equal(batch.factor.inv[k], solo.factor.inv[0])
+            assert batch.factor.log_det[k] == solo.factor.log_det[0]
 
     @pytest.mark.parametrize("augmented", [False, True])
     def test_one_non_pd_point_fails_alone(self, augmented):
@@ -556,3 +558,24 @@ class TestBatchMemory:
             tracemalloc.stop()
         assert solved == 200
         assert peak < 16 * 2**20
+
+    def test_full_seedling_batch_stays_bounded(self):
+        # seedling_like's 5 x 5 local blocks make it the costliest design
+        # per point x row. One full batch and its SDs peaked at 31.3 MiB
+        # with the factor held as per-block-size arrays, and at 29.4 MiB
+        # with it stored flat like the precision.
+        sim = simulate_study(make_recipe("seedling", seed=1))
+        model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
+        per_batch = meglm.gaussian.BATCH_ELEMENTS // model.n_rows
+        assert per_batch == 873
+        thetas = spread_thetas(model, per_batch, seed=6)
+        init = latent_gaussian_approx(model, model.theta.init_natural()).mode
+        tracemalloc.start()
+        try:
+            batch = next(latent_gaussian_batches(model, thetas, init))
+            batch.marginal_sd(np.arange(batch.size))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.size == per_batch and all(err is None for err in batch.error)
+        assert peak < 30.4 * 2**20
