@@ -8,17 +8,19 @@ the Schur complement of the global block; log determinants add over the
 blocks, and marginal variances come from selected inversion, so no d x d
 or N x d matrix is ever formed. The precisions, Newton Hessians and
 factors of a batch share one flat layout, a row of `LatentBlocks.n_hess`
-entries per point (`LatentBlocks.split`), and every product with the
-local blocks is `LatentBlocks.local_product`. Models whose likelihood
-blocks are all Gaussian have a closed-form posterior, where the Newton
-result is exact after a single step.
+entries per point, and only `LatentBlocks` computes positions in it:
+this module reaches the blocks through its views (`split`,
+`local_groups`), its products (`local_product`) and its scatter-adds
+(`scatter`). Models whose likelihood blocks are all Gaussian have a
+closed-form posterior, where the Newton result is exact after a single
+step.
 
 The Gaussian rows, the latent prior's among them, reach the engine
 already summed into a quadratic in block form (`model.Conditional`), so
 the gradient, the Hessian and the log density of a Newton iteration pass
 row by row only over the binomial or Poisson outcome rows and the copy
-links; everything else costs O(d) per point. A Gaussian response without
-copy links has no such rows.
+links, which share one global design; everything else costs O(d) per
+point. A Gaussian response without copy links has no such rows.
 
 Every solve runs on a batch: the conditionals at K hyperparameter points
 (`assemble_conditional` with a K x m theta) are iterated together, and a
@@ -59,11 +61,14 @@ NEWTON_TOL = 1.0e-8
 MAX_NEWTON_ITER = 100
 RIDGE = 1.0e-8
 MAX_HALVINGS = 60
-# points x stacked rows per batched solve. A full batch and its marginal
-# SDs peak (tracemalloc) at about 85 bytes per element on framingham_like
-# (n = 140 and 2000), 125 on ibex_like and 470 on seedling_like, whose
-# 5 x 5 local blocks outweigh its 75 rows: 5.4, 7.8 and 29 MiB. At
-# n = 140 every shell of the framingham_like walk fits in one batch.
+# points x stacked rows per batched solve. Once a model's scatter indices
+# are built (`LatentBlocks.scatter`), a full batch and its marginal SDs
+# peak (tracemalloc) at about 85 bytes per element on framingham_like
+# (n = 140; 77 at n = 2000), 127 on ibex_like and 415 on seedling_like,
+# whose 5 x 5 local blocks outweigh its 75 rows: 5.3, 8.0 and 25.9 MiB.
+# A model's first full batch also builds those indices, 0.75 MiB more on
+# framingham_like and 4.0 MiB more on seedling_like. At n = 140 every
+# shell of the framingham_like walk fits in one batch.
 BATCH_ELEMENTS = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
@@ -117,15 +122,13 @@ class ArrowheadFactor:
 
     def quadratic(self, u: np.ndarray) -> np.ndarray:
         """u' H u as ||L' u||^2, per point, with L' u solved against the inverses."""
-        blocks = self.blocks
-        K, p = u.shape[0], blocks.p
-        inv_s, border, inv_ll = blocks.split(self.inv)
+        p = self.blocks.p
+        inv_s, border, inv_ll = self.blocks.split(self.inv)
         t_g = np.linalg.solve(_t(inv_s), u[:, :p, None])[..., 0]
         t_l = _mv(border, u[:, :p])
-        for s, count, k0, f0 in blocks.groups:
-            M = inv_ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
-            seg = u[:, p + k0:p + k0 + count * s].reshape(K, count, s, 1)
-            t_l[:, k0:k0 + count * s] += np.linalg.solve(_t(M), seg).reshape(K, count * s)
+        for slots, M in self.blocks.local_groups(inv_ll):
+            seg = u[:, p:][:, slots].reshape(M.shape[:3] + (1,))
+            t_l[:, slots] += np.linalg.solve(_t(M), seg).reshape(t_l[:, slots].shape)
         return (t_l * t_l).sum(axis=1) + (t_g * t_g).sum(axis=1)
 
     def backsolve(self, z: np.ndarray) -> np.ndarray:
@@ -143,15 +146,11 @@ class ArrowheadFactor:
         its own inverse H_kk^{-1} the term C C' with C = L_kk^{-T} B_k L_S^{-T},
         so only the diagonals of block-sized products are formed.
         """
-        blocks = self.blocks
-        K = self.log_det.shape[0]
-        inv_s, border, inv_ll = blocks.split(self.inv)
-        own = []
-        for s, count, _, f0 in blocks.groups:
-            M = inv_ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
-            own.append((M * M).sum(axis=2).reshape(K, count * s))
-        C = blocks.local_product(inv_ll, border @ _t(inv_s), transpose=True)
-        local = np.concatenate(own, axis=1) + (C * C).sum(axis=2) if own else np.zeros((K, 0))
+        inv_s, border, inv_ll = self.blocks.split(self.inv)
+        C = self.blocks.local_product(inv_ll, border @ _t(inv_s), transpose=True)
+        local = (C * C).sum(axis=2)
+        for slots, M in self.blocks.local_groups(inv_ll):
+            local[:, slots] += (M * M).sum(axis=2).reshape(local[:, slots].shape)
         return np.concatenate(((inv_s * inv_s).sum(axis=1), local), axis=1)
 
 
@@ -184,10 +183,8 @@ def _arrowhead_factor(blocks: LatentBlocks, H: np.ndarray) -> tuple:
     inv = np.empty(H.shape)
     inv_s, border, inv_ll = blocks.split(inv)
     log_det = np.zeros(K)
-    for s, count, _, f0 in blocks.groups:
-        M = ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
-        Linv = inv_ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
-        if s == 1:
+    for _, M, Linv in blocks.local_groups(ll, inv_ll):
+        if M.shape[-1] == 1:
             pd = (M > 0.0).reshape(K, -1).all(axis=1)
             ok &= pd
             L = np.sqrt(M if pd.all() else np.where(pd[:, None, None, None], M, 1.0))
@@ -323,35 +320,27 @@ class LatentBatch:
 
 
 def _hessian(cond: Conditional, w: np.ndarray) -> np.ndarray:
-    """The negative Hessians, stored flat (K x n_hess): the Gaussian rows'
-    block form plus the one-by-one rows with curvature weights w (K x n).
-    With no such rows this is cond.gauss_hess itself.
+    """The negative Hessians, stored flat (K x n_hess): a copy of the
+    Gaussian rows' block form cond.gauss_hess, with the one-by-one rows
+    added in place for curvature weights w (K x n): H_gg through the rows'
+    outer products, H_lg and H_ll through `LatentBlocks.scatter`. With no
+    such rows this is cond.gauss_hess itself.
     """
-    blocks = cond.blocks
-    K = w.shape[0]
-    p, m = blocks.p, blocks.m
-    k = blocks.n_global_rows
     if not w.shape[1]:
         return cond.gauss_hess
-    # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product
-    # per point against the rows' outer products
-    gg = (w[:, None, :k] @ cond.row_gram.T).reshape(K, p * p)
+    blocks = cond.blocks
     vals = cond.vals
     wv = w[:, None, :] * vals
-    lg = np.bincount(
-        blocks.scatter_index("border_index", K),
-        weights=(wv[:, :, None, :k] * cond.A.T).ravel(),
-        minlength=K * m * p,
-    ).reshape(K, m * p)
-    ll = np.bincount(
-        blocks.scatter_index("pair_index", K),
-        weights=(wv[:, :, None, :] * vals[:, None, :, :]).ravel(),
-        minlength=K * blocks.n_flat,
-    ).reshape(K, blocks.n_flat)
-    # with no global or no local components bincount sees no entries and
-    # returns integers, which the float H_gg promotes
-    H = np.concatenate((gg, lg, ll), axis=1)
-    H += cond.gauss_hess
+    # both scatters run before the copy, so their weights are freed by then
+    lg = blocks.scatter("border_index", wv[:, :, None, :] * cond.A.T)
+    ll = blocks.scatter("pair_index", wv[:, :, None, :] * vals[:, None, :, :])
+    H = cond.gauss_hess.copy()
+    H_gg, H_lg, H_ll = blocks.split(H)
+    # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product
+    # per point against the rows' outer products
+    H_gg += (w[:, None, :] @ cond.row_gram.T).reshape(H_gg.shape)
+    H_lg += lg.reshape(H_lg.shape)
+    H_ll += ll
     return H
 
 
@@ -363,9 +352,7 @@ def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True, maps: Option
     # the residual form tau * (0 - eta) row by row, which stays accurate
     # near the mode, where their expanded form loses all signal to
     # cancellation
-    blocks = cond.blocks
-    K = v.shape[0]
-    p, k = blocks.p, blocks.n_global_rows
+    p = cond.blocks.p
     eta, Qu = cond.linear_maps(v) if maps is None else maps
     g = cond.gauss_lin - Qu
     score = np.empty(eta.shape)
@@ -378,10 +365,8 @@ def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True, maps: Option
         score[:, rows], w[:, rows] = families.score_weight(cond.family, cond.obs[rows], cond.trials_ng,
                                                            eta[:, rows])
     if eta.shape[1]:
-        g[:, :p] += (score[:, None, :k] @ cond.A)[:, 0, :]
-        g[:, p:] += np.bincount(blocks.scatter_index("slots", K),
-                                weights=(cond.vals * score[:, None, :]).ravel(),
-                                minlength=K * blocks.m).reshape(K, blocks.m)
+        g[:, :p] += (score[:, None, :] @ cond.A)[:, 0, :]
+        g[:, p:] += cond.blocks.scatter("slots", cond.vals * score[:, None, :])
     return g, (_hessian(cond, w) if hess else None)
 
 

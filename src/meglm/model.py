@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -175,9 +175,25 @@ class ModelSpec:
             if col in taken:
                 raise SpecError("covariate %r would share its coefficient names with %s"
                                 % (col, taken[col]))
+        # each column plays one role: replicate proxies are distinct columns,
+        # and a column listed twice would count its values twice
+        for k, col in enumerate(self.proxies):
+            if col in self.proxies[:k]:
+                raise SpecError("proxy %r is listed twice" % (col,))
+            if col in self.covariates:
+                raise SpecError("column %r is both a proxy and a covariate" % (col,))
+        for role, cols in (("proxy", self.proxies), ("covariate", self.covariates)):
+            if self.response in cols:
+                raise SpecError("response %r is also listed as a %s" % (self.response, role))
+        if self.trials is not None and self.observation.family != "binomial":
+            raise SpecError("trials column %r only applies to the binomial family, not %s"
+                            % (self.trials, self.observation.family))
         if self.error is None:
             if self.exposure is not None:
                 raise SpecError("exposure model requires a classical error model")
+            for key, col in (("weights", self.weights), ("group", self.group)):
+                if col is not None:
+                    raise SpecError("%s column %r requires a measurement error model" % (key, col))
         elif self.error.kind == "classical":
             if self.exposure is None:
                 raise SpecError("classical error requires an exposure model")
@@ -667,16 +683,18 @@ class LatentBlocks:
     Every block-arrowhead matrix of a batch of K points is stored flat, as
     K x n_hess with n_hess = p*p + m*p + n_flat: per point H_gg and the
     m x p H_lg row-major, then flat H_ll (`split`). `diag` indexes the
-    whole diagonal of that row in work order, and `local_product` applies
-    the local blocks of a flat H_ll.
+    whole diagonal of that row in work order, `local_groups` gives the
+    local blocks of flat H_ll arrays one block size at a time, and
+    `local_product` applies them. No other code computes a position in
+    that row.
 
     The rows that the engine evaluates one by one (see `Conditional`)
     scatter into this structure through fixed indices, laid out with the
-    row axis last: entry j of row r sits in slot slots[j, r] (q x n) and
-    its pair with entry k at pair_index[j, k, r] (q x q x n) of the flat
-    array. Only the first n_global_rows of them have global coefficients;
-    the product of entry j with global column c lands in the row-major
-    m x p border at border_index[j, c, r] (q x p x n_global_rows).
+    row axis last: entry j of row r sits in slot slots[j, r] (q x n), its
+    pair with entry k at pair_index[j, k, r] (q x q x n) of flat H_ll,
+    and its product with global column c at border_index[j, c, r]
+    (q x p x n) of the row-major m x p border. `scatter` sums K points'
+    weights into the bins of one of these indices.
     """
 
     p: int
@@ -690,7 +708,6 @@ class LatentBlocks:
     diag: np.ndarray
     slots: np.ndarray
     pair_index: np.ndarray
-    n_global_rows: int
     border_index: np.ndarray
     _batched: dict = field(default_factory=dict, repr=False)
 
@@ -699,31 +716,37 @@ class LatentBlocks:
         return self.p * self.p + self.m * self.p + self.n_flat
 
     def row_index(self, cols: np.ndarray) -> tuple:
-        """(slots, pair_index) of rows whose local entries sit at the latent
-        columns cols (n x q), laid out as the fields of the same names."""
+        """(slots, pair_index, border_index) of rows whose local entries sit
+        at the latent columns cols (n x q), laid out as the fields of the
+        same names."""
         return _row_index(self.local_slot, self.row_start, self.col_in_block, self.p, cols)
 
-    def scatter_index(self, name: str, K: int) -> np.ndarray:
-        """Raveled index array `name` (slots, pair_index or border_index) for
-        K points, point k's bins offset by k times one point's bin count.
+    def scatter(self, name: str, weights: np.ndarray) -> np.ndarray:
+        """The K x bins sums of weights (K x the shape of index `name`,
+        which is slots, pair_index or border_index) into that index's
+        bins: the m slots, the n_flat entries of flat H_ll or the m*p of
+        the border.
 
-        The index for K points is a prefix of the index for more, so the
-        largest one built is kept and sliced.
+        The index for K points offsets point k's bins by k bin counts. It
+        is a prefix of the index for more points, so the largest one built
+        is kept and sliced.
         """
+        K = weights.shape[0]
+        bins = {"slots": self.m, "pair_index": self.n_flat, "border_index": self.m * self.p}[name]
         base = getattr(self, name)
         index = self._batched.get(name)
         if index is None or index.size < K * base.size:
-            bins = {"slots": self.m, "pair_index": self.n_flat, "border_index": self.m * self.p}[name]
             index = (base.reshape(1, -1) + bins * np.arange(K)[:, None]).ravel()
             self._batched[name] = index
-        return index[:K * base.size]
+        return np.bincount(index[:K * base.size], weights=weights.ravel(),
+                           minlength=K * bins).reshape(K, bins)
 
     def split(self, H: np.ndarray) -> tuple:
-        """Views (H_gg, H_lg, flat H_ll) of K matrices stored flat (K x n_hess)."""
+        """Views (H_gg, H_lg, flat H_ll) of matrices stored flat (... x n_hess)."""
         p, m = self.p, self.m
-        K = H.shape[0]
-        return (H[:, :p * p].reshape(K, p, p), H[:, p * p:p * p + m * p].reshape(K, m, p),
-                H[:, p * p + m * p:])
+        lead = H.shape[:-1]
+        return (H[..., :p * p].reshape(lead + (p, p)), H[..., p * p:p * p + m * p].reshape(lead + (m, p)),
+                H[..., p * p + m * p:])
 
     def matvec(self, H: np.ndarray, u: np.ndarray) -> np.ndarray:
         """H u for K matrices stored flat (K x n_hess) and K work vectors u.
@@ -740,6 +763,14 @@ class LatentBlocks:
         out[:, p:] = (lg @ u_g)[..., 0] + self.local_product(ll, u_l)
         return out
 
+    def local_groups(self, *flats: np.ndarray) -> Iterator[tuple]:
+        """Per block size s, the slots of its blocks (a slice of the local
+        part of a work vector) and, for each array of flats (K x n_flat),
+        those blocks as a K x count x s x s view."""
+        for s, count, slot0, flat0 in self.groups:
+            yield (slice(slot0, slot0 + count * s),) + tuple(
+                ll[:, flat0:flat0 + count * s * s].reshape(ll.shape[0], count, s, s) for ll in flats)
+
     def local_product(self, ll: np.ndarray, x: np.ndarray, transpose: bool = False,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
         """The local blocks of K flat arrays ll (K x n_flat), or their
@@ -748,15 +779,13 @@ class LatentBlocks:
         The result is C-ordered unless out is given, so each point's vector
         has the same layout in a batch of any size.
         """
-        K = x.shape[0]
         if out is None:
             out = np.empty(x.shape)
-        for s, count, k0, f0 in self.groups:
-            M = ll[:, f0:f0 + count * s * s].reshape(K, count, s, s)
-            seg = x[:, k0:k0 + count * s].reshape(K, count, s, -1)
+        for slots, M in self.local_groups(ll):
+            seg = x[:, slots].reshape(M.shape[:3] + (-1,))
             # splitting one axis in two always gives a view, so this writes into out
-            res = out[:, k0:k0 + count * s].reshape(seg.shape)
-            if s == 1:
+            res = out[:, slots].reshape(seg.shape)
+            if M.shape[-1] == 1:
                 np.multiply(M, seg, out=res)
             else:
                 np.matmul(np.swapaxes(M, 2, 3) if transpose else M, seg, out=res)
@@ -771,11 +800,12 @@ class LatentBlocks:
 
 def _row_index(local_slot, row_start, col_in_block, p: int, cols: np.ndarray) -> tuple:
     slots = np.ascontiguousarray(local_slot[cols - p].T)
-    return slots, row_start[slots][:, None, :] + col_in_block[slots][None, :, :]
+    return (slots, row_start[slots][:, None, :] + col_in_block[slots][None, :, :],
+            slots[:, None, :] * p + np.arange(p)[None, :, None])
 
 
 def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
-                   row_cols: np.ndarray, n_global_rows: int) -> LatentBlocks:
+                   row_cols: np.ndarray) -> LatentBlocks:
     """Local blocks from the latent layout, checked against the local
     columns cols of every stacked row, and the scatter indices of the rows
     evaluated one by one, whose local columns are row_cols."""
@@ -819,7 +849,7 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         slot0 += count * s
         flat0 += count * s * s
 
-    slots, pair_index = _row_index(slot, row_start, col_in_block, p, row_cols)
+    slots, pair_index, border_index = _row_index(slot, row_start, col_in_block, p, row_cols)
     return LatentBlocks(
         p=p,
         m=m,
@@ -832,8 +862,7 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         diag=np.concatenate((np.arange(p) * (p + 1), p * p + m * p + row_start + col_in_block)),
         slots=slots,
         pair_index=pair_index,
-        n_global_rows=n_global_rows,
-        border_index=slots[:, None, :n_global_rows] * p + np.arange(p)[None, :, None],
+        border_index=border_index,
     )
 
 
@@ -901,15 +930,15 @@ class Conditional:
       copy_precision (1e9 by default) would make an expanded quadratic
       lose all signal to cancellation; they stay in residual form. A row's
       linear predictor is eta = A v[:p] + sum_j vals[:, j] v[cols[:, j]] +
-      offset, where the global coefficients A (p columns) belong to the
-      family rows only, and a row's at most q <= 2 local entries sit at
-      latent columns cols (n x q) with values vals (K x q x n, entry by
-      entry; padding entries have value 0). obs holds the family rows'
-      observations and 0 on the copy links, and trials_ng the family
-      rows' trials (None for a gaussian response). row_gram holds the
-      outer products A[r, a] * A[r, b], one row per pair (a, b) in
-      row-major order (p*p x family rows), from which the global block of
-      the Hessian is summed.
+      offset, where A (n x p, column-major) holds every row's global
+      coefficients, zero on the copy links, and a row's at most q <= 2
+      local entries sit at latent columns cols (n x q) with values vals
+      (K x q x n, entry by entry; padding entries have value 0). obs
+      holds the family rows' observations and 0 on the copy links, and
+      trials_ng the family rows' trials (None for a gaussian response).
+      row_gram holds the outer products A[r, a] * A[r, b], one row per
+      pair (a, b) in row-major order (p*p x n), from which the global
+      block of the Hessian is summed.
 
     `_design` builds one template per model, whose gauss_hess (n_hess),
     gauss_lin (d) and gauss_const are the quadratic of the rows of fixed
@@ -948,12 +977,11 @@ class Conditional:
         The global part is one matrix product per point, so a point's value
         does not depend on the batch it is in.
         """
-        k = self.A.shape[0]
         eta = np.empty((v.shape[0],) + self.offset.shape)
         eta[...] = self.offset
         for j in range(self.cols.shape[1]):
             eta += self.vals[:, j] * v[:, self.cols[:, j]]
-        eta[:, :k] += (v[:, None, :self.A.shape[1]] @ self.A.T)[:, 0, :]
+        eta += (v[:, None, :self.A.shape[1]] @ self.A.T)[:, 0, :]
         return eta
 
     def linear_maps(self, v: np.ndarray) -> tuple:
@@ -990,15 +1018,14 @@ def _block_pieces(blocks: LatentBlocks, A, cols, vals, power, resid, factor) -> 
     lin (d), const]} for each power present.
     """
     p, m = blocks.p, blocks.m
-    slots, pairs = blocks.row_index(cols)
-    lg, ll = slice(p * p, p * p + m * p), slice(p * p + m * p, None)
+    slots, pairs, border = blocks.row_index(cols)
     out = {}
 
     def piece(power):
         return out.setdefault(int(power), [np.zeros(blocks.n_hess), np.zeros(p + m), 0.0])
 
     zero = piece(0)
-    zero[0][:p * p] = ((A.T * factor) @ A).ravel()
+    blocks.split(zero[0])[0][:] = (A.T * factor) @ A
     zero[1][:p] = A.T @ (factor * resid)
     zero[2] = -0.5 * float(np.sum(factor * resid * resid))
     for j in range(cols.shape[1]):
@@ -1006,16 +1033,16 @@ def _block_pieces(blocks: LatentBlocks, A, cols, vals, power, resid, factor) -> 
             at = power[:, j] == P
             hess, lin, _ = piece(P)
             lin[p:] += np.bincount(slots[j, at], weights=(factor * resid * vals[:, j])[at], minlength=m)
-            hess[lg] += np.bincount((slots[j, at, None] * p + np.arange(p)).ravel(),
-                                    weights=((factor * vals[:, j])[at, None] * A[at]).ravel(),
-                                    minlength=m * p)
+            lg = blocks.split(hess)[1]
+            lg += np.bincount(border[j][:, at].ravel(), weights=((factor * vals[:, j])[at] * A[at].T).ravel(),
+                              minlength=lg.size).reshape(lg.shape)
         for k in range(cols.shape[1]):
             both = power[:, j] + power[:, k]
             for P in np.unique(both):
                 at = both == P
-                piece(P)[0][ll] += np.bincount(pairs[j, k, at],
-                                               weights=(factor * vals[:, j] * vals[:, k])[at],
-                                               minlength=blocks.n_flat)
+                ll = blocks.split(piece(P)[0])[2]
+                ll += np.bincount(pairs[j, k, at], weights=(factor * vals[:, j] * vals[:, k])[at],
+                                  minlength=ll.size)
     return out
 
 
@@ -1154,7 +1181,7 @@ def _design(model: JointModel) -> _Design:
     # Poisson response, then the copy links
     n_fam = n_reg if trials is not None else 0
     one_by_one = np.concatenate((np.arange(n_fam), copy_slice.start + np.arange(n_copy)))
-    blocks = _latent_blocks(layout, p, model.x_index, cols, cols[one_by_one], n_fam)
+    blocks = _latent_blocks(layout, p, model.x_index, cols, cols[one_by_one])
 
     # the Gaussian rows in block form, one piece per row-precision
     # hyperparameter and power of beta_x; the rows of fixed precision, the
@@ -1183,12 +1210,14 @@ def _design(model: JointModel) -> _Design:
     if trials is not None:
         gauss_const += families.log_normalizer(model.family, obs[reg_slice], trials)
 
-    A_fam = A[:n_fam]
+    # column-major like A: with a C-ordered copy the global part of the
+    # gradient changes in its last bits
+    A_rows = np.asfortranarray(A[one_by_one])
     template = Conditional(
         dim=d,
         blocks=blocks,
         family=model.family,
-        A=A_fam,
+        A=A_rows,
         cols=cols[one_by_one],
         vals=np.ascontiguousarray(vals[one_by_one].T),
         obs=obs[one_by_one],
@@ -1197,7 +1226,7 @@ def _design(model: JointModel) -> _Design:
         copy_rows=slice(n_fam, n_fam + n_copy),
         copy_precision=model.copy_precision if n_copy else 0.0,
         trials_ng=trials,
-        row_gram=(A_fam.T[:, None, :] * A_fam.T[None, :, :]).reshape(p * p, n_fam),
+        row_gram=(A_rows.T[:, None, :] * A_rows.T[None, :, :]).reshape(p * p, one_by_one.size),
         gauss_hess=gauss_hess,
         gauss_lin=gauss_lin,
         gauss_const=gauss_const,

@@ -271,10 +271,18 @@ def build_report(method: str, marginals: dict, wall_clock_seconds: float = 0.0) 
     """Per-parameter summaries of the marginals, each taken from the grid as
     written (its values and normalized density), so that re-summarizing a
     written CSV with summarize_grid gives its summary exactly. A summary
-    that is not finite raises NumericError naming the method and parameter.
+    that is not finite raises NumericError naming the method and parameter,
+    and two parameters whose marginal files would share a name raise
+    SpecError naming both.
     """
     if method not in METHODS:
         raise SpecError("unknown method %r" % (method,))
+    files, owner = {}, {}
+    for name in marginals:
+        files[name] = path = _marginal_relpath(method, name)
+        if path in owner:
+            raise SpecError("parameters %r and %r would both write %s" % (owner[path], name, path))
+        owner[path] = name
     params = []
     for name, m in marginals.items():
         s = marginal_from_grid(m.values, m.density)
@@ -283,7 +291,6 @@ def build_report(method: str, marginals: dict, wall_clock_seconds: float = 0.0) 
             raise NumericError("%s marginal of %s has a non-finite summary (mean, sd, q025, "
                                "q50, q975 = %g, %g, %g, %g, %g)" % ((method, name) + stats))
         params.append(ParameterSummary(name, method, *stats))
-    files = {name: _marginal_relpath(method, name) for name in marginals}
     return PosteriorReport(
         method=method,
         parameters=tuple(params),

@@ -261,17 +261,17 @@ def study_theta(model, perturbed):
 
 def dense_from_blocks(blocks, H):
     """The d x d matrix, in latent order, of one block-arrowhead matrix stored flat (n_hess)."""
-    gg, lg, ll = (a[0] for a in blocks.split(H[None]))
+    gg, lg, _ = blocks.split(H)
     p = blocks.p
     work = np.zeros((p + blocks.m, p + blocks.m))
     work[:p, :p] = gg
     work[p:, :p] = lg
     work[:p, p:] = lg.T
-    for s, count, k0, f0 in blocks.groups:
-        mats = ll[f0:f0 + count * s * s].reshape(count, s, s)
-        for j in range(count):
-            k = p + k0 + j * s
-            work[k:k + s, k:k + s] = mats[j]
+    for slots, mats in blocks.local_groups(blocks.split(H[None])[2]):
+        s = mats.shape[-1]
+        for j in range(mats.shape[1]):
+            k = p + slots.start + j * s
+            work[k:k + s, k:k + s] = mats[0, j]
     dense = np.empty_like(work)
     dense[np.ix_(blocks.perm, blocks.perm)] = work
     return dense
@@ -378,6 +378,34 @@ class TestArrowheadAgainstDense:
             expected = np.bincount(rows_per_group + 1 + int(augmented))
             assert sizes == {s: int(c) for s, c in enumerate(expected) if c}
             assert blocks.p + blocks.m == model.layout.dim
+
+
+class TestScatter:
+    """`LatentBlocks.scatter` sums K points' weights into their own bins
+    through one K-offset index, kept between calls."""
+
+    @pytest.mark.parametrize("study, augmented, q", [("framingham", False, 1), ("seedling", False, 2),
+                                                     ("framingham", True, 2)])
+    def test_scatter_matches_per_point_bincount(self, study, augmented, q):
+        model = study_model(study, augmented)
+        blocks = assemble_conditional(model, model.theta.init_natural()).blocks
+        assert blocks.slots.shape[0] == q
+        bins = {"slots": blocks.m, "pair_index": blocks.n_flat, "border_index": blocks.m * blocks.p}
+        rng = np.random.default_rng(4)
+        for name, n_bins in bins.items():
+            base = getattr(blocks, name)
+            kept = []
+            for K in (7, 3, 9):
+                weights = rng.standard_normal((K,) + base.shape)
+                sums = blocks.scatter(name, weights)
+                expected = np.array([np.bincount(base.ravel(), weights=weights[k].ravel(), minlength=n_bins)
+                                     for k in range(K)])
+                assert sums.shape == (K, n_bins)
+                assert np.array_equal(sums, expected)
+                kept.append(blocks._batched[name])
+            # the index built for 7 points serves 3 as a prefix, and 9 rebuild it
+            assert kept[1] is kept[0] and kept[0].size == 7 * base.size
+            assert kept[2].size == 9 * base.size
 
 
 def random_effect_ibex():

@@ -766,6 +766,73 @@ rate = 0.001
 """
 
 
+BERKSON_CONFIG = """
+[model]
+family = poisson
+error = berkson
+response = y
+proxy = w
+covariates = z
+group = house
+random_effect = iid
+center = false
+
+[prior.beta]
+kind = gaussian
+precision = 0.001
+
+[prior.beta_x]
+kind = gaussian
+precision = 0.001
+
+[prior.tau_u]
+kind = gamma
+shape = 1
+rate = 0.02
+
+[prior.tau_gamma]
+kind = gamma
+shape = 1
+rate = 0.005
+"""
+
+PLAIN_CONFIG = """
+[model]
+family = gaussian
+proxy = w1
+covariates = z
+%s
+
+[prior.beta]
+kind = gaussian
+precision = 0.01
+
+[prior.tau_eps]
+kind = gamma
+shape = 1
+rate = 1
+"""
+
+IGNORED_OR_DOUBLED = [
+    pytest.param(CONFIG_TEXT.replace("proxy = w1, w2", "proxy = w1, w1"), "proxy 'w1' is listed twice",
+                 id="proxy-twice"),
+    pytest.param(CONFIG_TEXT.replace("proxy = w1, w2", "proxy = w1, z"),
+                 "column 'z' is both a proxy and a covariate", id="proxy-and-covariate"),
+    pytest.param(CONFIG_TEXT.replace("proxy = w1, w2", "proxy = w1, y"),
+                 "response 'y' is also listed as a proxy", id="response-as-proxy"),
+    pytest.param(CONFIG_TEXT.replace("response = y", "response = z"),
+                 "response 'z' is also listed as a covariate", id="response-as-covariate"),
+    pytest.param(CONFIG_TEXT.replace("center = false", "center = false\ntrials = n"),
+                 "trials column 'n' only applies to the binomial family, not gaussian", id="trials-gaussian"),
+    pytest.param(BERKSON_CONFIG.replace("center = false", "center = false\ntrials = n"),
+                 "trials column 'n' only applies to the binomial family, not poisson", id="trials-poisson"),
+    pytest.param(PLAIN_CONFIG % "weights = d", "weights column 'd' requires a measurement error model",
+                 id="weights-without-error"),
+    pytest.param(PLAIN_CONFIG % "group = house", "group column 'house' requires a measurement error model",
+                 id="group-without-error"),
+]
+
+
 class TestConfigParsing:
     def test_full_config(self):
         spec = parse_model_config(CONFIG_TEXT)
@@ -812,37 +879,14 @@ class TestConfigParsing:
         assert "alpha_0" not in model.latent_names()
 
     def test_berkson_config(self):
-        text = """
-[model]
-family = poisson
-error = berkson
-response = y
-proxy = w
-covariates = z
-group = house
-random_effect = iid
-center = false
+        assert parse_model_config(BERKSON_CONFIG) == berkson_poisson_spec()
 
-[prior.beta]
-kind = gaussian
-precision = 0.001
-
-[prior.beta_x]
-kind = gaussian
-precision = 0.001
-
-[prior.tau_u]
-kind = gamma
-shape = 1
-rate = 0.02
-
-[prior.tau_gamma]
-kind = gamma
-shape = 1
-rate = 0.005
-"""
-        spec = parse_model_config(text)
-        assert spec == berkson_poisson_spec()
+    @pytest.mark.parametrize("text, message", IGNORED_OR_DOUBLED)
+    def test_config_refuses_ignored_or_doubled_columns(self, text, message):
+        # each column would otherwise be ignored or, for a repeated proxy,
+        # counted as a second replicate
+        with pytest.raises(SpecError, match=message):
+            parse_model_config(text)
 
 
 COLLIDING_COVARIATES = [

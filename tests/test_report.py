@@ -110,6 +110,24 @@ class TestBuildReport:
         ):
             build_report("laplace", {"beta_x": good, "tau_u": broken})
 
+    def test_parameters_sharing_a_file_name_raise_before_any_file(self, tmp_path):
+        # covariates "a b" and "a_b" both map to marginals/laplace_beta_a_b.csv,
+        # where the second would overwrite the first
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal(30), rng.standard_normal(30)
+        Dataset.from_arrays(y=2.0 * a - b + 0.3 * rng.standard_normal(30),
+                            **{"a b": a, "a_b": b}).to_csv(tmp_path / "data.csv")
+        (tmp_path / "model.ini").write_text(
+            "[model]\nfamily = gaussian\ncovariates = a b, a_b\n\n"
+            "[prior.beta]\nkind = gaussian\nprecision = 0.01\n\n"
+            "[prior.tau_eps]\nkind = gamma\nshape = 1\nrate = 1\n")
+        outdir = tmp_path / "out"
+        cfg = replace(small_cfg({"config": tmp_path / "model.ini", "data": tmp_path / "data.csv"}, outdir),
+                      method="laplace")
+        with pytest.raises(SpecError, match="'beta_a b' and 'beta_a_b' would both write"):
+            run_fit(cfg, log=lambda *a: None)
+        assert not [f for _, _, files in os.walk(outdir) for f in files]
+
 
 class TestReportFiles:
     @pytest.fixture(scope="class")
