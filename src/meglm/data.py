@@ -64,7 +64,8 @@ class Dataset:
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         try:
-            with open(path, "r", newline="") as fh:
+            # utf-8-sig drops the byte-order mark that some spreadsheets write
+            with open(path, "r", newline="", encoding="utf-8-sig") as fh:
                 return cls._parse(fh, str(path))
         except OSError as exc:
             raise DataError("cannot read dataset %s: %s" % (path, exc))
@@ -310,7 +311,7 @@ def parse_model_config(text: str, label: str = "<string>") -> ModelSpec:
 
 def read_model_config(path) -> ModelSpec:
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise SpecError("cannot read model configuration %s: %s" % (path, exc))

@@ -11,9 +11,10 @@ factors of a batch share one flat layout, a row of `LatentBlocks.n_hess`
 entries per point, and only `LatentBlocks` computes positions in it:
 this module reaches the blocks through its views (`split`,
 `local_groups`), its products (`local_product`) and its scatter-adds
-(`scatter`). Models whose likelihood blocks are all Gaussian have a
-closed-form posterior, where the Newton result is exact after a single
-step.
+(`scatter`, whose hess_index holds positions in the flat row), and it
+reads H_gg as the row's first p*p entries. Models whose likelihood
+blocks are all Gaussian have a closed-form posterior, where the Newton
+result is exact after a single step.
 
 The Gaussian rows, the latent prior's among them, reach the engine
 already summed into a quadratic in block form (`model.Conditional`), so
@@ -63,9 +64,9 @@ RIDGE = 1.0e-8
 MAX_HALVINGS = 60
 # points x stacked rows per batched solve. Once a model's scatter indices
 # are built (`LatentBlocks.scatter`), a full batch and its marginal SDs
-# peak (tracemalloc) at about 85 bytes per element on framingham_like
-# (n = 140; 77 at n = 2000), 127 on ibex_like and 415 on seedling_like,
-# whose 5 x 5 local blocks outweigh its 75 rows: 5.3, 8.0 and 25.9 MiB.
+# peak (tracemalloc) at about 76 bytes per element on framingham_like
+# (n = 140; 75 at n = 2000), 127 on ibex_like and 415 on seedling_like,
+# whose 5 x 5 local blocks outweigh its 75 rows: 4.8, 8.0 and 25.9 MiB.
 # A model's first full batch also builds those indices, 0.75 MiB more on
 # framingham_like and 4.0 MiB more on seedling_like. At n = 140 every
 # shell of the framingham_like walk fits in one batch.
@@ -320,27 +321,26 @@ class LatentBatch:
 
 
 def _hessian(cond: Conditional, w: np.ndarray) -> np.ndarray:
-    """The negative Hessians, stored flat (K x n_hess): a copy of the
-    Gaussian rows' block form cond.gauss_hess, with the one-by-one rows
-    added in place for curvature weights w (K x n): H_gg through the rows'
-    outer products, H_lg and H_ll through `LatentBlocks.scatter`. With no
-    such rows this is cond.gauss_hess itself.
+    """The negative Hessians, stored flat (K x n_hess), for curvature
+    weights w (K x n) of the one-by-one rows: their border and pair
+    products in one `LatentBlocks.scatter` through hess_index, plus the
+    Gaussian rows' block form cond.gauss_hess, plus the rows' H_gg (the
+    first p*p entries), summed per point. With no such rows this is
+    cond.gauss_hess itself.
     """
     if not w.shape[1]:
         return cond.gauss_hess
-    blocks = cond.blocks
-    vals = cond.vals
-    wv = w[:, None, :] * vals
-    # both scatters run before the copy, so their weights are freed by then
-    lg = blocks.scatter("border_index", wv[:, :, None, :] * cond.A.T)
-    ll = blocks.scatter("pair_index", wv[:, :, None, :] * vals[:, None, :, :])
-    H = cond.gauss_hess.copy()
-    H_gg, H_lg, H_ll = blocks.split(H)
+    vals, p = cond.vals, cond.blocks.p
+    K, q, n = vals.shape
+    wv = (w[:, None, :] * vals)[:, :, None, :]
+    products = np.empty((K, q, p + q, n))
+    np.multiply(wv, cond.A.T, out=products[:, :, :p])
+    np.multiply(wv, vals[:, None, :, :], out=products[:, :, p:])
+    H = cond.blocks.scatter("hess_index", products)
+    H += cond.gauss_hess
     # H_gg sums w_r a_r a_r' over the rows: one matrix-vector product
     # per point against the rows' outer products
-    H_gg += (w[:, None, :] @ cond.row_gram.T).reshape(H_gg.shape)
-    H_lg += lg.reshape(H_lg.shape)
-    H_ll += ll
+    H[:, :p * p] += (w[:, None, :] @ cond.row_gram.T)[:, 0, :]
     return H
 
 

@@ -306,6 +306,8 @@ class ThetaLayout:
 
     def to_natural(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
+        if lam.shape != (self.dim,):
+            raise SpecError("theta has shape %r, expected (%d,) for %s" % (lam.shape, self.dim, self.names))
         out = lam.copy()
         for i, e in enumerate(self.entries):
             if e.scale == "log":
@@ -690,11 +692,11 @@ class LatentBlocks:
 
     The rows that the engine evaluates one by one (see `Conditional`)
     scatter into this structure through fixed indices, laid out with the
-    row axis last: entry j of row r sits in slot slots[j, r] (q x n), its
-    pair with entry k at pair_index[j, k, r] (q x q x n) of flat H_ll,
-    and its product with global column c at border_index[j, c, r]
-    (q x p x n) of the row-major m x p border. `scatter` sums K points'
-    weights into the bins of one of these indices.
+    row axis last: entry j of row r sits in slot slots[j, r] (q x n), and
+    hess_index[j, c, r] (q x (p+q) x n) is the position in the flat row
+    of its product with global column c < p (in H_lg) and, at c = p + k,
+    of its pair with entry k (in H_ll). `scatter` sums K points' weights
+    into the bins of one of these indices.
     """
 
     p: int
@@ -707,8 +709,7 @@ class LatentBlocks:
     col_in_block: np.ndarray
     diag: np.ndarray
     slots: np.ndarray
-    pair_index: np.ndarray
-    border_index: np.ndarray
+    hess_index: np.ndarray
     _batched: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -716,30 +717,32 @@ class LatentBlocks:
         return self.p * self.p + self.m * self.p + self.n_flat
 
     def row_index(self, cols: np.ndarray) -> tuple:
-        """(slots, pair_index, border_index) of rows whose local entries sit
-        at the latent columns cols (n x q), laid out as the fields of the
-        same names."""
+        """(slots, hess_index) of rows whose local entries sit at the latent
+        columns cols (n x q), laid out as the fields of the same names."""
         return _row_index(self.local_slot, self.row_start, self.col_in_block, self.p, cols)
 
-    def scatter(self, name: str, weights: np.ndarray) -> np.ndarray:
+    def scatter(self, name: str, weights: np.ndarray, index: Optional[np.ndarray] = None) -> np.ndarray:
         """The K x bins sums of weights (K x the shape of index `name`,
-        which is slots, pair_index or border_index) into that index's
-        bins: the m slots, the n_flat entries of flat H_ll or the m*p of
-        the border.
+        which is slots or hess_index) into that index's bins: the m slots
+        or the n_hess entries of the flat row, each point into its own.
 
         The index for K points offsets point k's bins by k bin counts. It
         is a prefix of the index for more points, so the largest one built
-        is kept and sliced.
+        is kept and sliced. An index given (another set of rows' `row_index`)
+        takes the place of the named field and is not kept.
         """
         K = weights.shape[0]
-        bins = {"slots": self.m, "pair_index": self.n_flat, "border_index": self.m * self.p}[name]
-        base = getattr(self, name)
-        index = self._batched.get(name)
-        if index is None or index.size < K * base.size:
-            index = (base.reshape(1, -1) + bins * np.arange(K)[:, None]).ravel()
-            self._batched[name] = index
-        return np.bincount(index[:K * base.size], weights=weights.ravel(),
-                           minlength=K * bins).reshape(K, bins)
+        bins = {"slots": self.m, "hess_index": self.n_hess}[name]
+        kept = index is None
+        base = getattr(self, name) if kept else index
+        batched = self._batched.get(name) if kept else None
+        if batched is None or batched.size < K * base.size:
+            batched = (base.reshape(1, -1) + bins * np.arange(K)[:, None]).ravel()
+            if kept:
+                self._batched[name] = batched
+        # with an empty index bincount counts in integers, weights or not
+        return np.bincount(batched[:K * base.size], weights=weights.ravel(),
+                           minlength=K * bins).reshape(K, bins).astype(float, copy=False)
 
     def split(self, H: np.ndarray) -> tuple:
         """Views (H_gg, H_lg, flat H_ll) of matrices stored flat (... x n_hess)."""
@@ -799,9 +802,11 @@ class LatentBlocks:
 
 
 def _row_index(local_slot, row_start, col_in_block, p: int, cols: np.ndarray) -> tuple:
+    # the flat row holds H_gg (p x p), then H_lg (m x p), then flat H_ll
     slots = np.ascontiguousarray(local_slot[cols - p].T)
-    return (slots, row_start[slots][:, None, :] + col_in_block[slots][None, :, :],
-            slots[:, None, :] * p + np.arange(p)[None, :, None])
+    border = p * p + slots[:, None, :] * p + np.arange(p)[None, :, None]
+    pairs = p * p + local_slot.size * p + row_start[slots][:, None, :] + col_in_block[slots][None, :, :]
+    return slots, np.concatenate((border, pairs), axis=1)
 
 
 def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
@@ -849,7 +854,9 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         slot0 += count * s
         flat0 += count * s * s
 
-    slots, pair_index, border_index = _row_index(slot, row_start, col_in_block, p, row_cols)
+    slots, hess_index = _row_index(slot, row_start, col_in_block, p, row_cols)
+    # the local diagonal pairs each slot with itself, in slot order
+    self_pairs = _row_index(slot, row_start, col_in_block, p, p + order[:, None])[1][0, p]
     return LatentBlocks(
         p=p,
         m=m,
@@ -859,10 +866,9 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         local_slot=slot,
         row_start=row_start,
         col_in_block=col_in_block,
-        diag=np.concatenate((np.arange(p) * (p + 1), p * p + m * p + row_start + col_in_block)),
+        diag=np.concatenate((np.arange(p) * (p + 1), self_pairs)),
         slots=slots,
-        pair_index=pair_index,
-        border_index=border_index,
+        hess_index=hess_index,
     )
 
 
@@ -1017,33 +1023,23 @@ def _block_pieces(blocks: LatentBlocks, A, cols, vals, power, resid, factor) -> 
     collects a single power of b. Returns {power: [Q stored flat (n_hess),
     lin (d), const]} for each power present.
     """
-    p, m = blocks.p, blocks.m
-    slots, pairs, border = blocks.row_index(cols)
-    out = {}
-
-    def piece(power):
-        return out.setdefault(int(power), [np.zeros(blocks.n_hess), np.zeros(p + m), 0.0])
-
-    zero = piece(0)
-    blocks.split(zero[0])[0][:] = (A.T * factor) @ A
-    zero[1][:p] = A.T @ (factor * resid)
-    zero[2] = -0.5 * float(np.sum(factor * resid * resid))
-    for j in range(cols.shape[1]):
-        for P in np.unique(power[:, j]):
-            at = power[:, j] == P
-            hess, lin, _ = piece(P)
-            lin[p:] += np.bincount(slots[j, at], weights=(factor * resid * vals[:, j])[at], minlength=m)
-            lg = blocks.split(hess)[1]
-            lg += np.bincount(border[j][:, at].ravel(), weights=((factor * vals[:, j])[at] * A[at].T).ravel(),
-                              minlength=lg.size).reshape(lg.shape)
-        for k in range(cols.shape[1]):
-            both = power[:, j] + power[:, k]
-            for P in np.unique(both):
-                at = both == P
-                ll = blocks.split(piece(P)[0])[2]
-                ll += np.bincount(pairs[j, k, at], weights=(factor * vals[:, j] * vals[:, k])[at],
-                                  minlength=ll.size)
-    return out
+    p = blocks.p
+    slots, index = blocks.row_index(cols)
+    fv, pw = factor * vals.T, power.T
+    # the rows' products laid out as index (border columns, then pairs) and
+    # the power of b each collects; each power present is one row of the
+    # scatter, as each point is in the engine's
+    products = np.concatenate((fv[:, None, :] * A.T, fv[:, None, :] * vals.T), axis=1)
+    powers = np.concatenate((np.repeat(pw[:, None, :], p, axis=1), pw[:, None, :] + pw), axis=1)
+    present = np.unique(np.concatenate(([0], pw.ravel(), powers.ravel())))
+    hess = blocks.scatter("hess_index", (powers == present[:, None, None, None]) * products, index=index)
+    lin = np.zeros((present.size, p + blocks.m))
+    lin[:, p:] = blocks.scatter("slots", (pw == present[:, None, None]) * ((factor * resid) * vals.T),
+                                index=slots)
+    blocks.split(hess[0])[0][:] = (A.T * factor) @ A
+    lin[0, :p] = A.T @ (factor * resid)
+    const = -0.5 * float(np.sum(factor * resid * resid))
+    return {int(P): [hess[i], lin[i], const if P == 0 else 0.0] for i, P in enumerate(present)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -277,12 +277,7 @@ def build_report(method: str, marginals: dict, wall_clock_seconds: float = 0.0) 
     """
     if method not in METHODS:
         raise SpecError("unknown method %r" % (method,))
-    files, owner = {}, {}
-    for name in marginals:
-        files[name] = path = _marginal_relpath(method, name)
-        if path in owner:
-            raise SpecError("parameters %r and %r would both write %s" % (owner[path], name, path))
-        owner[path] = name
+    files = _marginal_files(method, marginals)
     params = []
     for name, m in marginals.items():
         s = marginal_from_grid(m.values, m.density)
@@ -305,6 +300,19 @@ def _safe_name(name: str) -> str:
 
 def _marginal_relpath(method: str, parameter: str) -> str:
     return os.path.join("marginals", "%s_%s.csv" % (method, _safe_name(parameter)))
+
+
+def _marginal_files(method: str, names) -> dict:
+    """{parameter: its marginal CSV's path in the output directory} for the
+    parameters names; two whose files would share a name raise SpecError
+    naming both."""
+    files, owner = {}, {}
+    for name in names:
+        files[name] = path = _marginal_relpath(method, name)
+        if path in owner:
+            raise SpecError("parameters %r and %r would both write %s" % (owner[path], name, path))
+        owner[path] = name
+    return files
 
 
 def _write_marginal_csv(path: str, marginal: PosteriorMarginal) -> None:
@@ -444,6 +452,10 @@ def run_fit(cfg: RunConfig, log=print) -> dict:
         raise DataError("output directory %s is not writable" % outdir)
 
     wanted = METHODS if cfg.method == "all" else (cfg.method,)
+    # the parameters are known before any fit runs, and so are file clashes
+    for method in wanted:
+        model = build_joint_model(naive_spec(spec) if method == "naive" else spec, dataset)
+        _marginal_files(method, model.parameter_names())
     reports = {}
     for method in wanted:
         t0 = time.perf_counter()

@@ -266,6 +266,9 @@ class TestLogHyperposterior:
             log_hyperposterior(model, np.array([-1.0, 2.0]))
         with pytest.raises(SpecError):
             log_hyperposterior(model, np.array([1.0]))
+        # the internal scale is checked the same way before it is mapped back
+        with pytest.raises(SpecError, match="theta has shape"):
+            log_hyperposterior(model, np.array([0.5]), internal=True)
 
 
 class TestExploreGrid:

@@ -31,6 +31,7 @@ from meglm.model import (
     build_joint_model,
     copy_augment,
     joint_log_density,
+    naive_spec,
     stacked_rows,
 )
 from meglm.priors import LOG_2PI, FixedValue, GammaPrior, GaussianPrior
@@ -242,12 +243,22 @@ class TestDegenerateLimits:
         assert np.max(np.abs(approx.mode - exact.mode)) < 1.0e-10
 
 
-def study_model(study, augmented):
-    overrides = {"ibex": {"n": 26, "seed": 1},
-                 "framingham": {"n": 60, "beta_0": -1.4, "seed": 42},
-                 "seedling": {"seed": 7}}[study]
-    sim = simulate_study(make_recipe(study, **overrides))
-    model = build_joint_model(parse_model_config(sim.model_config), sim.dataset)
+def study_model(study, augmented, naive=False):
+    """A shipped study's model, copy-augmented or naive on request.
+
+    "random-effect" is ibex_like with an iid Gaussian effect on every
+    regression row: a gaussian response whose rows carry beta_x x_k and
+    gamma_k.
+    """
+    recipe = {"ibex": ("ibex", {"n": 26, "seed": 1}),
+              "random-effect": ("ibex", {"n": 26, "seed": 1}),
+              "framingham": ("framingham", {"n": 60, "beta_0": -1.4, "seed": 42}),
+              "seedling": ("seedling", {"seed": 7})}[study]
+    sim = simulate_study(make_recipe(recipe[0], **recipe[1]))
+    spec = parse_model_config(sim.model_config)
+    if study == "random-effect":
+        spec = replace(spec, observation=replace(spec.observation, random_effect=GammaPrior(2.0, 1.0)))
+    model = build_joint_model(naive_spec(spec) if naive else spec, sim.dataset)
     return copy_augment(model) if augmented else model
 
 
@@ -384,37 +395,58 @@ class TestScatter:
     """`LatentBlocks.scatter` sums K points' weights into their own bins
     through one K-offset index, kept between calls."""
 
+    @pytest.mark.parametrize("name", ["slots", "hess_index"])
     @pytest.mark.parametrize("study, augmented, q", [("framingham", False, 1), ("seedling", False, 2),
                                                      ("framingham", True, 2)])
-    def test_scatter_matches_per_point_bincount(self, study, augmented, q):
+    def test_scatter_matches_per_point_bincount(self, study, augmented, q, name):
         model = study_model(study, augmented)
         blocks = assemble_conditional(model, model.theta.init_natural()).blocks
         assert blocks.slots.shape[0] == q
-        bins = {"slots": blocks.m, "pair_index": blocks.n_flat, "border_index": blocks.m * blocks.p}
+        n_bins = {"slots": blocks.m, "hess_index": blocks.n_hess}[name]
+        base = getattr(blocks, name)
         rng = np.random.default_rng(4)
-        for name, n_bins in bins.items():
-            base = getattr(blocks, name)
-            kept = []
-            for K in (7, 3, 9):
-                weights = rng.standard_normal((K,) + base.shape)
-                sums = blocks.scatter(name, weights)
-                expected = np.array([np.bincount(base.ravel(), weights=weights[k].ravel(), minlength=n_bins)
-                                     for k in range(K)])
-                assert sums.shape == (K, n_bins)
-                assert np.array_equal(sums, expected)
-                kept.append(blocks._batched[name])
-            # the index built for 7 points serves 3 as a prefix, and 9 rebuild it
-            assert kept[1] is kept[0] and kept[0].size == 7 * base.size
-            assert kept[2].size == 9 * base.size
+        kept = []
+        for K in (7, 3, 9):
+            weights = rng.standard_normal((K,) + base.shape)
+            sums = blocks.scatter(name, weights)
+            expected = np.array([np.bincount(base.ravel(), weights=weights[k].ravel(), minlength=n_bins)
+                                 for k in range(K)])
+            assert sums.shape == (K, n_bins)
+            assert np.array_equal(sums, expected)
+            kept.append(blocks._batched[name])
+        # the index built for 7 points serves 3 as a prefix, and 9 rebuild it
+        assert kept[1] is kept[0] and kept[0].size == 7 * base.size
+        assert kept[2].size == 9 * base.size
+        # an index passed in is used once and not kept
+        assert np.array_equal(blocks.scatter(name, weights[:2], index=base), expected[:2])
+        assert blocks._batched[name] is kept[2]
 
+    def test_hess_index_holds_border_then_pairs(self):
+        # entry j's product with global column c sits in H_lg at (slot, c),
+        # which stands for both triangles, and its pair with entry k at
+        # row slot_j, column slot_k of the local block that holds both
+        model = study_model("seedling", False)
+        blocks = assemble_conditional(model, model.theta.init_natural()).blocks
+        p, (q, _, n) = blocks.p, blocks.hess_index.shape
+        assert blocks.hess_index.shape == (q, p + q, n)
+        for j in range(q):
+            for c in range(p + q):
+                weights = np.zeros((1,) + blocks.hess_index.shape)
+                weights[0, j, c, 0] = 1.0
+                H = dense_from_blocks(blocks, blocks.scatter("hess_index", weights)[0])
+                a = blocks.perm[p + blocks.slots[j, 0]]
+                b = c if c < p else blocks.perm[p + blocks.slots[c - p, 0]]
+                assert H[a, b] == 1.0
+                assert np.count_nonzero(H) == (2 if c < p else 1)
 
-def random_effect_ibex():
-    """ibex_like with an iid Gaussian effect on every regression row: a
-    gaussian response whose rows carry beta_x x_k and gamma_k."""
-    sim = simulate_study(make_recipe("ibex", n=26, seed=1))
-    spec = parse_model_config(sim.model_config)
-    observation = replace(spec.observation, random_effect=GammaPrior(2.0, 1.0))
-    return build_joint_model(replace(spec, observation=observation), sim.dataset)
+    def test_an_empty_index_sums_to_float_zeros(self):
+        # naive framingham_like has no local entry (q = 0); numpy's bincount
+        # counts an empty index in integers even when given weights
+        model = study_model("framingham", False, naive=True)
+        blocks = assemble_conditional(model, model.theta.init_natural()).blocks
+        assert blocks.hess_index.shape[0] == 0
+        sums = blocks.scatter("hess_index", np.zeros((3,) + blocks.hess_index.shape))
+        assert sums.dtype == float and sums.shape == (3, blocks.n_hess) and not sums.any()
 
 
 def per_row_log_density(model, theta, v):
@@ -435,9 +467,13 @@ class TestBlockForm:
     """The Gaussian rows in block form against the same rows one by one."""
 
     @pytest.mark.parametrize("perturbed", [False, True])
-    @pytest.mark.parametrize("study", ["ibex", "framingham", "seedling", "random-effect"])
+    @pytest.mark.parametrize("study", [name + form for name in ("ibex", "framingham", "seedling", "random-effect")
+                                       for form in ("", "/augmented", "/naive")])
     def test_matches_the_rows(self, study, perturbed):
-        model = random_effect_ibex() if study == "random-effect" else study_model(study, False)
+        # the model as specified, copy-augmented or naive; naive
+        # framingham_like has no local entry at all (q = 0)
+        study, _, form = study.partition("/")
+        model = study_model(study, form == "augmented", naive=form == "naive")
         theta = study_theta(model, perturbed)
         v = 0.3 * np.cos(1.3 * np.arange(model.layout.dim))
         cond = assemble_conditional(model, theta)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from meglm.data import Dataset, parse_model_config
+from meglm.data import Dataset, parse_model_config, read_model_config
 from meglm.errors import DataError, SpecError
 from meglm.mcmc import _initial_state, _prepare, _x_prior_precision_mean
 from meglm.model import (
@@ -856,6 +856,11 @@ class TestConfigParsing:
         with pytest.raises(SpecError, match="alpha_0"):
             parse_model_config(text)
 
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "model.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + CONFIG_TEXT.encode("utf-8"))
+        assert read_model_config(path) == parse_model_config(CONFIG_TEXT)
+
     def test_unknown_section_and_key(self):
         with pytest.raises(SpecError, match="unknown section.*model2"):
             parse_model_config(CONFIG_TEXT + "\n[model2]\n", label="x")
@@ -981,6 +986,15 @@ class TestDatasetIO:
         path.write_text("y,w\n1.5,2.0\n0.5,%s\n" % cell)
         with pytest.raises(DataError, match="line 3, column 'w': '%s' is not a finite number" % cell):
             Dataset.from_csv(path)
+
+    def test_csv_with_a_byte_order_mark(self, tmp_path):
+        # some spreadsheets save UTF-8 with a leading byte-order mark, which
+        # must not become part of the first column's name
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,w\n1.5,2.5\n")
+        ds = Dataset.from_csv(path)
+        assert ds.names == ("y", "w")
+        assert ds.column("y")[0] == 1.5
 
     def test_csv_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"

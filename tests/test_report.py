@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import meglm.report
 from meglm.approx import MARGINAL_GRID_SIZE, marginal_from_grid
 from meglm.data import Dataset, DataError, parse_model_config
 from meglm.errors import NumericError, SpecError
@@ -110,7 +111,7 @@ class TestBuildReport:
         ):
             build_report("laplace", {"beta_x": good, "tau_u": broken})
 
-    def test_parameters_sharing_a_file_name_raise_before_any_file(self, tmp_path):
+    def test_parameters_sharing_a_file_name_raise_before_any_file(self, tmp_path, monkeypatch):
         # covariates "a b" and "a_b" both map to marginals/laplace_beta_a_b.csv,
         # where the second would overwrite the first
         rng = np.random.default_rng(3)
@@ -124,6 +125,11 @@ class TestBuildReport:
         outdir = tmp_path / "out"
         cfg = replace(small_cfg({"config": tmp_path / "model.ini", "data": tmp_path / "data.csv"}, outdir),
                       method="laplace")
+        # the clash is found from the model's parameters, before any grid
+        def explore_grid(*args, **kwargs):
+            raise AssertionError("the grid was walked")
+
+        monkeypatch.setattr(meglm.report, "explore_grid", explore_grid)
         with pytest.raises(SpecError, match="'beta_a b' and 'beta_a_b' would both write"):
             run_fit(cfg, log=lambda *a: None)
         assert not [f for _, _, files in os.walk(outdir) for f in files]
