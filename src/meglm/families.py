@@ -22,6 +22,7 @@ __all__ = [
     "log_normalizer",
     "score_weight",
     "deviance",
+    "load_deferred",
 ]
 
 FAMILIES = ("gaussian", "binomial", "poisson")
@@ -37,6 +38,14 @@ def _special():
     import scipy.special
 
     return scipy.special
+
+
+def load_deferred(family: str) -> None:
+    """Make the import this module defers for the family's likelihood
+    (scipy.special, for the binomial and the Poisson), so that a timer
+    started afterwards measures the fit alone."""
+    if family != "gaussian":
+        _special()
 
 
 def _unknown(family: str) -> SpecError:

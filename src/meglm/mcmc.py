@@ -9,11 +9,14 @@ joint random-walk Metropolis otherwise), and the family precision.
 
 The regression coefficients (beta_x among them) and the exposure
 coefficients are two blocks of one type, `_Coefficients`, with one
-conjugate draw for Gaussian rows: Cholesky-factored once, the one factor
-gives both the conditional mean and the draw's noise, through direct
-LAPACK triangular solves. Under Berkson error x has no exposure law: the
-exposure block has no columns and tau_x is 0, so no update branches on the
-error kind.
+conjugate draw for Gaussian rows: Cholesky-factored once, by numpy's own
+kernel (the gufunc behind np.linalg.cholesky, so the same bits without the
+wrapper's per-call checks), the one factor gives both the conditional mean
+and the draw's noise, through direct LAPACK triangular solves. Under Berkson
+error x has no exposure law: the exposure block has no columns and tau_x is
+0, so no update branches on the error kind. A sweep's updates are the public
+block functions, called in order; for a Gaussian response every update is an
+exact draw, so the loop adapts and counts nothing.
 
 Proposal scales start from DEFAULT_PROPOSAL_SCALES, adapt by Robbins-Monro
 toward a 0.35 acceptance rate and freeze when burn-in ends. The chain
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from . import families
 from .errors import NumericError, SpecError
@@ -48,6 +52,7 @@ __all__ = [
     "mh_latent_x",
     "mh_beta",
     "run_chain",
+    "load_deferred",
     "effective_sample_size",
 ]
 
@@ -178,8 +183,31 @@ def alpha_conditional(
     prior_precision = np.asarray(prior_precision, dtype=float)
     precision = tau_x * (design.T @ design) + np.diag(prior_precision)
     rhs = tau_x * (design.T @ np.asarray(x, dtype=float)) + prior_precision * prior_mean
-    mean, _ = _gaussian_block(precision, rhs, _ALPHA_BLOCK)
+    with np.errstate(invalid="ignore"):  # see `_cholesky_upper`
+        mean, _ = _gaussian_block(precision, rhs, _ALPHA_BLOCK)
     return mean, precision
+
+
+def _cholesky_upper(precision: np.ndarray, block: str) -> np.ndarray:
+    """Upper Cholesky factor U of a precision Q (Q = U.T @ U), bit for bit
+    np.linalg.cholesky(Q).T.
+
+    Calls the gufunc np.linalg.cholesky wraps, without the wrapper's type
+    and shape checks or its errstate: `run_chain` enters one errstate for
+    all its factors. A non-finite Q is refused first, since the kernel would
+    factor it without failing. On a Q that is not positive definite the
+    kernel fills the factor with NaN, so its first entry shows the failure.
+    """
+    # count_nonzero: half the per-call cost of .all() on arrays this small
+    if np.count_nonzero(np.isfinite(precision)) != precision.size:
+        raise NumericError("%s conditional is not finite" % block)
+    lower = _cholesky_lo(precision)
+    if lower.size and math.isnan(lower[0, 0]):
+        raise NumericError(
+            "%s conditional precision is singular "
+            "(flat priors with a degenerate design)" % block
+        )
+    return lower.T
 
 
 def _gaussian_block(precision: np.ndarray, rhs: np.ndarray, block: str) -> tuple:
@@ -187,20 +215,22 @@ def _gaussian_block(precision: np.ndarray, rhs: np.ndarray, block: str) -> tuple
 
     `precision` is Q and `rhs` is Q @ mean. The factor comes back as the
     upper triangle U = L.T (Q = U.T @ U), the orientation LAPACK reads
-    without a copy. Non-finite inputs are rejected here, once per block,
-    since np.linalg.cholesky would return NaNs for them without raising.
+    without a copy. The mean takes two LAPACK trtrs solves, called with the
+    arguments scipy.linalg.solve_triangular passes for a Cholesky factor,
+    so the bits are the same without scipy's per-call validation.
     """
-    if not (np.isfinite(precision).all() and np.isfinite(rhs).all()):
+    if np.count_nonzero(np.isfinite(rhs)) != rhs.size:
         raise NumericError("%s conditional is not finite" % block)
-    try:
-        upper = np.linalg.cholesky(precision).T
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            "%s conditional precision is singular "
-            "(flat priors with a degenerate design)" % block
-        )
-    half = _solve_upper(upper, rhs, trans=1)
-    return _solve_upper(upper, half, trans=0), upper
+    upper = _cholesky_upper(precision, block)
+    # positional lower=0, trans=1 / 0: f2py's keyword parsing costs 0.4 us a call
+    trtrs = _lapack().dtrtrs
+    half, info = trtrs(upper, rhs, 0, 1)
+    if info == 0:
+        mean, info = trtrs(upper, half, 0, 0)
+    if info != 0:
+        raise NumericError("%s conditional: triangular solve failed (LAPACK trtrs info %d)"
+                           % (block, info))
+    return mean, upper
 
 
 @functools.cache
@@ -214,29 +244,15 @@ def _lapack():
     return lapack
 
 
-def _solve_upper(upper: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
-    """Solve U z = rhs (trans=0) or U.T z = rhs (trans=1) for upper triangular U.
-
-    Calls LAPACK trtrs with the arguments scipy.linalg.solve_triangular
-    passes for a Cholesky factor, so results are bit for bit the same,
-    without scipy's per-call validation; callers check finiteness.
-    """
-    out, info = _lapack().dtrtrs(upper, rhs, lower=0, trans=trans)
-    if info != 0:
-        raise NumericError("triangular solve failed (LAPACK trtrs info %d)" % info)
-    return out
-
-
 def _draw_gamma(rng, shape: float, rate: float) -> float:
     return float(rng.gamma(shape, 1.0 / rate))
 
 
-def _draw_from_factor(rng, mean: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    return mean + _solve_upper(upper, rng.standard_normal(mean.size), trans=0)
-
-
 def _draw_mvn_from_precision(rng, mean: np.ndarray, precision: np.ndarray) -> np.ndarray:
-    return _draw_from_factor(rng, mean, np.linalg.cholesky(precision).T)
+    """A N(mean, precision^-1) draw through np.linalg.cholesky: the reference
+    the conjugate blocks' draws are checked against bit for bit."""
+    upper = np.linalg.cholesky(precision).T
+    return mean + _lapack().dtrtrs(upper, rng.standard_normal(mean.size), lower=0, trans=0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +335,10 @@ class _Coefficients:
         precision = tau * gram + self.prior_diag
         rhs = tau * (design.T @ resid) + self.prior_shift
         mean, upper = _gaussian_block(precision, rhs, self.label)
+        # the factor has passed two solves, so this one cannot fail
+        noise, _ = _lapack().dtrtrs(upper, rng.standard_normal(mean.size), 0, 0)
         out = values.copy()
-        out[self.free] = _draw_from_factor(rng, mean, upper)
+        out[self.free] = mean + noise
         return out
 
 
@@ -333,7 +351,7 @@ class _Sampler:
     model: JointModel
     family: str
     # regression block; the x slot of beta.design is overwritten in place by
-    # `regression_design`, so no value of it outlives one update
+    # `regression_design` when x changes, and `eta` reads it as last written
     y: np.ndarray
     trials: np.ndarray
     beta: _Coefficients
@@ -342,7 +360,7 @@ class _Sampler:
     # latent exposure plumbing
     n_x: int
     x_index: np.ndarray
-    x_counts: np.ndarray          # regression rows per latent x
+    x_counts: np.ndarray          # regression rows per latent x, as floats
     w: np.ndarray
     d: np.ndarray
     proxy_index: np.ndarray
@@ -361,7 +379,9 @@ class _Sampler:
         return self.beta.design
 
     def eta(self, state: ChainState) -> np.ndarray:
-        eta = self.regression_design(state.x) @ state.beta
+        """The linear predictor at state, from the regression design as last
+        written: callers write state.x into it first."""
+        eta = self.beta.design @ state.beta
         if self.has_gamma:
             eta = eta + state.gamma
         return eta
@@ -396,7 +416,7 @@ def _prepare(model: JointModel) -> _Sampler:
         alpha=_Coefficients.of(_ALPHA_BLOCK, alphas, model.n_x),
         n_x=model.n_x,
         x_index=x_index,
-        x_counts=np.bincount(x_index, minlength=model.n_x),
+        x_counts=np.bincount(x_index, minlength=model.n_x).astype(float),
         w=w,
         d=d,
         proxy_index=proxy_index,
@@ -473,11 +493,12 @@ def mh_latent_x(state: ChainState, sampler: _Sampler, scale: float, rng) -> tupl
     component is a valid Gibbs sweep.
     """
     prior_prec, prior_numer = _x_prior_precision_mean(state, sampler)
-    beta_x = state.beta[_BETA_X]
+    beta_x = float(state.beta[_BETA_X])
 
     if sampler.family == "gaussian":
-        eta = sampler.eta(state)
-        resid_wo_x = sampler.y - (eta - beta_x * state.x[sampler.x_index])
+        x_rows = state.x[sampler.x_index]
+        sampler.beta.design[:, _BETA_X] = x_rows
+        resid_wo_x = sampler.y - (sampler.eta(state) - beta_x * x_rows)
         prec = prior_prec + state.tau_eps * beta_x**2 * sampler.x_counts
         numer = prior_numer + state.tau_eps * beta_x * np.bincount(
             sampler.x_index, weights=resid_wo_x, minlength=sampler.n_x
@@ -486,6 +507,7 @@ def mh_latent_x(state: ChainState, sampler: _Sampler, scale: float, rng) -> tupl
         return draw, 1.0
 
     x_new = state.x + scale * rng.standard_normal(sampler.n_x)
+    sampler.regression_design(state.x)
     eta = sampler.eta(state)
     eta_new = eta + beta_x * (x_new - state.x)[sampler.x_index]
     terms = families.loglik(sampler.family, sampler.y, sampler.trials, eta)
@@ -494,10 +516,12 @@ def mh_latent_x(state: ChainState, sampler: _Sampler, scale: float, rng) -> tupl
     delta += -0.5 * prior_prec * (x_new**2 - state.x**2) + prior_numer * (x_new - state.x)
     accept = np.log(rng.uniform(size=sampler.n_x)) < delta
     out = np.where(accept, x_new, state.x)
-    return out, float(np.mean(accept))
+    # the accepted share, as np.mean computes it, at a tenth of its call cost
+    return out, float(np.count_nonzero(accept) / accept.size)
 
 
 def _update_gamma(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
+    sampler.regression_design(state.x)
     eta = sampler.eta(state)
     if sampler.family == "gaussian":
         resid_wo_g = sampler.y - (eta - state.gamma)
@@ -511,7 +535,7 @@ def _update_gamma(state: ChainState, sampler: _Sampler, scale: float, rng) -> tu
     delta -= families.loglik(sampler.family, sampler.y, sampler.trials, eta)
     delta -= 0.5 * state.tau_gamma * (g_new**2 - state.gamma**2)
     accept = np.log(rng.uniform(size=state.gamma.size)) < delta
-    return np.where(accept, g_new, state.gamma), float(np.mean(accept))
+    return np.where(accept, g_new, state.gamma), float(np.count_nonzero(accept) / accept.size)
 
 
 def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
@@ -522,37 +546,39 @@ def mh_beta(state: ChainState, sampler: _Sampler, scale: float, rng) -> tuple:
     """
     coef = sampler.beta
     free = coef.free
-    beta = state.beta.copy()
-    if not free.size:
-        return beta, 1.0
-    # writes x into the design, where fixed_part and free_columns read it
+    # writes x into the design, where fixed_part, free_columns and the
+    # residual precision's update read it
     sampler.regression_design(state.x)
-    offset = coef.fixed_part(beta)
+    if not free.size:
+        return state.beta.copy(), 1.0
+    offset = coef.fixed_part(state.beta)
     if sampler.has_gamma:
         offset = offset + state.gamma
 
     if sampler.family == "gaussian":
-        return coef.draw(rng, beta, state.tau_eps, sampler.y - offset), 1.0
+        return coef.draw(rng, state.beta, state.tau_eps, sampler.y - offset), 1.0
 
     Xf = coef.free_columns()
-    bf = beta[free]
+    bf = state.beta[free]
     bf_new = bf + scale * rng.standard_normal(bf.size)
     eta = Xf @ bf + offset
     eta_new = Xf @ bf_new + offset
     delta = float(
-        np.sum(families.loglik(sampler.family, sampler.y, sampler.trials, eta_new))
-        - np.sum(families.loglik(sampler.family, sampler.y, sampler.trials, eta))
+        families.loglik(sampler.family, sampler.y, sampler.trials, eta_new).sum()
+        - families.loglik(sampler.family, sampler.y, sampler.trials, eta).sum()
     )
     pm = coef.mean[free]
     pp = coef.prec[free]
     delta -= 0.5 * float(pp @ ((bf_new - pm) ** 2 - (bf - pm) ** 2))
     accepted = math.log(rng.uniform()) < delta
+    beta = state.beta.copy()
     if accepted:
         beta[free] = bf_new
     return beta, float(accepted)
 
 
 def _gibbs_tau_eps(state: ChainState, sampler: _Sampler, rng) -> float:
+    # reads the regression design that `mh_beta` wrote at the current x
     shape, rate = _gamma_conditional(sampler.tau_eps_prior, sampler.y - sampler.eta(state))
     return _draw_gamma(rng, shape, rate)
 
@@ -582,6 +608,7 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
     state = _initial_state(sampler)
     rng = np.random.Generator(np.random.Philox(int(cfg.seed)))
     log_scales = {k: math.log(v) for k, v in DEFAULT_PROPOSAL_SCALES.items()}
+    scales = {k: math.exp(v) for k, v in log_scales.items()}
 
     names = model.parameter_names()
     # the free precisions, in the grid model's order (tau_u, tau_x, tau_eps, tau_gamma)
@@ -590,45 +617,65 @@ def run_chain(model: JointModel, cfg: ChainConfig) -> ChainOutput:
     picks = np.array([sources.index(name) for name in names], dtype=int)
     draws = np.empty((cfg.kept, len(names)))
     kept = 0
-    accept_totals = {}
-
+    update_tau_x, update_tau_u, update_tau_eps, update_tau_gamma = (
+        name in taus for name in ("tau_x", "tau_u", "tau_eps", "tau_gamma"))
+    blocks = ("x", "beta", "gamma") if sampler.has_gamma else ("x", "beta")
+    accept_totals = dict.fromkeys(blocks, 0.0)
+    # every Gaussian-family update is an exact draw, accepted with rate 1:
+    # nothing to adapt or count
     mh_needed = sampler.family != "gaussian"
 
-    for it in range(1, cfg.iterations + 1):
-        if "tau_x" in taus:
-            state.tau_x = gibbs_tau_x(state, sampler, rng)
-        if "tau_u" in taus:
-            state.tau_u = gibbs_tau_u(state, sampler, rng)
-        state.alpha = gibbs_alpha(state, sampler, rng)
+    # one errstate for the chain's Cholesky factors (see `_cholesky_upper`)
+    with np.errstate(invalid="ignore"):
+        for it in range(1, cfg.iterations + 1):
+            if update_tau_x:
+                state.tau_x = gibbs_tau_x(state, sampler, rng)
+            if update_tau_u:
+                state.tau_u = gibbs_tau_u(state, sampler, rng)
+            state.alpha = gibbs_alpha(state, sampler, rng)
 
-        state.x, acc_x = mh_latent_x(state, sampler, math.exp(log_scales["x"]), rng)
-        if sampler.has_gamma:
-            state.gamma, acc_g = _update_gamma(state, sampler, math.exp(log_scales["gamma"]), rng)
-        state.beta, acc_b = mh_beta(state, sampler, math.exp(log_scales["beta"]), rng)
+            state.x, acc_x = mh_latent_x(state, sampler, scales["x"], rng)
+            if sampler.has_gamma:
+                state.gamma, acc_g = _update_gamma(state, sampler, scales["gamma"], rng)
+            state.beta, acc_b = mh_beta(state, sampler, scales["beta"], rng)
 
-        if "tau_eps" in taus:
-            state.tau_eps = _gibbs_tau_eps(state, sampler, rng)
-        if "tau_gamma" in taus:
-            state.tau_gamma = _gibbs_tau_gamma(state, sampler, rng)
+            if update_tau_eps:
+                state.tau_eps = _gibbs_tau_eps(state, sampler, rng)
+            if update_tau_gamma:
+                state.tau_gamma = _gibbs_tau_gamma(state, sampler, rng)
 
-        accepted = {"x": acc_x, "beta": acc_b}
-        if sampler.has_gamma:
-            accepted["gamma"] = acc_g
-        if mh_needed and it <= cfg.burn_in:
-            step = (it + _ADAPT_OFFSET) ** -0.6
-            for block, acc in accepted.items():
-                log_scales[block] += step * (acc - ADAPT_TARGET)
-                log_scales[block] = min(max(log_scales[block], -_LOG_SCALE_BOUND), _LOG_SCALE_BOUND)
+            if mh_needed:
+                accepted = (acc_x, acc_b, acc_g) if sampler.has_gamma else (acc_x, acc_b)
+                if it <= cfg.burn_in:
+                    step = (it + _ADAPT_OFFSET) ** -0.6
+                    for block, acc in zip(blocks, accepted):
+                        log_scale = log_scales[block] + step * (acc - ADAPT_TARGET)
+                        log_scales[block] = min(max(log_scale, -_LOG_SCALE_BOUND),
+                                                _LOG_SCALE_BOUND)
+                        scales[block] = math.exp(log_scales[block])
+                else:
+                    for block, acc in zip(blocks, accepted):
+                        accept_totals[block] += acc
 
-        if it > cfg.burn_in:
-            for block, acc in accepted.items():
-                accept_totals[block] = accept_totals.get(block, 0.0) + acc
-            if (it - cfg.burn_in) % cfg.thin == 0 and kept < draws.shape[0]:
+            if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0 and kept < draws.shape[0]:
                 draws[kept] = _record(state, taus, picks)
                 kept += 1
 
-    rates = {block: total / (cfg.iterations - cfg.burn_in) for block, total in accept_totals.items()}
+    if mh_needed:
+        rates = {block: total / (cfg.iterations - cfg.burn_in)
+                 for block, total in accept_totals.items()}
+    else:
+        rates = dict.fromkeys(blocks, 1.0)
     return ChainOutput(names=names, draws=draws[:kept], acceptance_rates=rates, config=cfg)
+
+
+def load_deferred(model: JointModel) -> None:
+    """Make the import a chain on model defers to its first triangular solve
+    (scipy's LAPACK wrappers, when it draws a conjugate Gaussian block), so
+    that a timer started afterwards measures the chain alone."""
+    sampler = _prepare(model)
+    if sampler.alpha.free.size or (sampler.family == "gaussian" and sampler.beta.free.size):
+        _lapack()
 
 
 def effective_sample_size(draws: np.ndarray) -> float:

@@ -10,20 +10,26 @@ from scipy.stats import chi2
 
 from meglm.approx import explore_grid, hyper_marginal, latent_marginal
 from meglm.data import Dataset, parse_model_config
+from meglm import mcmc
 from meglm.errors import NumericError, SpecError
 from meglm.mcmc import (
     ChainConfig,
     alpha_conditional,
     effective_sample_size,
     gibbs_alpha,
+    gibbs_tau_u,
+    gibbs_tau_x,
     mh_beta,
     mh_latent_x,
     run_chain,
     tau_u_conditional,
     tau_x_conditional,
+    _cholesky_upper,
+    _gaussian_block,
+    _gibbs_tau_eps,
     _initial_state,
+    _lapack,
     _prepare,
-    _solve_upper,
 )
 from meglm.model import build_joint_model, copy_augment
 from meglm.priors import GammaPrior
@@ -196,7 +202,7 @@ class TestAlphaConditional:
         assert np.max(np.abs(gaps - gaps[0])) < 1.0e-9
 
     def test_singular_conditional(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="singular"):
             alpha_conditional(
                 np.zeros(4), np.zeros((4, 2)), 1.0, np.zeros(2), np.zeros(2)
             )
@@ -212,32 +218,55 @@ def ibex_sampler_state():
 
 class TestConjugateBlocks:
     def test_triangular_solves_match_scipy_bitwise(self):
+        # the block's mean and the draw's noise solve, against
+        # np.linalg.cholesky and scipy.linalg.solve_triangular
         rng = np.random.default_rng(23)
         for p in range(1, 7):
             for _ in range(20):
                 a = rng.normal(size=(p, p))
-                chol = np.linalg.cholesky(a @ a.T + p * np.eye(p))
+                precision = a @ a.T + p * np.eye(p)
+                chol = np.linalg.cholesky(precision)
                 b = rng.normal(size=p)
-                assert np.array_equal(
-                    _solve_upper(chol.T, b, trans=1), solve_triangular(chol, b, lower=True)
-                )
-                assert np.array_equal(
-                    _solve_upper(chol.T, b, trans=0),
-                    solve_triangular(chol.T, b, lower=False),
-                )
+                mean, upper = _gaussian_block(precision, b, "test block")
+                assert np.array_equal(upper, chol.T)
+                half = solve_triangular(chol, b, lower=True)
+                assert np.array_equal(mean, solve_triangular(chol.T, half, lower=False))
+                noise, info = _lapack().dtrtrs(upper, b, lower=0, trans=0)
+                assert info == 0
+                assert np.array_equal(noise, solve_triangular(chol.T, b, lower=False))
+
+    def test_factor_matches_numpy_cholesky_bitwise(self):
+        rng = np.random.default_rng(29)
+        for p in range(1, 7):
+            for _ in range(200):
+                a = rng.normal(size=(p, p + 2))
+                precision = a @ a.T + rng.uniform(0.0, 1.0) * np.eye(p)
+                assert np.array_equal(_cholesky_upper(precision, "test block"),
+                                      np.linalg.cholesky(precision).T)
+        good = np.eye(3) + 0.5
+        for bad_entry in (math.nan, math.inf, -math.inf):
+            bad = good.copy()
+            bad[2, 1] = bad_entry
+            with pytest.raises(NumericError, match="test block conditional is not finite"):
+                _cholesky_upper(bad, "test block")
+        indefinite = good.copy()
+        indefinite[2, 2] = -1.0
+        for not_pd in (indefinite, np.zeros((2, 2)), np.ones((3, 3))):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NumericError, match="test block conditional precision is singular"):
+                _cholesky_upper(not_pd, "test block")
 
     def test_one_factorization_per_block_per_sweep(self, monkeypatch):
         # a Gaussian classical-error sweep has two conjugate blocks, the
         # exposure and the regression coefficients, each factored once
         model, _, _ = ibex_sampler_state()
         calls = []
-        cholesky = np.linalg.cholesky
 
-        def counted(a):
-            calls.append(a)
-            return cholesky(a)
+        def counted(precision, block):
+            calls.append(block)
+            return _cholesky_upper(precision, block)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(mcmc, "_cholesky_upper", counted)
         run_chain(model, ChainConfig(iterations=50, burn_in=10, thin=1, seed=3))
         assert len(calls) == 2 * 50
 
@@ -680,6 +709,32 @@ def all_gaussian_model():
 
 
 class TestRunChain:
+    def test_chain_is_the_public_block_updates(self):
+        # run_chain's sweep is the block updates in order, nothing else: a
+        # hand loop over them on the same Philox stream draws the same bits
+        model, sampler, state = ibex_sampler_state()
+        cfg = ChainConfig(iterations=200, burn_in=50, thin=1, seed=13)
+        chain = run_chain(model, cfg)
+        assert set(chain.acceptance_rates) == {"x", "beta"}
+
+        rng = np.random.Generator(np.random.Philox(13))
+        rows = []
+        for it in range(1, cfg.iterations + 1):
+            state.tau_x = gibbs_tau_x(state, sampler, rng)
+            state.tau_u = gibbs_tau_u(state, sampler, rng)
+            state.alpha = gibbs_alpha(state, sampler, rng)
+            state.x, acc_x = mh_latent_x(state, sampler, 0.5, rng)
+            state.beta, acc_b = mh_beta(state, sampler, 0.2, rng)
+            state.tau_eps = _gibbs_tau_eps(state, sampler, rng)
+            assert acc_x == acc_b == 1.0
+            if it > cfg.burn_in:
+                values = dict(zip(sampler.beta.names, state.beta))
+                values.update(zip(sampler.alpha.names, state.alpha))
+                values.update(tau_x=state.tau_x, tau_u=state.tau_u, tau_eps=state.tau_eps)
+                rows.append([values[name] for name in chain.names])
+        assert np.array_equal(chain.draws, np.array(rows))
+        assert chain.acceptance_rates == {"x": 1.0, "beta": 1.0}
+
     def test_determinism_bitwise(self):
         sim = simulate_study(FraminghamRecipe(n=40, seed=2))
         model = build(sim.model_config, sim.dataset)

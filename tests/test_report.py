@@ -247,6 +247,30 @@ class TestReportFiles:
             assert a == b, rel
 
 
+class TestRunFitTiming:
+    def test_deferred_imports_come_before_each_fit(self, tmp_path, monkeypatch):
+        # what a fit imports on first use is imported before its timer
+        # starts, so the time run_fit prints is the fit's own
+        _, files = ibex_files(tmp_path)
+        events = []
+        monkeypatch.setattr(meglm.report.mcmc, "load_deferred",
+                            lambda model: events.append("load chain"))
+        monkeypatch.setattr(meglm.report.families, "load_deferred",
+                            lambda family: events.append("load " + family))
+        for name in ("naive_marginals", "laplace_marginals", "mcmc_marginals"):
+            fit = getattr(meglm.report, name)
+
+            def logged(*args, _fit=fit, _name=name):
+                events.append(_name)
+                return _fit(*args)
+
+            monkeypatch.setattr(meglm.report, name, logged)
+        cfg = replace(small_cfg(files, tmp_path / "out"), iterations=400, burn_in=100, thin=1)
+        run_fit(cfg, log=lambda *a: None)
+        assert events == ["load gaussian", "naive_marginals", "load gaussian",
+                          "laplace_marginals", "load chain", "mcmc_marginals"]
+
+
 class TestMarginalSources:
     def test_mcmc_marginals_skip_latent_picks(self, tmp_path):
         sim, files = ibex_files(tmp_path, seed=8)
