@@ -1,8 +1,9 @@
 """Command-line interface: fit, simulate, elicit, compare.
 
-Exit codes: 0 on success, 1 for usage, configuration, or data errors, and 2
-for numerical failures. All randomness flows through an explicit --seed;
-commands that draw random numbers refuse to run without one.
+Exit codes: 0 on success, 1 for usage, configuration, data or file-system
+errors, and 2 for numerical failures. All randomness flows through an
+explicit --seed; commands that draw random numbers refuse to run without
+one.
 """
 
 import argparse
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         raise _UsageError("meglm: unknown command %r" % args.command)
-    except (SpecError, DataError) as exc:
+    except (SpecError, DataError, OSError) as exc:
         print("meglm: error: %s" % exc, file=sys.stderr)
         return 1
     except NumericError as exc:

@@ -61,11 +61,14 @@ def _poisson_mean(eta: np.ndarray) -> np.ndarray:
 
 def check_response(family: str, y: np.ndarray, trials: np.ndarray) -> None:
     """Raise DataError unless y holds counts: integers in [0, trials] for the
-    binomial, nonnegative integers for the Poisson (any y for the gaussian)."""
+    binomial, whose trials must be nonnegative integers too, and nonnegative
+    integers for the Poisson (any y for the gaussian)."""
     if family == "gaussian":
         return
     bad = ~np.isfinite(y) | (y < 0) | (y != np.round(y))
     if family == "binomial":
+        if np.any(~np.isfinite(trials) | (trials < 0) | (trials != np.round(trials))):
+            raise DataError("binomial trials must be nonnegative integers")
         if np.any(bad | (y > trials)):
             raise DataError("binomial response must be integer counts within trials")
         return

@@ -16,6 +16,10 @@ reads H_gg as the row's first p*p entries. Models whose likelihood
 blocks are all Gaussian have a closed-form posterior, where the Newton
 result is exact after a single step.
 
+The engine iterates in work order (`LatentBlocks.perm`), the order of
+the gradient, the Hessian and its factor; a solve converts only its init
+and its results to and from latent order.
+
 The Gaussian rows, the latent prior's among them, reach the engine
 already summed into a quadratic in block form (`model.Conditional`), so
 the gradient, the Hessian and the log density of a Newton iteration pass
@@ -283,10 +287,10 @@ class LatentBatch:
     error: list
     factor: ArrowheadFactor
 
-    def finish(self, points, v, F: ArrowheadFactor, steps, f) -> None:
-        """Record the results of the indexed points: modes v, factors F,
-        Newton iterations steps and log densities f."""
-        self.mode[points] = v
+    def finish(self, points, u, F: ArrowheadFactor, steps, f) -> None:
+        """Record the results of the indexed points: modes u (in work
+        order), factors F, Newton iterations steps and log densities f."""
+        self.mode[points] = self.factor.blocks.to_latent(u)
         self.factor.put(points, F)
         self.converged_in[points] = steps
         self.log_density_at_mode[points] = f
@@ -345,9 +349,9 @@ def _hessian(cond: Conditional, w: np.ndarray) -> np.ndarray:
 
 
 def _grad_hess(cond: Conditional, v: np.ndarray, hess: bool = True, maps: Optional[tuple] = None):
-    """Gradients (K x d, in work order) of the batch's log densities at the
-    rows of v, and their negative Hessians stored flat (`_hessian`); maps
-    is `cond.linear_maps(v)` when known."""
+    """Gradients (K x d) of the batch's log densities at the rows of the
+    work-order v, and their negative Hessians stored flat (`_hessian`);
+    maps is `cond.linear_maps(v)` when known."""
     # the Gaussian rows' gradient is gauss_lin - Q u; the copy links keep
     # the residual form tau * (0 - eta) row by row, which stays accurate
     # near the mode, where their expanded form loses all signal to
@@ -395,13 +399,13 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
     """Newton with step halving on every point of a batched conditional.
 
     Every point starts from init (one latent vector), or from zero where
-    init is None or its log density is not finite there. All points still
-    iterating take the same iteration together: each either converges,
-    finishes with a step below the round-off floor, or takes a
-    line-searched step; a point that cannot be factored or whose line
-    search fails leaves with its NumericError. The linear maps of the
-    accepted step (`Conditional.linear_maps`) are carried into the next
-    iteration's gradient.
+    init is None or its log density is not finite there; the iterates are
+    in work order. All points still iterating take the same iteration
+    together: each either converges, finishes with a step below the
+    round-off floor, or takes a line-searched step; a point that cannot
+    be factored or whose line search fails leaves with its NumericError.
+    The linear maps of the accepted step (`Conditional.linear_maps`) are
+    carried into the next iteration's gradient.
     """
     d = cond.dim
     blocks = cond.blocks
@@ -411,7 +415,7 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
         v0 = np.array(init, dtype=float)
         if v0.shape != (d,):
             raise SpecError("initial latent vector has shape %r, expected (%d,)" % (v0.shape, d))
-        v[:] = v0
+        v[:] = v0[blocks.perm]
     maps = cond.linear_maps(v)
     f = cond.log_density(v, maps)
     cold = ~np.isfinite(f)
@@ -462,9 +466,8 @@ def _newton(cond: Conditional, init: Optional[np.ndarray]) -> LatentBatch:
         if not stay.any():
             return out
 
-        step_w = F.solve(g)
-        decrement_sq = (g * step_w).sum(axis=1)
-        step = blocks.to_latent(step_w)
+        step = F.solve(g)
+        decrement_sq = (g * step).sum(axis=1)
         # the predicted gain from this step is below the roundoff floor of
         # the objective, so no line search can certify progress (this
         # happens when a warm start lands inside the resolution basin of the
@@ -557,5 +560,5 @@ def exact_linear_gaussian_posterior(model: JointModel, theta) -> GaussianApprox:
     F, ok = _factor(cond.blocks, H)
     if not ok[0]:
         raise NumericError("conditional precision is not positive definite")
-    mean = cond.blocks.to_latent(F.solve(g))
-    return GaussianApprox(mean[0], F, 0, float(cond.log_density(mean)[0]))
+    mean = F.solve(g)
+    return GaussianApprox(cond.blocks.to_latent(mean)[0], F, 0, float(cond.log_density(mean)[0]))

@@ -675,12 +675,11 @@ class LatentBlocks:
     lone gamma_i when the model has no x. Work vectors list the global
     components first and then the local ones by slot, sorted by block
     size, block and position in the block; `perm` maps each work position
-    to its latent index, and local latent component p + i sits in slot
-    local_slot[i]. The blocks of size s form one group (s, count, slot0,
-    flat0): they fill slots slot0 .. slot0 + count*s, and their s x s
-    matrices fill entries flat0 .. flat0 + count*s*s of one flat array of
-    length n_flat. Slot k's block row starts at row_start[k] of that
-    array, where it sits at column col_in_block[k].
+    to its latent index. The engine holds every vector in work order, and
+    `perm` and `to_latent` convert at its boundary. The blocks of size s
+    form one group (s, count, slot0, flat0): they fill slots slot0 ..
+    slot0 + count*s, and their s x s matrices fill entries flat0 ..
+    flat0 + count*s*s of one flat array of length n_flat.
 
     Every block-arrowhead matrix of a batch of K points is stored flat, as
     K x n_hess with n_hess = p*p + m*p + n_flat: per point H_gg and the
@@ -704,9 +703,6 @@ class LatentBlocks:
     perm: np.ndarray
     groups: tuple
     n_flat: int
-    local_slot: np.ndarray
-    row_start: np.ndarray
-    col_in_block: np.ndarray
     diag: np.ndarray
     slots: np.ndarray
     hess_index: np.ndarray
@@ -716,11 +712,6 @@ class LatentBlocks:
     def n_hess(self) -> int:
         return self.p * self.p + self.m * self.p + self.n_flat
 
-    def row_index(self, cols: np.ndarray) -> tuple:
-        """(slots, hess_index) of rows whose local entries sit at the latent
-        columns cols (n x q), laid out as the fields of the same names."""
-        return _row_index(self.local_slot, self.row_start, self.col_in_block, self.p, cols)
-
     def scatter(self, name: str, weights: np.ndarray, index: Optional[np.ndarray] = None) -> np.ndarray:
         """The K x bins sums of weights (K x the shape of index `name`,
         which is slots or hess_index) into that index's bins: the m slots
@@ -728,8 +719,8 @@ class LatentBlocks:
 
         The index for K points offsets point k's bins by k bin counts. It
         is a prefix of the index for more points, so the largest one built
-        is kept and sliced. An index given (another set of rows' `row_index`)
-        takes the place of the named field and is not kept.
+        is kept and sliced. An index given (another set of rows', laid out
+        like the named field) takes its place and is not kept.
         """
         K = weights.shape[0]
         bins = {"slots": self.m, "hess_index": self.n_hess}[name]
@@ -801,19 +792,11 @@ class LatentBlocks:
         return out
 
 
-def _row_index(local_slot, row_start, col_in_block, p: int, cols: np.ndarray) -> tuple:
-    # the flat row holds H_gg (p x p), then H_lg (m x p), then flat H_ll
-    slots = np.ascontiguousarray(local_slot[cols - p].T)
-    border = p * p + slots[:, None, :] * p + np.arange(p)[None, :, None]
-    pairs = p * p + local_slot.size * p + row_start[slots][:, None, :] + col_in_block[slots][None, :, :]
-    return slots, np.concatenate((border, pairs), axis=1)
-
-
-def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
-                   row_cols: np.ndarray) -> LatentBlocks:
-    """Local blocks from the latent layout, checked against the local
-    columns cols of every stacked row, and the scatter indices of the rows
-    evaluated one by one, whose local columns are row_cols."""
+def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray, one_by_one: np.ndarray) -> tuple:
+    """(blocks, slots, hess_index): the local blocks from the latent
+    layout, checked against the local columns cols (N x q) of every
+    stacked row, and the scatter indices of every stacked row (laid out as
+    `LatentBlocks` keeps them for the rows one_by_one)."""
     m = layout.dim - p
     block = np.empty(m, dtype=np.intp)
     x_slice = layout.slice("x")
@@ -830,6 +813,10 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
     if bad.size:
         raise SpecError("design row %d touches two local latent blocks" % (bad[0] + 1))
 
+    # local latent component p + i sits in slot slot[i], and slot k's block
+    # row starts at entry row_start[k] of flat H_ll, where it sits at column
+    # col_in_block[k]: for slot k of a group (s, count, slot0, flat0) these
+    # are flat0 + (k - slot0) * s and (k - slot0) % s
     size = np.bincount(block, minlength=int(block.max()) + 1 if m else 0)
     first = np.argsort(block, kind="stable")
     pos = np.empty(m, dtype=np.intp)
@@ -837,9 +824,6 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
     order = np.lexsort((pos, block, size[block]))
     slot = np.empty(m, dtype=np.intp)
     slot[order] = np.arange(m)
-
-    # slot k of a group (s, count, slot0, flat0) starts its block row at
-    # flat0 + (k - slot0) * s and sits at column (k - slot0) % s
     row_start = np.empty(m, dtype=np.intp)
     col_in_block = np.empty(m, dtype=np.intp)
     groups = []
@@ -854,22 +838,24 @@ def _latent_blocks(layout: LatentLayout, p: int, x_index, cols: np.ndarray,
         slot0 += count * s
         flat0 += count * s * s
 
-    slots, hess_index = _row_index(slot, row_start, col_in_block, p, row_cols)
-    # the local diagonal pairs each slot with itself, in slot order
-    self_pairs = _row_index(slot, row_start, col_in_block, p, p + order[:, None])[1][0, p]
-    return LatentBlocks(
+    # the flat row holds H_gg (p x p), then H_lg (m x p), then flat H_ll
+    ll0 = p * p + m * p
+    slots = np.ascontiguousarray(slot[cols - p].T)
+    border = p * p + slots[:, None, :] * p + np.arange(p)[None, :, None]
+    pairs = ll0 + row_start[slots][:, None, :] + col_in_block[slots][None, :, :]
+    hess_index = np.concatenate((border, pairs), axis=1)
+    blocks = LatentBlocks(
         p=p,
         m=m,
         perm=np.concatenate((np.arange(p), p + order)),
         groups=tuple(groups),
         n_flat=flat0,
-        local_slot=slot,
-        row_start=row_start,
-        col_in_block=col_in_block,
-        diag=np.concatenate((np.arange(p) * (p + 1), self_pairs)),
-        slots=slots,
-        hess_index=hess_index,
+        # the local diagonal pairs each slot with itself, in slot order
+        diag=np.concatenate((np.arange(p) * (p + 1), ll0 + row_start + col_in_block)),
+        slots=slots[:, one_by_one],
+        hess_index=hess_index[..., one_by_one],
     )
+    return blocks, slots, hess_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -935,16 +921,19 @@ class Conditional:
       beta_x x of an augmented model (copy_rows), whose precision
       copy_precision (1e9 by default) would make an expanded quadratic
       lose all signal to cancellation; they stay in residual form. A row's
-      linear predictor is eta = A v[:p] + sum_j vals[:, j] v[cols[:, j]] +
-      offset, where A (n x p, column-major) holds every row's global
+      linear predictor is eta = A u[:p] + sum_j vals[:, j] u[p + slots[j]]
+      + offset, where A (n x p, column-major) holds every row's global
       coefficients, zero on the copy links, and a row's at most q <= 2
-      local entries sit at latent columns cols (n x q) with values vals
-      (K x q x n, entry by entry; padding entries have value 0). obs
+      local entries sit in the slots `blocks.slots` (q x n) with values
+      vals (K x q x n, entry by entry; padding entries have value 0). obs
       holds the family rows' observations and 0 on the copy links, and
       trials_ng the family rows' trials (None for a gaussian response).
       row_gram holds the outer products A[r, a] * A[r, b], one row per
       pair (a, b) in row-major order (p*p x n), from which the global
       block of the Hessian is summed.
+
+    `eta`, `linear_maps` and `log_density` take the work-order latent
+    vectors u (K x d) the engine iterates on.
 
     `_design` builds one template per model, whose gauss_hess (n_hess),
     gauss_lin (d) and gauss_const are the quadratic of the rows of fixed
@@ -958,7 +947,6 @@ class Conditional:
     blocks: LatentBlocks
     family: str
     A: np.ndarray
-    cols: np.ndarray
     vals: np.ndarray
     obs: np.ndarray
     offset: np.ndarray
@@ -976,32 +964,31 @@ class Conditional:
         return replace(self, vals=self.vals[points], gauss_hess=self.gauss_hess[points],
                        gauss_lin=self.gauss_lin[points], gauss_const=self.gauss_const[points])
 
-    def eta(self, v: np.ndarray) -> np.ndarray:
+    def eta(self, u: np.ndarray) -> np.ndarray:
         """Linear predictor of the rows evaluated one by one (K x n) at the
-        latent vectors v (K x d), one per point.
+        work-order latent vectors u (K x d), one per point.
 
         The global part is one matrix product per point, so a point's value
         does not depend on the batch it is in.
         """
-        eta = np.empty((v.shape[0],) + self.offset.shape)
+        p, slots = self.blocks.p, self.blocks.slots
+        eta = np.empty((u.shape[0],) + self.offset.shape)
         eta[...] = self.offset
-        for j in range(self.cols.shape[1]):
-            eta += self.vals[:, j] * v[:, self.cols[:, j]]
-        eta += (v[:, None, :self.A.shape[1]] @ self.A.T)[:, 0, :]
+        for j in range(slots.shape[0]):
+            eta += self.vals[:, j] * u[:, p:][:, slots[j]]
+        eta += (u[:, None, :p] @ self.A.T)[:, 0, :]
         return eta
 
-    def linear_maps(self, v: np.ndarray) -> tuple:
-        """(eta(v), Q u): the two linear maps of v (K x d) that the log
-        density and its gradient share, Q u of the Gaussian rows being in
-        work order."""
-        return self.eta(v), self.blocks.matvec(self.gauss_hess, v[:, self.blocks.perm])
+    def linear_maps(self, u: np.ndarray) -> tuple:
+        """(eta(u), Q u): the two linear maps of u (K x d) that the log
+        density and its gradient share."""
+        return self.eta(u), self.blocks.matvec(self.gauss_hess, u)
 
-    def log_density(self, v: np.ndarray, maps: Optional[tuple] = None) -> np.ndarray:
+    def log_density(self, u: np.ndarray, maps: Optional[tuple] = None) -> np.ndarray:
         """log p(y | v, theta) + log p(v | theta), constants included, of
-        each point at its row of v (K x d); maps is `linear_maps(v)` when
+        each point at its row of u (K x d); maps is `linear_maps(u)` when
         known."""
-        eta, Qu = self.linear_maps(v) if maps is None else maps
-        u = v[:, self.blocks.perm]
+        eta, Qu = self.linear_maps(u) if maps is None else maps
         val = self.gauss_const + (u * (self.gauss_lin - 0.5 * Qu)).sum(axis=-1)
         copy = eta[:, self.copy_rows]
         if copy.size:
@@ -1013,18 +1000,18 @@ class Conditional:
         return val
 
 
-def _block_pieces(blocks: LatentBlocks, A, cols, vals, power, resid, factor) -> dict:
+def _block_pieces(blocks: LatentBlocks, A, slots, index, vals, power, resid, factor) -> dict:
     """The Gaussian rows of one row-precision entry in block form.
 
-    Row r adds -factor[r] (resid[r] - A[r] v[:p] - sum_j b^power[r, j]
-    vals[r, j] v[cols[r, j]])^2 / 2 to the log density, where resid is
-    obs - offset and b is beta_x. Expanded in the work-order vector u,
-    that is const + lin' u - u' Q u / 2, and each entry of Q and lin
-    collects a single power of b. Returns {power: [Q stored flat (n_hess),
-    lin (d), const]} for each power present.
+    Row r adds -factor[r] (resid[r] - A[r] u[:p] - sum_j b^power[r, j]
+    vals[r, j] u[p + slots[j, r]])^2 / 2 to the log density of the
+    work-order vector u, where resid is obs - offset, b is beta_x and
+    index is the rows' hess_index. Expanded, that is const + lin' u -
+    u' Q u / 2, and each entry of Q and lin collects a single power of b.
+    Returns {power: [Q stored flat (n_hess), lin (d), const]} for each
+    power present.
     """
     p = blocks.p
-    slots, index = blocks.row_index(cols)
     fv, pw = factor * vals.T, power.T
     # the rows' products laid out as index (border columns, then pairs) and
     # the power of b each collects; each power present is one row of the
@@ -1177,7 +1164,7 @@ def _design(model: JointModel) -> _Design:
     # Poisson response, then the copy links
     n_fam = n_reg if trials is not None else 0
     one_by_one = np.concatenate((np.arange(n_fam), copy_slice.start + np.arange(n_copy)))
-    blocks = _latent_blocks(layout, p, model.x_index, cols, cols[one_by_one])
+    blocks, slots, hess_index = _latent_blocks(layout, p, model.x_index, cols, one_by_one)
 
     # the Gaussian rows in block form, one piece per row-precision
     # hyperparameter and power of beta_x; the rows of fixed precision, the
@@ -1191,7 +1178,8 @@ def _design(model: JointModel) -> _Design:
     gauss_const = 0.0
     for rows, name, factor in precisions:
         factor = np.broadcast_to(np.asarray(factor, dtype=float), (rows.stop - rows.start,))
-        found = _block_pieces(blocks, A[rows], cols[rows], unit[rows], power[rows], resid[rows], factor)
+        found = _block_pieces(blocks, A[rows], slots[:, rows], hess_index[..., rows], unit[rows], power[rows],
+                              resid[rows], factor)
         gauss_const += 0.5 * (float(np.sum(np.log(factor))) - factor.size * LOG_2PI)
         if name is None:
             Q, lin, const = found[0]
@@ -1214,7 +1202,6 @@ def _design(model: JointModel) -> _Design:
         blocks=blocks,
         family=model.family,
         A=A_rows,
-        cols=cols[one_by_one],
         vals=np.ascontiguousarray(vals[one_by_one].T),
         obs=obs[one_by_one],
         offset=offset[one_by_one],
@@ -1300,7 +1287,7 @@ def joint_log_density(model: JointModel, v, theta) -> float:
         raise SpecError("latent vector has shape %r, expected (%d,)" % (v.shape, model.layout.dim))
     cond = assemble_conditional(model, theta)
     theta = model.theta.validate(theta)
-    return float(cond.log_density(v[None])[0]) + model.theta.log_prior(theta)
+    return float(cond.log_density(v[cond.blocks.perm][None])[0]) + model.theta.log_prior(theta)
 
 
 def block_log_densities(model: JointModel, v, theta) -> tuple:

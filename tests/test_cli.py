@@ -114,6 +114,20 @@ class TestFit:
             "--method", "naive", "--outdir", str(tmp_path),
         ) == 1
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_outdir_that_is_a_file_exits_one(self, study_dir, tmp_path, capsys, command):
+        _, files = study_dir
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        if command == "fit":
+            argv = ("fit", "--config", files["config"], "--data", files["data"], "--method", "naive")
+        else:
+            argv = ("simulate", "--study", "ibex", "--seed", "1")
+        assert run_cli(*argv, "--outdir", str(taken)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("meglm: error: ") and str(taken) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value, setting", [
         ("--dz", "nan", "dz"),
         ("--dz", "inf", "dz"),

@@ -86,6 +86,12 @@ def test_binomial_rejects_counts_above_trials():
         families.check_response("binomial", np.array([0.0, 4.0]), np.array([5.0, 3.0]))
 
 
+@pytest.mark.parametrize("trials", [2.5, -1.0, np.nan, np.inf])
+def test_binomial_rejects_trials_that_are_not_counts(trials):
+    with pytest.raises(DataError, match="binomial trials must be nonnegative integers"):
+        families.check_response("binomial", np.array([1.0, 0.0]), np.array([3.0, trials]))
+
+
 def test_unknown_family_is_a_spec_error():
     eta = np.zeros(2)
     with pytest.raises(SpecError):

@@ -27,6 +27,7 @@ from meglm.model import (
     ExposureModel,
     ModelSpec,
     ObservationModel,
+    _latent_blocks,
     assemble_conditional,
     build_joint_model,
     copy_augment,
@@ -300,7 +301,7 @@ def dense_design(rows, dim):
 
 def log_density_0(cond, v):
     """cond.log_density of point 0 at latent vector v."""
-    return float(cond.log_density(v[None])[0])
+    return float(cond.log_density(v[cond.blocks.perm][None])[0])
 
 
 def dense_gradient_and_hessian(model, theta, v):
@@ -356,7 +357,7 @@ class TestArrowheadAgainstDense:
         approx = latent_gaussian_approx(model, theta)
 
         # the blocks hold exactly the dense Hessian of the stacked rows
-        _, blocks_H = _grad_hess(cond, approx.mode[None])
+        _, blocks_H = _grad_hess(cond, approx.mode[cond.blocks.perm][None])
         dense_H = dense_from_blocks(cond.blocks, blocks_H[0])
         _, ref_H = dense_gradient_and_hessian(model, theta, approx.mode)
         assert rel_gap(dense_H, ref_H) < 1.0e-12
@@ -477,7 +478,7 @@ class TestBlockForm:
         theta = study_theta(model, perturbed)
         v = 0.3 * np.cos(1.3 * np.arange(model.layout.dim))
         cond = assemble_conditional(model, theta)
-        g, H = _grad_hess(cond, v[None])
+        g, H = _grad_hess(cond, v[cond.blocks.perm][None])
         ref_g, ref_H = dense_gradient_and_hessian(model, theta, v)
         assert rel_gap(cond.blocks.to_latent(g)[0], ref_g) < 1.0e-12
         assert rel_gap(dense_from_blocks(cond.blocks, H[0]), ref_H) < 1.0e-12
@@ -488,6 +489,37 @@ class TestBlockForm:
         model = study_model("ibex", False)
         cond = assemble_conditional(model, model.theta.init_natural())
         assert cond.obs.size == 0 and cond.trials_ng is None
+
+
+class TestWorkOrder:
+    """The engine holds latent vectors in work order: `Conditional` reads
+    them so, and its row indices are the one-by-one rows' share of the
+    indices built once for every stacked row."""
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    @pytest.mark.parametrize("study", ["ibex", "framingham", "seedling"])
+    def test_conditional_reads_work_order(self, study, augmented):
+        model = study_model(study, augmented)
+        theta = study_theta(model, True)
+        rows = stacked_rows(model, theta)
+        cond = assemble_conditional(model, theta)
+        blocks = cond.blocks
+        # the rows evaluated one by one: the regression rows of a binomial
+        # or Poisson response, then the copy links
+        family_rows = np.arange(rows.reg_slice.stop) if rows.trials is not None else np.arange(0)
+        one_by_one = np.concatenate((family_rows, np.arange(rows.copy_slice.start, rows.copy_slice.stop)))
+        assert one_by_one.size == cond.obs.size
+        v = 0.3 * np.cos(1.3 * np.arange(model.layout.dim))
+        eta = cond.eta(v[blocks.perm][None])[0]
+        assert eta.shape == one_by_one.shape
+        if one_by_one.size:
+            assert rel_gap(eta, rows.eta(v)[one_by_one]) < 1.0e-12
+
+        _, slots, hess_index = _latent_blocks(model.layout, blocks.p, model.x_index, rows.cols, one_by_one)
+        # slot k holds latent component perm[p + k], for every stacked row
+        assert np.array_equal(blocks.perm[blocks.p + slots], rows.cols.T)
+        assert np.array_equal(blocks.slots, slots[:, one_by_one])
+        assert np.array_equal(blocks.hess_index, hess_index[..., one_by_one])
 
 
 class TestRidgeAndFailure:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from meglm.closedforms import naive_glm_fit
 from meglm.data import Dataset, parse_model_config, read_model_config
 from meglm.errors import DataError, SpecError
 from meglm.mcmc import _initial_state, _prepare, _x_prior_precision_mean
@@ -238,6 +239,12 @@ class TestErrors:
         data = Dataset.from_arrays(y=[0, 2, 1], w=[0.1, 0.2, 0.3])
         with pytest.raises(DataError, match="binomial"):
             build_joint_model(spec, data)
+        # the trials, too, must be counts, for the joint model and the naive fit
+        data = Dataset.from_arrays(y=[0, 2, 1], w=[0.1, 0.2, 0.3], n=[1, 2.5, 1])
+        with pytest.raises(DataError, match="binomial trials must be nonnegative integers"):
+            build_joint_model(replace(spec, trials="n"), data)
+        with pytest.raises(DataError, match="binomial trials must be nonnegative integers"):
+            naive_glm_fit([0, 2, 1], [0.1, 0.2, 0.3], family="binomial", trials=[1, 2.5, 1])
 
     def test_gaussian_needs_residual_prior(self):
         with pytest.raises(SpecError, match="residual_precision"):
